@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .category import DirectSumData, FiniteCategory, HomSpace, Mor, fresh_key
 from .errors import InputError, NonFiniteDimensionalError
-from .exactla import FieldSpec, Mat, Subspace
+from .exactla import FieldSpec, LinSolver, Mat, Subspace, kernel
 
 __all__ = [
     "Quiver",
@@ -615,14 +615,9 @@ def invert(f: Mor) -> Mor:
     blocks = {}
     for s in f.src.slots:
         n = f.src.dims[s]
-        m = f.payload[s]
-        inv = Mat.zeros(cat.field, n, n)
-        ident = Mat.identity(cat.field, n)
-        for j in range(n):
-            col = m.solve([ident.data[i][j] for i in range(n)])
-            for i in range(n):
-                inv.data[i][j] = col[i]
-        blocks[s] = inv
+        solver = LinSolver(f.payload[s])
+        unit_cols = Mat.identity(cat.field, n).data
+        blocks[s] = Mat.from_columns(cat.field, [solver.solve(e) for e in unit_cols], n)
     return Mor(cat, f.tgt, f.src, blocks)
 
 
@@ -632,23 +627,14 @@ def submodule(m: ModuleRep, spaces) -> tuple[ModuleRep, Mor]:
     field = m.algebra.field
     bases = {s: [list(v) for v in spaces[s].basis] for s in m.slots}
     dims = {s: len(bases[s]) for s in m.slots}
+    incl_blocks = {s: Mat.from_columns(field, bases[s], m.dims[s]) for s in m.slots}
+    solvers = {s: LinSolver(incl_blocks[s]) for s in m.slots}
 
     def induced(mat, s_src, s_tgt):
-        out = Mat.zeros(field, dims[s_tgt], dims[s_src])
-        tgt_mat = Mat(
-            field,
-            [[bases[s_tgt][j][i] for j in range(dims[s_tgt])] for i in range(m.dims[s_tgt])],
-            m.dims[s_tgt],
-            dims[s_tgt],
-        )
-        for j, vec in enumerate(bases[s_src]):
-            img = mat.apply(vec)
-            coeff = tgt_mat.solve(img)
-            if coeff is None:
-                raise InputError("subspaces are not closed under the action")
-            for i in range(dims[s_tgt]):
-                out.data[i][j] = coeff[i]
-        return out
+        coeffs = [solvers[s_tgt].solve(mat.apply(vec)) for vec in bases[s_src]]
+        if None in coeffs:
+            raise InputError("subspaces are not closed under the action")
+        return Mat.from_columns(field, coeffs, dims[s_tgt])
 
     mats = {}
     if m.kind == "quiver":
@@ -658,15 +644,6 @@ def submodule(m: ModuleRep, spaces) -> tuple[ModuleRep, Mor]:
         for bname in m.algebra.basis_names:
             mats[bname] = induced(m.mats[bname], "*", "*")
     sub = ModuleRep(m.algebra, dims, mats, m.kind, name=f"sub({m.name})", check=False)
-    incl_blocks = {
-        s: Mat(
-            field,
-            [[bases[s][j][i] for j in range(dims[s])] for i in range(m.dims[s])],
-            m.dims[s],
-            dims[s],
-        )
-        for s in m.slots
-    }
     return sub, Mor(cat, sub, m, incl_blocks)
 
 
@@ -680,28 +657,14 @@ def quotient_module(m: ModuleRep, spaces) -> tuple[ModuleRep, Mor]:
         reps[s] = full.quotient_basis(spaces[s])
         dims[s] = len(reps[s])
         # projection: reduce mod the subspace, then express in coset reps
-        cols = reps[s] + [list(v) for v in spaces[s].basis]
-        solver_mat = Mat(
-            field,
-            [[cols[j][i] for j in range(len(cols))] for i in range(m.dims[s])],
-            m.dims[s],
-            len(cols),
-        )
-        pm = Mat.zeros(field, dims[s], m.dims[s])
-        ident = Mat.identity(field, m.dims[s])
-        for j in range(m.dims[s]):
-            sol = solver_mat.solve([ident.data[i][j] for i in range(m.dims[s])])
-            for i in range(dims[s]):
-                pm.data[i][j] = sol[i]
-        proj_mats[s] = pm
+        solver = LinSolver(Mat.from_columns(field, reps[s] + list(spaces[s].basis), m.dims[s]))
+        unit_cols = Mat.identity(field, m.dims[s]).data
+        proj_cols = [solver.solve(e)[: dims[s]] for e in unit_cols]
+        proj_mats[s] = Mat.from_columns(field, proj_cols, dims[s])
 
     def induced(mat, s_src, s_tgt):
-        out = Mat.zeros(field, dims[s_tgt], dims[s_src])
-        for j, vec in enumerate(reps[s_src]):
-            img = proj_mats[s_tgt].apply(mat.apply(vec))
-            for i in range(dims[s_tgt]):
-                out.data[i][j] = img[i]
-        return out
+        imgs = [proj_mats[s_tgt].apply(mat.apply(vec)) for vec in reps[s_src]]
+        return Mat.from_columns(field, imgs, dims[s_tgt])
 
     mats = {}
     if m.kind == "quiver":
@@ -715,9 +678,7 @@ def quotient_module(m: ModuleRep, spaces) -> tuple[ModuleRep, Mor]:
 
 
 def kernel_module(f: Mor) -> tuple[ModuleRep, Mor]:
-    from .exactla import kernel as mat_kernel
-
-    spaces = {s: mat_kernel(f.payload[s]) for s in f.src.slots}
+    spaces = {s: kernel(f.payload[s]) for s in f.src.slots}
     return submodule(f.src, spaces)
 
 
@@ -727,7 +688,7 @@ def image_module(f: Mor) -> tuple[ModuleRep, Mor]:
         s: Subspace.from_vectors(
             field,
             f.tgt.dims[s],
-            [[f.payload[s].data[i][j] for i in range(f.tgt.dims[s])] for j in range(f.src.dims[s])],
+            f.payload[s].transpose().data,
         )
         for s in f.src.slots
     }
@@ -745,8 +706,7 @@ def radical(m: ModuleRep) -> tuple[ModuleRep, Mor]:
     field = m.algebra.field
     spaces = {s: Subspace.zero(field, m.dims[s]) for s in m.slots}
     for name, s, t in m.algebra.presentation.quiver.arrows:
-        mat = m.mats[name]
-        cols = [[mat.data[i][j] for i in range(mat.rows)] for j in range(mat.cols)]
+        cols = m.mats[name].transpose().data
         spaces[t] = spaces[t] + Subspace.from_vectors(field, m.dims[t], cols)
     return submodule(m, spaces)
 
@@ -757,9 +717,7 @@ def socle(m: ModuleRep) -> tuple[ModuleRep, Mor]:
     field = m.algebra.field
     spaces = {s: Subspace.full(field, m.dims[s]) for s in m.slots}
     for name, s, t in m.algebra.presentation.quiver.arrows:
-        from .exactla import kernel as mat_kernel
-
-        spaces[s] = spaces[s].intersect(mat_kernel(m.mats[name]))
+        spaces[s] = spaces[s].intersect(kernel(m.mats[name]))
     return submodule(m, spaces)
 
 
@@ -769,8 +727,7 @@ def top(m: ModuleRep) -> tuple[ModuleRep, Mor]:
     field = m.algebra.field
     spaces = {s: Subspace.zero(field, m.dims[s]) for s in m.slots}
     for name, s, t in m.algebra.presentation.quiver.arrows:
-        mat = m.mats[name]
-        cols = [[mat.data[i][j] for i in range(mat.rows)] for j in range(mat.cols)]
+        cols = m.mats[name].transpose().data
         spaces[t] = spaces[t] + Subspace.from_vectors(field, m.dims[t], cols)
     return quotient_module(m, spaces)
 
@@ -854,12 +811,8 @@ def nakayama_projective(algebra: Algebra, p: ModuleRep) -> ModuleRep:
         lmul = cat.mor(projs[t], projs[s], lmul_blocks)
         # postcompose: Hom(p, P_t) -> Hom(p, P_s); the dual runs s -> t
         hom_s = cat.hom(p, projs[s])
-        bmat = Mat.zeros(algebra.field, dims[s], dims[t])
-        for j, f in enumerate(hom_bases[t]):
-            coords = hom_s.coords(f.then(lmul).payload)
-            for i in range(dims[s]):
-                bmat.data[i][j] = coords[i]
-        mats[name] = bmat.transpose()
+        rows = [hom_s.coords(f.then(lmul).payload) for f in hom_bases[t]]
+        mats[name] = Mat(algebra.field, rows, dims[t], dims[s])
     return ModuleRep(
         algebra, dims, mats, "quiver", name=f"nu({p.name})", check=True
     )

@@ -8,13 +8,13 @@ rotation of an angle carries the sign (-1)^n on the wrapped-around map.
 
 from __future__ import annotations
 
-from .algebra import ModuleCategory, ModuleRep
-from .catideal import SubcatSpec, end_ring, ideal_space, is_left_approximation, is_right_approximation
+from .algebra import ModuleRep
+from .catideal import SubcatSpec, ideal_space, is_left_approximation, is_right_approximation
 from .category import DirectSumData, FiniteCategory, HomSpace, Mor, QuotientCategory
-from .complexes import ChainMap, Complex, HomComplex, chain_map_space, complex_in_quotient, null_homotopic_space, stalk
-from .derivedeq import EquivCertificate
+from .complexes import ChainMap, Complex, HomComplex, null_homotopic_space, stalk
+from .derivedeq import EquivCertificate, _certify
 from .errors import HypothesisError, InputError, InternalConsistencyError
-from .exactla import CosetSpace, LinSolver, Mat, Subspace
+from .exactla import LinSolver, Mat, Subspace
 
 __all__ = [
     "NAngle",
@@ -238,7 +238,6 @@ def proj_resolution_complex(cat: KbProjCat, module: ModuleRep, max_len: int = 8)
     exceeds the length bound.  Each syzygy cover is minimized.
     """
     from .algebra import kernel_module, projective
-    from .catideal import right_approximation
     from .derivedeq import minimize_right_approximation
 
     algebra = cat.algebra
@@ -453,8 +452,7 @@ def _fill_angle_square(cat, sigma, src: NAngle, tgt: NAngle, h1: Mor, h2: Mor):
         return [] if all(v == field.zero for v in rhs) else None
     if not rows:
         return [spaces[i].zero() for i in range(2, n)]
-    mat = Mat(field, rows, len(rows), total)
-    sol = _solve_system(mat, rhs)
+    sol = LinSolver(Mat(field, rows, len(rows), total)).solve(rhs)
     if sol is None:
         return None
     out = []
@@ -462,11 +460,6 @@ def _fill_angle_square(cat, sigma, src: NAngle, tgt: NAngle, h1: Mor, h2: Mor):
         seg = sol[offsets[idx] : offsets[idx] + spaces[i].dim]
         out.append(spaces[i].from_coords(seg))
     return out
-
-
-def _solve_system(mat: Mat, rhs):
-    aug = LinSolver(mat)
-    return aug.solve(rhs)
 
 
 def verify_weak_axioms(cat, sigma, angles, rng, filler_samples: int = 5) -> dict:
@@ -508,7 +501,6 @@ def verify_weak_axioms(cat, sigma, angles, rng, filler_samples: int = 5) -> dict
 
 
 def _solve_second(cat, src: NAngle, tgt: NAngle, h1: Mor):
-    field = cat.field
     space = cat.hom(src.objects[1], tgt.objects[1])
     out_space = cat.hom(src.objects[0], tgt.objects[1])
     if out_space.dim == 0:
@@ -516,14 +508,9 @@ def _solve_second(cat, src: NAngle, tgt: NAngle, h1: Mor):
     if space.dim == 0:
         return space.zero() if h1.then(tgt.maps[0]).is_zero() else None
     cols = [out_space.coords(src.maps[0].then(b).payload) for b in space.basis]
-    mat = Mat(
-        field,
-        [[cols[j][i] for j in range(space.dim)] for i in range(out_space.dim)],
-        out_space.dim,
-        space.dim,
-    )
+    mat = Mat.from_columns(cat.field, cols, out_space.dim)
     rhs = list(out_space.coords(h1.then(tgt.maps[0]).payload))
-    sol = _solve_system(mat, rhs)
+    sol = LinSolver(mat).solve(rhs)
     return space.from_coords(sol) if sol is not None else None
 
 
@@ -561,7 +548,6 @@ def lemma_nangle_check(cat, angle: NAngle, probes, window: int = 3) -> dict:
 
 def _hom_action(cat, p, f: Mor, side: str) -> Mat:
     """Matrix of Hom(p, f) (cov) or Hom(f, p) (contra) on Hom bases."""
-    field = cat.field
     if side == "cov":
         src_space = cat.hom(p, f.src)
         tgt_space = cat.hom(p, f.tgt)
@@ -570,12 +556,7 @@ def _hom_action(cat, p, f: Mor, side: str) -> Mat:
         src_space = cat.hom(f.tgt, p)
         tgt_space = cat.hom(f.src, p)
         cols = [tgt_space.coords(f.then(b).payload) for b in src_space.basis]
-    return Mat(
-        field,
-        [[cols[j][i] for j in range(src_space.dim)] for i in range(tgt_space.dim)],
-        tgt_space.dim,
-        src_space.dim,
-    )
+    return Mat.from_columns(cat.field, cols, tgt_space.dim)
 
 
 def _exact_pair(a: Mat, b: Mat) -> bool:
@@ -639,36 +620,23 @@ def verify_theorem2(cat, sigma: ShiftFunctor, angle: NAngle, m, spec: SubcatSpec
     qcat_j = QuotientCategory(
         cat, lambda a, b: ideal_space(cat, spec, a, b, "J"), label="proper-right"
     )
-
-    hc = HomComplex(cat, t_complex, t_complex)
-    _cycles, basis = chain_map_space(hc)
-    n_dim = len(basis)
     top_deg = len(t_objs) - 1
 
     # theta: joint solve  g~ . u = f_top . g~  and  u . eta~ = eta~ . Sigma(f0)
     end_ym = cat.hom(ym_sum.obj, ym_sum.obj)
     left_space = cat.hom(top_sum.obj, ym_sum.obj)
     right_space = cat.hom(ym_sum.obj, sigma.obj(x_obj))
-    cols = []
-    for e in end_ym.basis:
-        v1 = list(left_space.coords(g_tilde.then(e).payload))
-        v2 = list(right_space.coords(e.then(eta_tilde).payload))
-        cols.append(v1 + v2)
-    sys_rows = left_space.dim + right_space.dim
-    sys_mat = Mat(
-        field,
-        [[cols[j][i] for j in range(end_ym.dim)] for i in range(sys_rows)],
-        sys_rows,
-        end_ym.dim,
-    )
+    cols = [
+        list(left_space.coords(g_tilde.then(e).payload))
+        + list(right_space.coords(e.then(eta_tilde).payload))
+        for e in end_ym.basis
+    ]
+    sys_mat = Mat.from_columns(field, cols, left_space.dim + right_space.dim)
     solver = LinSolver(sys_mat)
 
     # well-definedness: the homogeneous solutions must lie in the proper ideal
     j_ideal = ideal_space(cat, spec, ym_sum.obj, ym_sum.obj, "J")
     hom_solutions = Subspace.from_vectors(field, end_ym.dim, sys_mat.kernel_basis())
-    well_defined = j_ideal.contains_subspace(hom_solutions)
-
-    end_ym_q = qcat_j.hom(ym_sum.obj, ym_sum.obj)
 
     def theta_of(cm: ChainMap):
         f_top = cm.component(top_deg)
@@ -685,91 +653,7 @@ def verify_theorem2(cat, sigma: ShiftFunctor, angle: NAngle, m, spec: SubcatSpec
             raise InternalConsistencyError("angle filler system unsolvable")
         return qcat_j.lift(end_ym.from_coords(sol[: end_ym.dim]))
 
-    theta_classes = [theta_of(f) for f in basis]
-    theta_cols = [list(end_ym_q.coords(g.payload)) for g in theta_classes]
-    theta_mat = Mat(
-        field,
-        [[theta_cols[j][i] for j in range(n_dim)] for i in range(end_ym_q.dim)],
-        end_ym_q.dim,
-        n_dim,
-    )
-    theta_surjective = theta_mat.rank() == end_ym_q.dim
-
-    # phi over the proper left quotient
-    t_bar = complex_in_quotient(qcat_i, t_complex)
-    hc_i = HomComplex(qcat_i, t_bar, t_bar)
-    cyc_i, _ = chain_map_space(hc_i)
-    bnd_i = null_homotopic_space(hc_i)
-    cosets = CosetSpace(cyc_i, bnd_i)
-
-    def phi_vec(cm: ChainMap):
-        maps = {i: qcat_i.lift(g) for i, g in cm.maps.items()}
-        return cosets.project(hc_i.vec_from_maps(0, maps))
-
-    phi_cols = [phi_vec(f) for f in basis]
-    phi_mat = Mat(
-        field,
-        [[phi_cols[j][i] for j in range(n_dim)] for i in range(cosets.dim)],
-        cosets.dim,
-        n_dim,
-    )
-    phi_surjective = phi_mat.rank() == cosets.dim
-
-    ker_theta = Subspace.from_vectors(field, n_dim, theta_mat.kernel_basis())
-    ker_phi = Subspace.from_vectors(field, n_dim, phi_mat.kernel_basis())
-    kernels_equal = ker_theta == ker_phi
-
-    def coset_mul(u, v):
-        fu = hc_i.maps_from_vec(0, cosets.lift(u))
-        fv = hc_i.maps_from_vec(0, cosets.lift(v))
-        prod = {}
-        for i, a in fu.items():
-            b = fv.get(i)
-            if b is not None:
-                prod[i] = a.then(b)
-        return cosets.project(hc_i.vec_from_maps(0, prod))
-
-    multiplicative = True
-    for i, f in enumerate(basis):
-        for j, gg in enumerate(basis):
-            fg = f.then(gg)
-            if not theta_of(fg).eq(theta_classes[i].then(theta_classes[j])):
-                multiplicative = False
-                break
-            if phi_vec(fg) != coset_mul(phi_cols[i], phi_cols[j]):
-                multiplicative = False
-                break
-        if not multiplicative:
-            break
-
-    ident = ChainMap(
-        t_complex, t_complex, {i: cat.identity(t_complex.obj(i)) for i in t_complex.degrees()}
-    )
-    unital = theta_of(ident).eq(qcat_j.lift(cat.identity(ym_sum.obj)))
-    ident_class = phi_vec(ident)
-    for col in phi_cols:
-        if coset_mul(ident_class, col) != col or coset_mul(col, ident_class) != col:
-            unital = False
-            break
-
-    mx_sum = cat.direct_sum([m, x_obj])
-    ring_left = end_ring(qcat_i, mx_sum.obj, "end over proper-left quotient of m+X")
-    ring_right = end_ring(qcat_j, ym_sum.obj, "end over proper-right quotient of Y+m")
-    dim_match = n_dim - ker_theta.dim == ring_right.dim
-
-    flags = {
-        "theta_well_defined": well_defined,
-        "theta_surjective": theta_surjective,
-        "phi_surjective": phi_surjective,
-        "kernels_equal": kernels_equal,
-        "multiplicative": multiplicative,
-        "unital": bool(unital),
-        "dim_match": dim_match,
-    }
-    data = {
-        "end_cb_dim": n_dim,
-        "kernel_dim": ker_theta.dim,
-        "theta_mat": theta_mat,
-        "phi_mat": phi_mat,
-    }
-    return EquivCertificate(ring_left, ring_right, flags, data)
+    mx = cat.direct_sum([m, x_obj]).obj
+    cert = _certify(t_complex, qcat_i, qcat_j, ym_sum.obj, mx, theta_of)
+    cert.flags = {"theta_well_defined": j_ideal.contains_subspace(hom_solutions), **cert.flags}
+    return cert

@@ -103,15 +103,7 @@ class HomSpace:
         self.basis = [Mor(cat, src, tgt, p) for p in basis_payloads]
         self.dim = len(self.basis)
         flats = [cat._p_flatten(src, tgt, p) for p in basis_payloads]
-        cols = flats + [list(v) for v in extra_flats]
-        self._solver = LinSolver(
-            Mat(
-                cat.field,
-                [[cols[j][i] for j in range(len(cols))] for i in range(flat_dim)],
-                flat_dim,
-                len(cols),
-            )
-        )
+        self._solver = LinSolver(Mat.from_columns(cat.field, flats + list(extra_flats), flat_dim))
 
     def coords(self, payload):
         flat = self.cat._p_flatten(self.src, self.tgt, payload)

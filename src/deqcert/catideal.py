@@ -12,7 +12,7 @@ from __future__ import annotations
 from .algebra import Algebra
 from .category import FiniteCategory, Mor
 from .errors import InputError, InternalConsistencyError
-from .exactla import Mat, Subspace
+from .exactla import LinSolver, Mat, Subspace
 
 __all__ = [
     "SubcatSpec",
@@ -117,26 +117,19 @@ def ideal_space(cat, spec: SubcatSpec, x, y, kind: str) -> Subspace:
     n = space.dim
     if n == 0:
         return Subspace.zero(cat.field, 0)
-    rows = []
+    cols = [[] for _ in range(n)]  # column j: the images of basis map j under every probe
     for g in spec.generators:
         if kind == "R":
             probes = cat.hom(g, x).basis  # h: g -> x;  f dies iff h.then(f)=0
-            out_dim = cat.hom(g, y).dim
         else:
             probes = cat.hom(y, g).basis  # h: y -> g;  f dies iff f.then(h)=0
-            out_dim = cat.hom(x, g).dim
         for h in probes:
-            cols = []
-            for f in space.basis:
-                comp = h.then(f) if kind == "R" else f.then(h)
-                cols.append(list(comp.coords()))
-            for r in range(out_dim):
-                rows.append([cols[j][r] for j in range(n)])
-    if not rows:
+            for col, f in zip(cols, space.basis):
+                col.extend((h.then(f) if kind == "R" else f.then(h)).coords())
+    if not cols[0]:
         return Subspace.full(cat.field, n)
-    mat = Mat(cat.field, rows, len(rows), n)
-    vecs = mat.kernel_basis()
-    return Subspace.from_vectors(cat.field, n, vecs)
+    mat = Mat.from_columns(cat.field, cols, len(cols[0]))
+    return Subspace.from_vectors(cat.field, n, mat.kernel_basis())
 
 
 # -- approximations --------------------------------------------------------
@@ -215,17 +208,10 @@ def _kernel_of_postcompose(cat, f: Mor, x, y, side: str) -> Subspace:
     n = space.dim
     if n == 0:
         return Subspace.zero(cat.field, 0)
-    rows = []
-    cols = []
-    for g in space.basis:
-        comp = f.then(g) if side == "pre" else g.then(f)
-        cols.append(list(comp.coords()))
-    out_dim = len(cols[0])
-    for r in range(out_dim):
-        rows.append([cols[j][r] for j in range(n)])
-    if not rows:
+    cols = [(f.then(g) if side == "pre" else g.then(f)).coords() for g in space.basis]
+    if not cols[0]:
         return Subspace.full(cat.field, n)
-    mat = Mat(cat.field, rows, len(rows), n)
+    mat = Mat.from_columns(cat.field, cols, len(cols[0]))
     return Subspace.from_vectors(cat.field, n, mat.kernel_basis())
 
 
@@ -350,17 +336,7 @@ def quotient_ring(cat, obj, ideal: Subspace, provenance="") -> RingPresentation:
     d = len(reps)
     rep_mors = [space.from_coords(v) for v in reps]
     # project a coordinate vector to the quotient basis
-    cols = reps + [list(v) for v in ideal.basis]
-    from .exactla import LinSolver
-
-    solver = LinSolver(
-        Mat(
-            cat.field,
-            [[cols[j][i] for j in range(len(cols))] for i in range(n)],
-            n,
-            len(cols),
-        )
-    )
+    solver = LinSolver(Mat.from_columns(cat.field, reps + list(ideal.basis), n))
 
     def project(vec):
         sol = solver.solve(list(vec))

@@ -2,7 +2,8 @@
 JSON scenario document and emit human- or machine-readable reports.
 
 Exit codes: 0 all checks passed, 1 a hypothesis or verification failed,
-2 bad input.  Machine reports are deterministic for a fixed seed: keys are
+2 bad input, 3 an internal invariant was violated (a bug, not a failed
+check).  Machine reports are deterministic for a fixed seed: keys are
 sorted and no timing information is included.
 """
 
@@ -23,12 +24,11 @@ from .algebra import (
     regular_module,
     simple_module,
 )
-from .angulate import KbProjCat, cone_triangle, verify_theorem2
+from .angulate import verify_theorem2
 from .catideal import SubcatSpec, end_ring, ideal_space, quotient_ring, right_approximation, left_approximation
-from .category import Mor
 from .complexes import Complex, check_thm1_conditions
 from .derivedeq import nu_stable_sequence, verify_theorem1
-from .errors import HypothesisError, InputError
+from .errors import HypothesisError, InputError, InternalConsistencyError
 from .exactla import FieldSpec, Mat
 from .orbit import (
     AdmissibleSet,
@@ -533,6 +533,9 @@ def main(argv=None):
     except HypothesisError as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return 1
+    except InternalConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     if getattr(args, "json", False):
         print(json.dumps(report, sort_keys=True, indent=2))
     else:

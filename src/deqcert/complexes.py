@@ -198,18 +198,12 @@ class HomComplex:
         return out
 
     def _diff_matrix(self, n) -> Mat:
-        field = self.cat.field
-        rows, cols = self.dim(n + 1), self.dim(n)
-        out = Mat.zeros(field, rows, cols)
-        j = 0
-        for m, h in self.blocks[n]:
-            for b in h.basis:
-                img = self.apply_diff(n, {m: b})
-                col = self.vec_from_maps(n + 1, img)
-                for i in range(rows):
-                    out.data[i][j] = col[i]
-                j += 1
-        return out
+        cols = [
+            self.vec_from_maps(n + 1, self.apply_diff(n, {m: b}))
+            for m, h in self.blocks[n]
+            for b in h.basis
+        ]
+        return Mat.from_columns(self.cat.field, cols, self.dim(n + 1))
 
     def cycles(self, n) -> Subspace:
         d = self.vect.mat(n)
@@ -219,8 +213,7 @@ class HomComplex:
 
     def boundaries(self, n) -> Subspace:
         d = self.vect.mat(n - 1)
-        cols = [[d.data[i][j] for i in range(d.rows)] for j in range(d.cols)]
-        return Subspace.from_vectors(self.cat.field, self.dim(n), cols)
+        return Subspace.from_vectors(self.cat.field, self.dim(n), d.transpose().data)
 
 
 def hom_total_complex(x: Complex, y: Complex) -> VectComplex:

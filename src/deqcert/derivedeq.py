@@ -1,6 +1,7 @@
 """The main equivalence engine: tilting data from a long sequence, the two
-ring surjections with a common kernel, and the projective-approximation
-pipeline for stable-under-Nakayama projectives.
+ring surjections with a common kernel (the certificate core, which the
+angle engine reuses), and the projective-approximation pipeline for
+stable-under-Nakayama projectives.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .catideal import (
     end_ring,
     ideal_space,
     is_right_approximation,
-    right_approximation,
 )
 from .category import QuotientCategory
 from .complexes import (
@@ -41,7 +41,6 @@ __all__ = [
     "EquivCertificate",
     "build_tilting",
     "theta",
-    "phi",
     "verify_theorem1",
     "nu_stable_sequence",
     "minimize_right_approximation",
@@ -136,14 +135,8 @@ def _theta_solver(t: TiltingData):
     ym = t.ym_sum.obj
     end_ym = cat.hom(ym, ym)
     target = cat.hom(t.qm_sum.obj, ym)
-    cols = [list(target.coords(t.d_tilde.then(e).payload)) for e in end_ym.basis]
-    mat = Mat(
-        cat.field,
-        [[cols[j][i] for j in range(len(cols))] for i in range(target.dim)],
-        target.dim,
-        len(cols),
-    )
-    t._theta_cache = (end_ym, target, LinSolver(mat))
+    cols = [target.coords(t.d_tilde.then(e).payload) for e in end_ym.basis]
+    t._theta_cache = (end_ym, target, LinSolver(Mat.from_columns(cat.field, cols, target.dim)))
     return t._theta_cache
 
 
@@ -162,33 +155,6 @@ def theta(t: TiltingData, f: ChainMap):
         )
     g = end_ym.from_coords(sol[: end_ym.dim])
     return t.qcat_right.lift(g)
-
-
-class _PhiData:
-    def __init__(self, t: TiltingData):
-        self.t_bar = complex_in_quotient(t.qcat_left, t.t_complex)
-        self.hc = HomComplex(t.qcat_left, self.t_bar, self.t_bar)
-        cycles, _ = chain_map_space(self.hc)
-        boundaries = null_homotopic_space(self.hc)
-        self.cosets = CosetSpace(cycles, boundaries)
-
-    def vec(self, t: TiltingData, f: ChainMap):
-        maps = {
-            i: t.qcat_left.lift(g) for i, g in f.maps.items()
-        }
-        return self.hc.vec_from_maps(0, maps)
-
-
-def phi(t: TiltingData, f: ChainMap):
-    """Class of f in the homotopy-category endomorphism ring over C/L."""
-    data = _PhiData(t)
-    return data.cosets.project(data.vec(t, f))
-
-
-def _end_cb_basis(t: TiltingData):
-    hc = HomComplex(t.cat, t.t_complex, t.t_complex)
-    cycles, basis = chain_map_space(hc)
-    return hc, cycles, basis
 
 
 class EquivCertificate:
@@ -213,118 +179,98 @@ class EquivCertificate:
         }
 
 
-def verify_theorem1(q: Complex, m, embedding_check: bool = True) -> EquivCertificate:
-    """Run the full construction and verify every step numerically."""
-    t = build_tilting(q, m)
-    cat = t.cat
+def _certify(t_complex, qcat_left, qcat_right, ym, mx, theta_of) -> EquivCertificate:
+    """The argument shared by Theorems 1 and 2 on the truncated complex T.
+
+    theta_of sends a chain map T -> T to an endomorphism of ym over
+    qcat_right; phi sends it to its homotopy class over qcat_left.  Both are
+    checked to be surjective ring maps with equal kernels on the chain-map
+    basis of End(T), and the quotient rings End(mx) and End(ym) are computed.
+    """
+    cat = t_complex.cat
     field = cat.field
-    hc, cycles, basis = _end_cb_basis(t)
+    _, basis = chain_map_space(HomComplex(cat, t_complex, t_complex))
     n_dim = len(basis)
 
-    # theta on the chain-map basis
-    end_ym_q = t.qcat_right.hom(t.ym_sum.obj, t.ym_sum.obj)
-    theta_cols = []
-    theta_classes = []
-    for f in basis:
-        g = theta(t, f)
-        theta_classes.append(g)
-        theta_cols.append(list(end_ym_q.coords(g.payload)))
-    theta_mat = Mat(
-        field,
-        [[theta_cols[j][i] for j in range(n_dim)] for i in range(end_ym_q.dim)],
-        end_ym_q.dim,
-        n_dim,
-    )
-    theta_surjective = theta_mat.rank() == end_ym_q.dim
+    end_ym_q = qcat_right.hom(ym, ym)
+    theta_classes = [theta_of(f) for f in basis]
+    theta_cols = [end_ym_q.coords(g.payload) for g in theta_classes]
+    theta_mat = Mat.from_columns(field, theta_cols, end_ym_q.dim)
 
-    # phi on the same basis
-    pdata = _PhiData(t)
-    phi_cols = [pdata.cosets.project(pdata.vec(t, f)) for f in basis]
-    phi_dim = pdata.cosets.dim
-    phi_mat = Mat(
-        field,
-        [[phi_cols[j][i] for j in range(n_dim)] for i in range(phi_dim)],
-        phi_dim,
-        n_dim,
-    )
-    phi_surjective = phi_mat.rank() == phi_dim
+    # phi: homotopy classes over the left quotient, in coset coordinates
+    t_bar = complex_in_quotient(qcat_left, t_complex)
+    hc = HomComplex(qcat_left, t_bar, t_bar)
+    cosets = CosetSpace(chain_map_space(hc)[0], null_homotopic_space(hc))
+
+    def phi_of(f: ChainMap):
+        maps = {i: qcat_left.lift(g) for i, g in f.maps.items()}
+        return cosets.project(hc.vec_from_maps(0, maps))
+
+    def coset_mul(u, v):
+        fu = ChainMap(t_bar, t_bar, hc.maps_from_vec(0, cosets.lift(u)))
+        fv = ChainMap(t_bar, t_bar, hc.maps_from_vec(0, cosets.lift(v)))
+        return cosets.project(hc.vec_from_maps(0, fu.then(fv).maps))
+
+    phi_cols = [phi_of(f) for f in basis]
+    phi_mat = Mat.from_columns(field, phi_cols, cosets.dim)
 
     ker_theta = Subspace.from_vectors(field, n_dim, theta_mat.kernel_basis())
     ker_phi = Subspace.from_vectors(field, n_dim, phi_mat.kernel_basis())
-    kernels_equal = ker_theta == ker_phi
 
-    # ring-homomorphism checks on all basis products
-    multiplicative = True
-    for i, f in enumerate(basis):
-        for j, g in enumerate(basis):
-            fg = f.then(g)
-            lhs = theta(t, fg)
-            rhs = theta_classes[i].then(theta_classes[j])
-            if not lhs.eq(rhs):
-                multiplicative = False
-            lhs_p = pdata.cosets.project(pdata.vec(t, fg))
-            prod_vec = _coset_mul(pdata, phi_cols[i], phi_cols[j])
-            if lhs_p != prod_vec:
-                multiplicative = False
-        if not multiplicative:
-            break
+    # ring-map checks on all basis products, stopping at the first failure
+    def respects_product(i, j):
+        fg = basis[i].then(basis[j])
+        if not theta_of(fg).eq(theta_classes[i].then(theta_classes[j])):
+            return False
+        return phi_of(fg) == coset_mul(phi_cols[i], phi_cols[j])
+
+    multiplicative = all(respects_product(i, j) for i in range(n_dim) for j in range(n_dim))
     ident = ChainMap(
-        t.t_complex, t.t_complex, {i: cat.identity(t.t_complex.obj(i)) for i in t.t_complex.degrees()}
+        t_complex, t_complex, {i: cat.identity(t_complex.obj(i)) for i in t_complex.degrees()}
     )
-    unital = theta(t, ident).eq(t.qcat_right.lift(cat.identity(t.ym_sum.obj)))
-    ident_class = pdata.cosets.project(pdata.vec(t, ident))
-    for col in phi_cols:
-        if (
-            _coset_mul(pdata, ident_class, col) != col
-            or _coset_mul(pdata, col, ident_class) != col
-        ):
-            unital = False
-            break
+    ident_class = phi_of(ident)
+    unital = theta_of(ident).eq(qcat_right.lift(cat.identity(ym))) and all(
+        coset_mul(ident_class, col) == col and coset_mul(col, ident_class) == col
+        for col in phi_cols
+    )
 
-    # the two endomorphism rings
-    mx_sum = cat.direct_sum([t.m, q.obj(0)])
-    ring_left = end_ring(t.qcat_left, mx_sum.obj, "end over left-quotient of m+X")
-    ring_right = end_ring(t.qcat_right, t.ym_sum.obj, "end over right-quotient of Y+M")
-    dim_match = n_dim - len(ker_theta.basis) == ring_right.dim
-
+    ring_left = end_ring(qcat_left, mx, f"end over {qcat_left.label} quotient of M+X")
+    ring_right = end_ring(qcat_right, ym, f"end over {qcat_right.label} quotient of Y+M")
     flags = {
-        "theta_surjective": theta_surjective,
-        "phi_surjective": phi_surjective,
-        "kernels_equal": kernels_equal,
+        "theta_surjective": theta_mat.rank() == end_ym_q.dim,
+        "phi_surjective": phi_mat.rank() == cosets.dim,
+        "kernels_equal": ker_theta == ker_phi,
         "multiplicative": multiplicative,
-        "unital": bool(unital),
-        "dim_match": dim_match,
+        "unital": unital,
+        "dim_match": n_dim - ker_theta.dim == ring_right.dim,
     }
-    if embedding_check:
-        flags["embedding_dims"] = _full_embedding_dim_check(t, mx_sum.obj)
     data = {
         "end_cb_dim": n_dim,
-        "kernel_dim": len(ker_theta.basis),
+        "kernel_dim": ker_theta.dim,
         "theta_mat": theta_mat,
         "phi_mat": phi_mat,
-        "facts": t.facts,
     }
     return EquivCertificate(ring_left, ring_right, flags, data)
 
 
-def _coset_mul(pdata: _PhiData, u, v):
-    """Multiply two homotopy classes via coset representatives."""
-    fu = pdata.hc.maps_from_vec(0, pdata.cosets.lift(u))
-    fv = pdata.hc.maps_from_vec(0, pdata.cosets.lift(v))
-    prod = {}
-    for i, a in fu.items():
-        b = fv.get(i)
-        if b is not None:
-            prod[i] = a.then(b)
-    return pdata.cosets.project(pdata.hc.vec_from_maps(0, prod))
+def verify_theorem1(q: Complex, m, embedding_check: bool = True) -> EquivCertificate:
+    """Run the full construction and verify every step numerically."""
+    t = build_tilting(q, m)
+    mx = t.cat.direct_sum([t.m, q.obj(0)]).obj
+    cert = _certify(
+        t.t_complex, t.qcat_left, t.qcat_right, t.ym_sum.obj, mx, lambda f: theta(t, f)
+    )
+    if embedding_check:
+        cert.flags["embedding_dims"] = _full_embedding_dim_check(t, mx, cert.ring_left)
+    cert.data["facts"] = t.facts
+    return cert
 
 
-def _full_embedding_dim_check(t: TiltingData, mx_obj) -> bool:
+def _full_embedding_dim_check(t: TiltingData, mx_obj, ring) -> bool:
     """Dimension form of the full-embedding claim: Hom over the left
     quotient between the terms of T• must match Hom between their images
-    under Hom(m+X, -), i.e. modules over the endomorphism ring."""
+    under Hom(m+X, -), i.e. modules over ring = End(m+X) over that quotient."""
     qcat = t.qcat_left
-    ring = end_ring(qcat, mx_obj, "embedding check")
     try:
         alg = ring.opposite().to_algebra()
     except InputError:
@@ -334,14 +280,12 @@ def _full_embedding_dim_check(t: TiltingData, mx_obj) -> bool:
     mods = []
     for u in terms:
         space = qcat.hom(mx_obj, u)
-        mats = {}
-        for bi, e in enumerate(end_space.basis):
-            mat = Mat.zeros(qcat.field, space.dim, space.dim)
-            for j, b in enumerate(space.basis):
-                col = space.coords(e.then(b).payload)
-                for i in range(space.dim):
-                    mat.data[i][j] = col[i]
-            mats[alg.basis_names[bi]] = mat
+        mats = {
+            name: Mat.from_columns(
+                qcat.field, [space.coords(e.then(b).payload) for b in space.basis], space.dim
+            )
+            for name, e in zip(alg.basis_names, end_space.basis)
+        }
         mods.append(ModuleRep.plain_rep(alg, space.dim, mats))
     mcat = alg.modcat
     for i, u in enumerate(terms):

@@ -20,7 +20,6 @@ __all__ = [
     "Subspace",
     "LinSolver",
     "kernel",
-    "solve_affine",
 ]
 
 
@@ -161,6 +160,11 @@ class Mat:
         if rows:
             return cls(field, rows)
         return cls.zeros(field, 0, 0 if cols is None else cols)
+
+    @classmethod
+    def from_columns(cls, field, cols, rows):
+        """The rows x len(cols) matrix whose j-th column is cols[j]."""
+        return cls(field, [[col[i] for col in cols] for i in range(rows)], rows, len(cols))
 
     @classmethod
     def column(cls, field, vec):
@@ -320,25 +324,6 @@ class Mat:
             basis.append(vec)
         return basis
 
-    def solve(self, b):
-        """One solution of self·x = b, or None when inconsistent."""
-        if len(b) != self.rows:
-            raise InputError("right-hand side length mismatch")
-        f = self.field
-        aug = Mat(
-            f,
-            [row + [bi] for row, bi in zip(self.data, b)] if self.rows else [],
-            self.rows,
-            self.cols + 1,
-        )
-        red, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [f.zero] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.data[r][self.cols]
-        return x
-
 
 class LinSolver:
     """Repeated exact solves of A·x = b with A fixed.
@@ -391,14 +376,6 @@ class LinSolver:
 def kernel(m: Mat) -> "Subspace":
     """Right null space {v : m·v = 0} as a canonical Subspace."""
     return Subspace.from_vectors(m.field, m.cols, m.kernel_basis())
-
-
-def solve_affine(m: Mat, b):
-    """Full solution set of m·x = b: (particular, kernel Subspace), or None."""
-    x = m.solve(list(b))
-    if x is None:
-        return None
-    return x, kernel(m)
 
 
 class Subspace:
@@ -477,15 +454,8 @@ class Subspace:
             return Subspace.zero(self.field, self.ambient)
         f = self.field
         # columns: coefficients (x, y) with x·A = y·B
-        stacked = Mat(
-            f,
-            [
-                [self.basis[i][c] for i in range(self.dim)]
-                + [f.neg(other.basis[j][c]) for j in range(other.dim)]
-                for c in range(self.ambient)
-            ],
-            self.ambient,
-            self.dim + other.dim,
+        stacked = Mat.from_columns(
+            f, list(self.basis) + [[f.neg(x) for x in v] for v in other.basis], self.ambient
         )
         vecs = []
         for coeff in stacked.kernel_basis():
@@ -517,19 +487,6 @@ class Subspace:
         return f"Subspace(dim {self.dim} of F^{self.ambient})"
 
 
-def subspace_algebra(op: str, a: Subspace, b: Subspace):
-    """Dispatcher mirroring the external interface: sum/intersect/quotient-basis/contains."""
-    if op == "sum":
-        return a + b
-    if op == "intersect":
-        return a.intersect(b)
-    if op == "quotient-basis":
-        return a.quotient_basis(b)
-    if op == "contains":
-        return a.contains_subspace(b)
-    raise InputError(f"unknown subspace operation {op!r}")
-
-
 class CosetSpace:
     """Coordinates on total/sub: coset representatives plus projection maps."""
 
@@ -540,14 +497,8 @@ class CosetSpace:
         self.sub = sub
         self.reps = total.quotient_basis(sub)
         self.dim = len(self.reps)
-        cols = [list(v) for v in self.reps] + [list(v) for v in sub.basis]
         self._solver = LinSolver(
-            Mat(
-                self.field,
-                [[cols[j][i] for j in range(len(cols))] for i in range(self.ambient)],
-                self.ambient,
-                len(cols),
-            )
+            Mat.from_columns(self.field, self.reps + list(sub.basis), self.ambient)
         )
 
     def project(self, vec):

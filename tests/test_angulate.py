@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from deqcert import angulate
 from deqcert.angulate import (
     KbProjCat,
     KbShift,
@@ -160,3 +161,18 @@ def test_verify_theorem2_rings_are_rings():
     cert = verify_theorem2(fx.cat, fx.cat.sigma, fx.triangle, fx.m)
     cert.ring_left.to_algebra()
     cert.ring_right.to_algebra()
+
+
+def test_doubled_theta_fails_exactly_the_ring_map_flags(monkeypatch):
+    # 2·theta over Q is still surjective with the same kernel, but it maps
+    # 1 to 2 and f·g to 2·theta(f)·theta(g) instead of 4·theta(f)·theta(g)
+    fx = a2_triangle()
+    certify = angulate._certify
+
+    def doubled(*args):
+        theta_of = args[-1]
+        return certify(*args[:-1], lambda f: theta_of(f).scale(2))
+
+    monkeypatch.setattr(angulate, "_certify", doubled)
+    cert = verify_theorem2(fx.cat, fx.cat.sigma, fx.triangle, fx.m)
+    assert {k for k, v in cert.flags.items() if not v} == {"multiplicative", "unital"}

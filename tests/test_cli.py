@@ -1,12 +1,17 @@
 """Command-line interface: commands, exit codes, report determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from deqcert import cli
 from deqcert.cli import main, parse_field, parse_scalar
-from deqcert.errors import InputError
+from deqcert.errors import InputError, InternalConsistencyError
 from deqcert.exactla import FieldSpec
+
+# byte-exact --json reports committed with the benchmark; read, never written
+ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle"
 
 
 def run(capsys, *argv):
@@ -192,3 +197,32 @@ def test_machine_report_is_deterministic(capsys):
 def test_human_report_prints_elapsed(capsys):
     code, out = run(capsys, "check-admissible", "--set", "0,1")
     assert code == 0 and "elapsed:" in out
+
+
+def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    def broken(args):
+        raise InternalConsistencyError("invariant broken")
+
+    monkeypatch.setattr(cli, "cmd_check_admissible", broken)
+    assert main(["check-admissible", "--set", "0,1"]) == 3
+    assert "internal error: invariant broken" in capsys.readouterr().err
+
+
+ORACLE_RUNS = [
+    (command, field)
+    for command in ("verify-thm2", "orbit-verify")
+    for field in ("q", "fp:101", "fp:32771", "fp:65521")
+] + [("example nakayama", "fp:101")]
+
+
+def oracle_name(command, field):
+    return "%s.%s" % (command.replace(" ", "-"), field.replace(":", ""))
+
+
+@pytest.mark.parametrize(
+    "command, field", ORACLE_RUNS, ids=[oracle_name(c, f) for c, f in ORACLE_RUNS]
+)
+def test_json_report_matches_oracle(capsys, command, field):
+    code, out = run(capsys, *command.split(), "--field", field, "--json")
+    assert code == 0
+    assert out == (ORACLE / (oracle_name(command, field) + ".json")).read_text()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from deqcert import derivedeq
 from deqcert.catideal import SubcatSpec, ideal_space
 from deqcert.derivedeq import (
     minimize_right_approximation,
@@ -53,6 +54,17 @@ def test_embedding_check_flag_presence():
     assert "embedding_dims" in with_emb.flags
     assert "embedding_dims" not in without.flags
     assert with_emb.passed and without.passed
+
+
+def test_doubled_theta_fails_exactly_the_ring_map_flags(monkeypatch):
+    # 2·theta over Q keeps surjectivity and the kernel, so only the ring-map
+    # flags can see it
+    fx = cyclic_nakayama(2, 2)
+    q, m = d_split_sequence(fx.algebra, fx.simples["1"])
+    theta = derivedeq.theta
+    monkeypatch.setattr(derivedeq, "theta", lambda t, f: theta(t, f).scale(2))
+    cert = verify_theorem1(q, m)
+    assert {k for k, v in cert.flags.items() if not v} == {"multiplicative", "unital"}
 
 
 def test_kxx_loop_algebra_sequence():

@@ -13,8 +13,6 @@ from deqcert.exactla import (
     Mat,
     Subspace,
     kernel,
-    solve_affine,
-    subspace_algebra,
 )
 
 
@@ -54,6 +52,10 @@ def test_mat_arithmetic():
     assert (-a + a).is_zero()
     assert a.scale(2) == Mat(q, [[2, 4], [6, 8]])
     assert a.transpose() == Mat(q, [[1, 3], [2, 4]])
+    assert Mat.from_columns(q, a.transpose().data, 2) == a
+    # a matrix with no rows keeps its columns both ways
+    empty = Mat.from_columns(q, [[], [], []], 0)
+    assert empty.shape == (0, 3) and empty.transpose().data == [[], [], []]
     assert a.apply([1, 0]) == [Fraction(1), Fraction(3)]
 
 
@@ -82,9 +84,9 @@ def test_rref_is_idempotent():
 def test_solve_consistent_and_inconsistent():
     q = FieldSpec(0)
     a = Mat(q, [[1, 1], [0, 1], [1, 2]])
-    x = a.solve(a.apply([3, -2]))
+    x = LinSolver(a).solve(a.apply([3, -2]))
     assert a.apply(x) == a.apply([3, -2])
-    assert a.solve([1, 0, 0]) is None  # rows force x+y=1, y=0, x+2y=0
+    assert LinSolver(a).solve([1, 0, 0]) is None  # rows force x+y=1, y=0, x+2y=0
 
 
 def test_lin_solver_matches_direct_solve():
@@ -96,14 +98,6 @@ def test_lin_solver_matches_direct_solve():
         target = a.apply([f5.random(rng) for _ in range(4)])
         x = solver.solve(target)
         assert x is not None and a.apply(x) == target
-
-
-def test_solve_affine_wrapper():
-    q = FieldSpec(0)
-    a = Mat(q, [[2, 0], [0, 3]])
-    sol, homog = solve_affine(a, [4, 9])
-    assert sol == [Fraction(2), Fraction(3)]
-    assert homog.dim == 0
 
 
 def test_subspace_membership_and_sum_intersection_dims():
@@ -130,8 +124,8 @@ def test_subspace_canonical_equality():
     u = Subspace.from_vectors(q, 3, [[1, 1, 0], [0, 0, 1]])
     v = Subspace.from_vectors(q, 3, [[2, 2, 2], [1, 1, 3]])
     assert u == v
-    assert subspace_algebra("sum", u, v) == u
-    assert subspace_algebra("intersect", u, v) == u
+    assert u + v == u
+    assert u.intersect(v) == u
 
 
 def test_kernel_of_matrix():
