@@ -8,8 +8,14 @@ rotation of an angle carries the sign (-1)^n on the wrapped-around map.
 
 from __future__ import annotations
 
-from .algebra import ModuleRep
-from .catideal import SubcatSpec, ideal_space, is_left_approximation, is_right_approximation
+from .algebra import ModuleRep, kernel_module, projective
+from .catideal import (
+    SubcatSpec,
+    ideal_space,
+    is_left_approximation,
+    is_right_approximation,
+    minimal_right_approximation,
+)
 from .category import DirectSumData, FiniteCategory, HomSpace, Mor, QuotientCategory
 from .complexes import ChainMap, Complex, HomComplex, null_homotopic_space, stalk
 from .derivedeq import EquivCertificate, _certify
@@ -72,12 +78,6 @@ class ShiftFunctor:
 
     def mor(self, f: Mor, k: int = 1) -> Mor:
         raise NotImplementedError
-
-    def inv_obj(self, x):
-        return self.obj(x, -1)
-
-    def inv_mor(self, f):
-        return self.mor(f, -1)
 
 
 class KbShift(ShiftFunctor):
@@ -149,22 +149,13 @@ class KbProjCat(FiniteCategory):
         hc = self._hom_complex(x, y)
         cycles = hc.cycles(0)
         boundaries = null_homotopic_space(hc)
-        reps = cycles.quotient_basis(boundaries)
-        payloads = []
-        for v in reps:
-            maps = hc.maps_from_vec(0, list(v))
-            payloads.append({i: m for i, m in maps.items()})
+        payloads = [hc.maps_from_vec(0, list(v)) for v in cycles.quotient_basis(boundaries)]
         return HomSpace(
             self, x, y, payloads, hc.dim(0), extra_flats=[list(v) for v in boundaries.basis]
         )
 
     def _p_flatten(self, x, y, fp):
-        hc = self._hom_complex(x, y)
-        out = []
-        for m, h in hc.blocks.get(0, []):
-            f = fp.get(m)
-            out.extend(h.coords(f.payload) if f is not None else [self.field.zero] * h.dim)
-        return out
+        return self._hom_complex(x, y).vec_from_maps(0, fp)
 
     def _p_compose(self, x, y, z, fp, gp):
         out = {}
@@ -237,31 +228,18 @@ def proj_resolution_complex(cat: KbProjCat, module: ModuleRep, max_len: int = 8)
     module on the right; raises HypothesisError if projective dimension
     exceeds the length bound.  Each syzygy cover is minimized.
     """
-    from .algebra import kernel_module, projective
-    from .derivedeq import minimize_right_approximation
-
     algebra = cat.algebra
     base = cat.base
-    gens = [projective(algebra, v) for v in algebra.vertices()]
-    spec = SubcatSpec(base, gens)
+    spec = SubcatSpec(base, [projective(algebra, v) for v in algebra.vertices()])
     if module.total_dim == 0:
         return _zero_object(cat, None)
 
     steps = []  # (cover object, map into the previous cover or the module)
     target, incl_prev = module, None
     for _ in range(max_len + 1):
-        summands, maps = [], []
-        for g in spec.generators:
-            for b in base.hom(g, target).basis:
-                summands.append(g)
-                maps.append(b)
-        if not summands:
+        if not any(base.hom(g, target).dim for g in spec.generators):
             raise InternalConsistencyError("no projective cover of a nonzero module")
-        summands, maps = minimize_right_approximation(base, spec, summands, maps, target)
-        data = spec.sum_of(summands)
-        f = base.zero_mor(data.obj, target)
-        for proj, b in zip(data.projections, maps):
-            f = f + proj.then(b)
+        data, f = minimal_right_approximation(base, spec, target)
         steps.append((data.obj, f.then(incl_prev) if incl_prev is not None else f))
         target, incl_prev = kernel_module(f)
         if target.total_dim == 0:
@@ -635,7 +613,7 @@ def verify_theorem2(cat, sigma: ShiftFunctor, angle: NAngle, m, spec: SubcatSpec
     solver = LinSolver(sys_mat)
 
     # well-definedness: the homogeneous solutions must lie in the proper ideal
-    j_ideal = ideal_space(cat, spec, ym_sum.obj, ym_sum.obj, "J")
+    j_ideal = qcat_j.ideal(ym_sum.obj, ym_sum.obj)
     hom_solutions = Subspace.from_vectors(field, end_ym.dim, sys_mat.kernel_basis())
 
     def theta_of(cm: ChainMap):

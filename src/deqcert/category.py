@@ -219,8 +219,8 @@ class QuotientCategory(FiniteCategory):
     """Same objects as the base, Hom spaces divided by an ideal.
 
     ``ideal_fn(x, y)`` returns the ideal's subspace in the coordinates of
-    the base Hom space.  Payloads are base morphisms acting as coset
-    representatives.
+    the base Hom space; it is called once per pair, alongside the Hom space.
+    Payloads are base morphisms acting as coset representatives.
     """
 
     def __init__(self, base: FiniteCategory, ideal_fn, label="quotient"):
@@ -228,6 +228,12 @@ class QuotientCategory(FiniteCategory):
         self.base = base
         self.ideal_fn = ideal_fn
         self.label = label
+        self._ideals = {}
+
+    def ideal(self, x, y) -> Subspace:
+        """The subspace of the base Hom(x, y) that Hom(x, y) here divides by."""
+        self.hom(x, y)
+        return self._ideals[(x.key, y.key)]
 
     def _hom_space(self, x, y):
         base_hom = self.base.hom(x, y)
@@ -235,6 +241,7 @@ class QuotientCategory(FiniteCategory):
         ideal = self.ideal_fn(x, y)
         if ideal.ambient != base_hom.dim:
             raise InternalConsistencyError("ideal subspace has wrong ambient dimension")
+        self._ideals[(x.key, y.key)] = ideal
         reps = full.quotient_basis(ideal)
         payloads = [base_hom.from_coords(v).payload for v in reps]
         return HomSpace(

@@ -10,9 +10,9 @@ single generators.
 from __future__ import annotations
 
 from .algebra import Algebra
-from .category import FiniteCategory, Mor
+from .category import FiniteCategory, Mor, QuotientCategory
 from .errors import InputError, InternalConsistencyError
-from .exactla import LinSolver, Mat, Subspace
+from .exactla import Mat, Subspace
 
 __all__ = [
     "SubcatSpec",
@@ -21,6 +21,8 @@ __all__ = [
     "factorization_through",
     "right_approximation",
     "left_approximation",
+    "minimal_right_approximation",
+    "approximation_witness",
     "is_right_approximation",
     "is_left_approximation",
     "lemma_ann_verify",
@@ -114,10 +116,9 @@ def ideal_space(cat, spec: SubcatSpec, x, y, kind: str) -> Subspace:
         raise InputError(f"unknown ideal kind {kind!r}")
 
     space = cat.hom(x, y)
-    n = space.dim
-    if n == 0:
+    if space.dim == 0:  # nothing to annihilate: skip building the probe Hom spaces
         return Subspace.zero(cat.field, 0)
-    cols = [[] for _ in range(n)]  # column j: the images of basis map j under every probe
+    cols = [[] for _ in space.basis]  # column j: the images of basis map j under every probe
     for g in spec.generators:
         if kind == "R":
             probes = cat.hom(g, x).basis  # h: g -> x;  f dies iff h.then(f)=0
@@ -126,6 +127,14 @@ def ideal_space(cat, spec: SubcatSpec, x, y, kind: str) -> Subspace:
         for h in probes:
             for col, f in zip(cols, space.basis):
                 col.extend((h.then(f) if kind == "R" else f.then(h)).coords())
+    return _kernel_space(cat, cols)
+
+
+def _kernel_space(cat, cols) -> Subspace:
+    """Kernel of the linear map whose column j is cols[j], inside k^len(cols)."""
+    n = len(cols)
+    if n == 0:
+        return Subspace.zero(cat.field, 0)
     if not cols[0]:
         return Subspace.full(cat.field, n)
     mat = Mat.from_columns(cat.field, cols, len(cols[0]))
@@ -133,86 +142,111 @@ def ideal_space(cat, spec: SubcatSpec, x, y, kind: str) -> Subspace:
 
 
 # -- approximations --------------------------------------------------------
+#
+# A right add(D)-approximation of x is a map f: d -> x from a member d such
+# that every map from a generator into x factors through f; a left one is
+# the dual.  The universal approximation sums one copy of a generator per
+# Hom basis element; the minimal one drops copies greedily.
 
 
-def right_approximation(cat, spec: SubcatSpec, x):
-    """Universal right approximation: evaluate a Hom basis from each generator.
+def _generator_maps(cat, spec: SubcatSpec, x, side="right"):
+    """(generator, basis map) pairs over a Hom basis of Hom(g, x) (right) or
+    Hom(x, g) (left) for every generator g.
 
-    Returns (sum_data, mor) where mor: sum_data.obj -> x.  The sum is
-    registered as a member of the subcategory.
+    With no maps at all, one generator with the zero map stands in: the
+    zero approximation from a zero-multiplicity sum is awkward to represent.
     """
-    summands, maps = [], []
-    for g in spec.generators:
-        for b in cat.hom(g, x).basis:
-            summands.append(g)
-            maps.append(b)
-    if not summands:
-        # the zero approximation from a zero-multiplicity sum is awkward to
-        # represent; use one generator with the zero map
-        summands, maps = [spec.generators[0]], [cat.zero_mor(spec.generators[0], x)]
-    data = spec.sum_of(summands)
+    def space(g):
+        return cat.hom(g, x) if side == "right" else cat.hom(x, g)
+
+    pairs = [(g, b) for g in spec.generators for b in space(g).basis]
+    if not pairs:
+        g = spec.generators[0]
+        pairs = [(g, space(g).zero())]
+    return pairs
+
+
+def _assemble(cat, spec: SubcatSpec, x, pairs):
+    """Sum the pairs' maps out of the direct sum of their generators, which
+    is registered as a member; returns (sum_data, mor: sum -> x)."""
+    data = spec.sum_of([g for g, _ in pairs])
     out = cat.zero_mor(data.obj, x)
-    for proj, b in zip(data.projections, maps):
+    for proj, (_, b) in zip(data.projections, pairs):
         out = out + proj.then(b)
     return data, out
 
 
+def right_approximation(cat, spec: SubcatSpec, x):
+    """Universal right approximation; returns (sum_data, mor: sum -> x)."""
+    return _assemble(cat, spec, x, _generator_maps(cat, spec, x))
+
+
 def left_approximation(cat, spec: SubcatSpec, x):
     """Universal left approximation; returns (sum_data, mor: x -> sum)."""
-    summands, maps = [], []
-    for g in spec.generators:
-        for b in cat.hom(x, g).basis:
-            summands.append(g)
-            maps.append(b)
-    if not summands:
-        summands, maps = [spec.generators[0]], [cat.zero_mor(x, spec.generators[0])]
-    data = spec.sum_of(summands)
+    pairs = _generator_maps(cat, spec, x, "left")
+    data = spec.sum_of([g for g, _ in pairs])
     out = cat.zero_mor(x, data.obj)
-    for inj, b in zip(data.injections, maps):
+    for inj, (_, b) in zip(data.injections, pairs):
         out = out + b.then(inj)
     return data, out
 
 
+def minimal_right_approximation(cat, spec: SubcatSpec, x):
+    """Right approximation with summand copies dropped greedily.
+
+    Summands are tried in the order of the universal approximation; after
+    each drop that keeps the approximation property the scan restarts.
+    Returns (sum_data, mor: sum -> x).
+    """
+    pairs = _generator_maps(cat, spec, x)
+    changed = True
+    while changed and len(pairs) > 1:
+        changed = False
+        for drop in range(len(pairs)):
+            trial = pairs[:drop] + pairs[drop + 1 :]
+            if is_right_approximation(cat, spec, _assemble(cat, spec, x, trial)[1]):
+                pairs = trial
+                changed = True
+                break
+    return _assemble(cat, spec, x, pairs)
+
+
+def approximation_witness(cat, spec: SubcatSpec, f: Mor, side: str):
+    """None if f is a right (side "right") or left ("left") approximation;
+    otherwise the first generator map, in Hom-basis order, that does not
+    factor through f."""
+    if side not in ("left", "right"):
+        raise InputError("side must be 'left' or 'right'")
+    for g in spec.generators:
+        space = cat.hom(g, f.tgt) if side == "right" else cat.hom(f.src, g)
+        if space.dim == 0:
+            continue
+        if side == "right":
+            through = [u.then(f) for u in cat.hom(g, f.src).basis]
+        else:
+            through = [f.then(u) for u in cat.hom(f.tgt, g).basis]
+        span = _span_of_mors(cat, space.src, space.tgt, through)
+        if span.dim == space.dim:
+            continue
+        for j, b in enumerate(space.basis):
+            unit = [cat.field.zero] * space.dim
+            unit[j] = cat.field.one
+            if not span.contains(unit):
+                return b
+    return None
+
+
 def is_right_approximation(cat, spec: SubcatSpec, f: Mor) -> bool:
     """Does every map generator -> target factor through f?"""
-    for g in spec.generators:
-        target_space = cat.hom(g, f.tgt)
-        if target_space.dim == 0:
-            continue
-        through = [u.then(f) for u in cat.hom(g, f.src).basis]
-        span = _span_of_mors(cat, g, f.tgt, through)
-        if span != Subspace.full(cat.field, target_space.dim):
-            return False
-    return True
+    return approximation_witness(cat, spec, f, "right") is None
 
 
 def is_left_approximation(cat, spec: SubcatSpec, f: Mor) -> bool:
-    for g in spec.generators:
-        target_space = cat.hom(f.src, g)
-        if target_space.dim == 0:
-            continue
-        through = [f.then(u) for u in cat.hom(f.tgt, g).basis]
-        span = _span_of_mors(cat, f.src, g, through)
-        if span != Subspace.full(cat.field, target_space.dim):
-            return False
-    return True
+    """Does every map source -> generator factor through f?"""
+    return approximation_witness(cat, spec, f, "left") is None
 
 
 # -- characterization checks ----------------------------------------------
-
-
-def _kernel_of_postcompose(cat, f: Mor, x, y, side: str) -> Subspace:
-    """side "pre": {g: x->y with f.then(g)=0, f: D->x};
-    side "post": {g with g.then(f)=0, f: y->D}."""
-    space = cat.hom(x, y)
-    n = space.dim
-    if n == 0:
-        return Subspace.zero(cat.field, 0)
-    cols = [(f.then(g) if side == "pre" else g.then(f)).coords() for g in space.basis]
-    if not cols[0]:
-        return Subspace.full(cat.field, n)
-    mat = Mat.from_columns(cat.field, cols, len(cols[0]))
-    return Subspace.from_vectors(cat.field, n, mat.kernel_basis())
 
 
 def lemma_ann_verify(cat, spec: SubcatSpec, a, b) -> dict:
@@ -225,13 +259,14 @@ def lemma_ann_verify(cat, spec: SubcatSpec, a, b) -> dict:
     Clauses (3)/(4) are skipped when membership is not known structurally.
     """
     report = {}
+    hom_ab = cat.hom(a, b).basis
     _, fa = right_approximation(cat, spec, a)
     r_direct = ideal_space(cat, spec, a, b, "R")
-    report["right_char"] = r_direct == _kernel_of_postcompose(cat, fa, a, b, "pre")
+    report["right_char"] = r_direct == _kernel_space(cat, [fa.then(g).coords() for g in hom_ab])
 
     _, fb = left_approximation(cat, spec, b)
     l_direct = ideal_space(cat, spec, a, b, "L")
-    report["left_char"] = l_direct == _kernel_of_postcompose(cat, fb, a, b, "post")
+    report["left_char"] = l_direct == _kernel_space(cat, [g.then(fb).coords() for g in hom_ab])
 
     if spec.contains(a):
         dim_r = len(r_direct.basis)
@@ -319,8 +354,7 @@ def end_ring(cat, obj, provenance="") -> RingPresentation:
 def quotient_ring(cat, obj, ideal: Subspace, provenance="") -> RingPresentation:
     """End(obj)/ideal, with an internal two-sidedness check on the ideal."""
     space = cat.hom(obj, obj)
-    n = space.dim
-    if ideal.ambient != n:
+    if ideal.ambient != space.dim:
         raise InputError("ideal lives in the wrong endomorphism ring")
     for v in ideal.basis:
         u = space.from_coords(v)
@@ -331,27 +365,4 @@ def quotient_ring(cat, obj, ideal: Subspace, provenance="") -> RingPresentation:
                 raise InternalConsistencyError(
                     "subspace is not a two-sided ideal of the endomorphism ring"
                 )
-    full = Subspace.full(cat.field, n)
-    reps = full.quotient_basis(ideal)
-    d = len(reps)
-    rep_mors = [space.from_coords(v) for v in reps]
-    # project a coordinate vector to the quotient basis
-    solver = LinSolver(Mat.from_columns(cat.field, reps + list(ideal.basis), n))
-
-    def project(vec):
-        sol = solver.solve(list(vec))
-        if sol is None:
-            raise InternalConsistencyError("projection failed")
-        return sol[:d]
-
-    table = [
-        [
-            project(space.coords(rep_mors[i].then(rep_mors[j]).payload))
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    unit = project(space.coords(cat.identity(obj).payload))
-    return RingPresentation(
-        cat.field, [f"q{i}" for i in range(d)], table, unit, provenance
-    )
+    return end_ring(QuotientCategory(cat, lambda a, b: ideal), obj, provenance)

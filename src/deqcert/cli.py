@@ -63,23 +63,10 @@ def jsonable(x):
     return str(x)
 
 
-def parse_scalar(field, lit):
-    if isinstance(lit, int):
-        return field.coerce(lit)
-    if isinstance(lit, str):
-        if "/" in lit:
-            num, den = lit.split("/", 1)
-            if field.char:
-                return field.mul(field.coerce(int(num)), field.inv(field.coerce(int(den))))
-            return Fraction(int(num), int(den))
-        return field.coerce(int(lit))
-    raise InputError(f"bad field literal {lit!r}")
-
-
 def parse_field(text) -> FieldSpec:
     if text in (None, "q", "Q"):
         return FieldSpec(0)
-    if text.startswith("fp:"):
+    if isinstance(text, str) and text.startswith("fp:") and text[3:].isdecimal():
         return FieldSpec(int(text[3:]))
     raise InputError(f"unknown field spec {text!r} (use q or fp:<p>)")
 
@@ -102,7 +89,10 @@ def parse_input(path) -> dict:
     quiver_spec = raw.get("quiver")
     if quiver_spec is None:
         raise InputError("document needs a quiver")
-    quiver = Quiver(quiver_spec["vertices"], [tuple(a) for a in quiver_spec["arrows"]])
+    quiver = Quiver(
+        _required(quiver_spec, "vertices", "quiver"),
+        [tuple(a) for a in _required(quiver_spec, "arrows", "quiver")],
+    )
     relations = [list(r) for r in raw.get("relations", [])]
     algebra = path_algebra(quiver, relations, field)
     doc = {"field": field, "algebra": algebra, "modules": {}, "complexes": {}, "functors": {}}
@@ -111,14 +101,14 @@ def parse_input(path) -> dict:
         dims = {str(v): int(d) for v, d in spec.get("dims", {}).items()}
         mats = {}
         for arrow, rows in spec.get("mats", {}).items():
-            mats[arrow] = Mat(field, [[parse_scalar(field, v) for v in row] for row in rows])
+            mats[arrow] = Mat(field, [[field.coerce(v) for v in row] for row in rows])
         doc["modules"][name] = ModuleRep.quiver_rep(algebra, dims, mats, name=name)
     for name, spec in raw.get("complexes", {}).items():
-        objs = [_resolve_module(doc, algebra, n) for n in spec["objects"]]
+        objs = [_resolve_module(doc, algebra, n) for n in _required(spec, "objects", name)]
         diffs = []
         for i, blocks in enumerate(spec.get("diffs", [])):
             blocks = {
-                str(v): Mat(field, [[parse_scalar(field, x) for x in row] for row in rows])
+                str(v): Mat(field, [[field.coerce(x) for x in row] for row in rows])
                 for v, rows in blocks.items()
             }
             diffs.append(cat.mor(objs[i], objs[i + 1], blocks))
@@ -128,11 +118,17 @@ def parse_input(path) -> dict:
             raise InputError("only quiver-twist functors are accepted in documents")
         doc["functors"][name] = QuiverTwistAuto(
             algebra,
-            {str(k): str(v) for k, v in spec["vertices"].items()},
-            {str(k): str(v) for k, v in spec["arrows"].items()},
-            int(spec["order"]),
+            {str(k): str(v) for k, v in _required(spec, "vertices", name).items()},
+            {str(k): str(v) for k, v in _required(spec, "arrows", name).items()},
+            int(_required(spec, "order", name)),
         )
     return doc
+
+
+def _required(spec, key, where):
+    if not isinstance(spec, dict) or key not in spec:
+        raise InputError(f"{where!r} in the document needs {key!r}")
+    return spec[key]
 
 
 _PRESETS = {

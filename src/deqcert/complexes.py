@@ -171,8 +171,9 @@ class HomComplex:
         return out
 
     def vec_from_maps(self, n, maps) -> list:
+        """{m: Mor} -> coordinate vector of degree n (absent maps are zero)."""
         out = []
-        for m, h in self.blocks[n]:
+        for m, h in self.blocks.get(n, []):
             f = maps.get(m)
             out.extend(h.coords(f.payload) if f is not None else [self.cat.field.zero] * h.dim)
         return out

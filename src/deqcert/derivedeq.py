@@ -6,6 +6,8 @@ stable-under-Nakayama projectives.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .algebra import (
     ModuleRep,
     find_isomorphism,
@@ -16,9 +18,11 @@ from .algebra import (
 )
 from .catideal import (
     SubcatSpec,
+    approximation_witness,
     end_ring,
     ideal_space,
-    is_right_approximation,
+    minimal_right_approximation,
+    right_approximation,
 )
 from .category import QuotientCategory
 from .complexes import (
@@ -43,7 +47,6 @@ __all__ = [
     "theta",
     "verify_theorem1",
     "nu_stable_sequence",
-    "minimize_right_approximation",
 ]
 
 
@@ -303,51 +306,6 @@ def _is_surjective(f) -> bool:
     return all(img.dims[s] == f.tgt.dims[s] for s in f.tgt.slots)
 
 
-def minimize_right_approximation(cat, spec: SubcatSpec, summands, maps, target):
-    """Greedily drop summand copies while the approximation property holds.
-
-    summands[i] are subcategory generators, maps[i]: summands[i] -> target.
-    Returns the reduced (summands, maps).
-    """
-
-    def assemble(idx):
-        data = spec.sum_of([summands[i] for i in idx])
-        out = cat.zero_mor(data.obj, target)
-        for pos, i in enumerate(idx):
-            out = out + data.projections[pos].then(maps[i])
-        return out
-
-    keep = list(range(len(summands)))
-    changed = True
-    while changed and len(keep) > 1:
-        changed = False
-        for drop in list(keep):
-            trial = [i for i in keep if i != drop]
-            if is_right_approximation(cat, spec, assemble(trial)):
-                keep = trial
-                changed = True
-                break
-    return [summands[i] for i in keep], [maps[i] for i in keep]
-
-
-def _minimal_right_approx(cat, spec, target):
-    summands, maps = [], []
-    for g in spec.generators:
-        for b in cat.hom(g, target).basis:
-            summands.append(g)
-            maps.append(b)
-    if not summands:
-        g = spec.generators[0]
-        data = spec.sum_of([g])
-        return data, cat.zero_mor(data.obj, target)
-    summands, maps = minimize_right_approximation(cat, spec, summands, maps, target)
-    data = spec.sum_of(summands)
-    out = cat.zero_mor(data.obj, target)
-    for proj, b in zip(data.projections, maps):
-        out = out + proj.then(b)
-    return data, out
-
-
 def nu_stable_sequence(p: ModuleRep, y: ModuleRep, steps=None, rng=None, max_steps=16):
     """Iterated minimal right approximations 0 -> X -> P_n..P_0 -> Y -> 0.
 
@@ -361,14 +319,15 @@ def nu_stable_sequence(p: ModuleRep, y: ModuleRep, steps=None, rng=None, max_ste
     cat = algebra.modcat
     if p.proj_summands is None:
         raise HypothesisError("p is not a certified sum of projectives")
+    rng = rng or _random.Random(0)
     nu_p = nakayama_projective(algebra, p)
-    status, _ = find_isomorphism(p, nu_p, rng or _random.Random(0))
+    status, _ = find_isomorphism(p, nu_p, rng)
     if status != "yes":
         raise HypothesisError(f"projective is not stable under the Nakayama transform ({status})")
     gens = [projective(algebra, v) for v in sorted(set(p.proj_summands))]
     spec = SubcatSpec(cat, gens)
 
-    approx_data, f0 = _minimal_right_approx(cat, spec, y)
+    approx_data, f0 = minimal_right_approximation(cat, spec, y)
     if not _is_surjective(f0):
         raise HypothesisError("y is not generated by add(p)")
     terms = [(approx_data.obj, f0)]  # (P_i, f_i: P_i -> previous target)
@@ -386,7 +345,7 @@ def nu_stable_sequence(p: ModuleRep, y: ModuleRep, steps=None, rng=None, max_ste
             x = ker
             x_incl = incl
             break
-        data, approx = _minimal_right_approx(cat, spec, ker)
+        data, approx = minimal_right_approximation(cat, spec, ker)
         if step == 0 and not _is_surjective(approx):
             raise HypothesisError("first kernel has no surjective approximation; no presentation")
         current_f = approx.then(incl)
@@ -411,23 +370,21 @@ def nu_stable_sequence(p: ModuleRep, y: ModuleRep, steps=None, rng=None, max_ste
 
 
 def _in_add(cat, spec: SubcatSpec, mod: ModuleRep) -> bool:
-    """Is the module a sum of generators?  Small multiplicity search."""
+    """Is the module in add(generators)?  Decided exactly.
+
+    A dimension-vector count rules most modules out before any Hom space is
+    built.  Otherwise mod is in add exactly when its right approximation
+    f: d -> mod splits, i.e. when every map mod -> mod (the identity
+    included) factors through f.
+    """
     if mod.total_dim == 0:
         return True
-    from itertools import product as _product
-
     gens = spec.generators
-    caps = [
-        mod.total_dim // g.total_dim if g.total_dim else 0 for g in gens
-    ]
-    for mults in _product(*[range(c + 1) for c in caps]):
-        if sum(m * g.total_dim for m, g in zip(mults, gens)) != mod.total_dim:
-            continue
-        if sum(mults) == 0:
-            continue
-        summands = [g for m, g in zip(mults, gens) for _ in range(m)]
-        cand = cat.direct_sum(summands).obj
-        status, _ = find_isomorphism(cand, mod, None)
-        if status == "yes":
-            return True
-    return False
+    caps = [mod.total_dim // g.total_dim if g.total_dim else 0 for g in gens]
+    if not any(
+        all(sum(m * g.dims[s] for m, g in zip(mults, gens)) == mod.dims[s] for s in mod.slots)
+        for mults in product(*[range(c + 1) for c in caps])
+    ):
+        return False
+    _, f = right_approximation(cat, spec, mod)
+    return approximation_witness(cat, SubcatSpec(cat, [mod]), f, "right") is None

@@ -23,6 +23,15 @@ __all__ = [
 ]
 
 
+def _parse_rational(text: str) -> Fraction:
+    """An integer or 'a/b' with integer a and nonzero integer b."""
+    num, slash, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"bad scalar {text!r} (use an integer or a/b)") from None
+
+
 class FieldSpec:
     """The base field: Q (characteristic 0) or F_p for a prime p."""
 
@@ -57,24 +66,24 @@ class FieldSpec:
         return Fraction(1) if self.char == 0 else 1
 
     def coerce(self, x):
-        """Accept ints, Fractions and 'a/b' strings."""
+        """Accept ints, Fractions and integer or 'a/b' strings, which read the
+        same over Q and F_p; InputError otherwise."""
         if self.char == 0:
             if isinstance(x, Fraction):
                 return x
             if isinstance(x, int):
                 return Fraction(x)
             if isinstance(x, str):
-                return Fraction(x)
+                return _parse_rational(x)
             raise InputError(f"cannot coerce {x!r} into Q")
         if isinstance(x, str):
-            if "/" in x:
-                num, den = x.split("/")
-                return self.div(int(num) % self.char, int(den) % self.char)
-            x = int(x)
-        if isinstance(x, (int, Fraction)):
-            if isinstance(x, Fraction):
-                return self.div(x.numerator % self.char, x.denominator % self.char)
+            x = _parse_rational(x)
+        if isinstance(x, int):
             return x % self.char
+        if isinstance(x, Fraction):
+            if x.denominator % self.char == 0:
+                raise InputError(f"{x} has no value in F_{self.char}")
+            return self.div(x.numerator % self.char, x.denominator % self.char)
         raise InputError(f"cannot coerce {x!r} into F_{self.char}")
 
     def add(self, a, b):

@@ -12,10 +12,9 @@ from .angulate import NAngle, ShiftFunctor, verify_theorem2
 from .catideal import (
     RingPresentation,
     SubcatSpec,
+    approximation_witness,
     end_ring,
     ideal_space,
-    is_left_approximation,
-    is_right_approximation,
 )
 from .category import DirectSumData, FiniteCategory, HomSpace, Mor
 from .errors import HypothesisError, InputError, InternalConsistencyError
@@ -94,9 +93,6 @@ class AdmissibleSet:
 
     def nonnegative(self):
         return AdmissibleSet([d for d in self.degrees if d >= 0])
-
-    def nonpositive(self):
-        return AdmissibleSet([d for d in self.degrees if d <= 0])
 
     def scaled(self, m: int):
         return AdmissibleSet([m * d for d in self.degrees])
@@ -322,36 +318,8 @@ def orbit_approximation_check(ocat: OrbitCategory, spec: SubcatSpec, f: Mor, sid
     graded morphism when the check fails."""
     if any(u != 0 and not comp.is_zero() for u, comp in f.payload.items()):
         raise InputError("approximation candidate must be degree-0 homogeneous")
-    if side == "right":
-        ok = is_right_approximation(ocat, spec, f)
-    elif side == "left":
-        ok = is_left_approximation(ocat, spec, f)
-    else:
-        raise InputError("side must be 'left' or 'right'")
-    witness = None
-    if not ok:
-        witness = _approx_witness(ocat, spec, f, side)
-    return ok, witness
-
-
-def _approx_witness(ocat, spec, f, side):
-    from .catideal import _span_of_mors
-
-    for g in spec.generators:
-        if side == "right":
-            space = ocat.hom(g, f.tgt)
-            through = _span_of_mors(
-                ocat, g, f.tgt, [h.then(f) for h in ocat.hom(g, f.src).basis]
-            )
-        else:
-            space = ocat.hom(f.src, g)
-            through = _span_of_mors(
-                ocat, f.src, g, [f.then(h) for h in ocat.hom(f.tgt, g).basis]
-            )
-        for b in space.basis:
-            if not through.contains(list(b.coords())):
-                return b
-    return None
+    witness = approximation_witness(ocat, spec, f, side)
+    return witness is None, witness
 
 
 # -- the ideals I and J ----------------------------------------------------

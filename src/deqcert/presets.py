@@ -12,9 +12,10 @@ from .algebra import (
     regular_module,
     simple_module,
 )
-from .catideal import SubcatSpec
+from .catideal import SubcatSpec, minimal_right_approximation
 from .category import Mor
 from .complexes import Complex
+from .derivedeq import nu_stable_sequence
 from .errors import InputError
 from .exactla import FieldSpec, Mat
 
@@ -120,21 +121,11 @@ def d_split_sequence(algebra, y: ModuleRep):
     X its kernel; over a self-injective algebra this is a split sequence
     for the subcategory add(A).  Returns (complex, m) ready for the
     equivalence engine."""
-    from .derivedeq import minimize_right_approximation
-
     cat = algebra.modcat
     m = regular_module(algebra).obj
-    spec = SubcatSpec(cat, [m])
-    basis = cat.hom(m, y).basis
-    if not basis:
+    if not cat.hom(m, y).basis:
         raise InputError("target receives no map from the regular module")
-    summands, maps = minimize_right_approximation(
-        cat, spec, [m] * len(basis), list(basis), y
-    )
-    data = spec.sum_of(summands)
-    f = cat.zero_mor(data.obj, y)
-    for proj, b in zip(data.projections, maps):
-        f = f + proj.then(b)
+    data, f = minimal_right_approximation(cat, SubcatSpec(cat, [m]), y)
     x, incl = kernel_module(f)
     q = Complex(cat, 0, [x, data.obj, y], [incl, f])
     return q, m
@@ -159,8 +150,6 @@ def a2_triangle(field=None):
 def worked_example_scenario(field=None, steps=2, rng=None):
     """The worked example: build X by iterated approximations against
     P = P1 + P3 and return the full split-sequence complex ending in Y."""
-    from .derivedeq import nu_stable_sequence
-
     fx = nakayama4(field)
     q = nu_stable_sequence(fx.p, fx.y, steps=steps, rng=rng)
     return SimpleNamespace(

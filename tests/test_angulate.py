@@ -176,3 +176,23 @@ def test_doubled_theta_fails_exactly_the_ring_map_flags(monkeypatch):
     monkeypatch.setattr(angulate, "_certify", doubled)
     cert = verify_theorem2(fx.cat, fx.cat.sigma, fx.triangle, fx.m)
     assert {k for k, v in cert.flags.items() if not v} == {"multiplicative", "unital"}
+
+
+def test_theorem2_computes_each_ideal_once(monkeypatch):
+    # the J ideal of End(Y+M) serves both theta_well_defined and the
+    # right quotient category; it is computed once and read back
+    fx = a2_triangle()
+    calls = {}
+    ideal_space = angulate.ideal_space
+
+    def counting(cat, spec, x, y, kind):
+        key = (x.key, y.key, kind)
+        calls[key] = calls.get(key, 0) + 1
+        return ideal_space(cat, spec, x, y, kind)
+
+    monkeypatch.setattr(angulate, "ideal_space", counting)
+    cert = verify_theorem2(fx.cat, fx.cat.sigma, fx.triangle, fx.m)
+    assert cert.passed
+    assert calls and max(calls.values()) == 1
+    ym = fx.cat.direct_sum([fx.triangle.objects[-1], fx.m]).obj
+    assert calls[(ym.key, ym.key, "J")] == 1

@@ -7,6 +7,7 @@ import pytest
 from deqcert.catideal import (
     RingPresentation,
     SubcatSpec,
+    approximation_witness,
     end_ring,
     factorization_through,
     ideal_space,
@@ -73,8 +74,33 @@ def test_approximations_a2():
     data, g = left_approximation(cat, spec, fx.simples["2"])
     assert g.src is fx.simples["2"]
     assert is_left_approximation(cat, spec, g)
-    # the zero map is not a right approximation when maps exist
-    assert not is_right_approximation(cat, spec, cat.zero_mor(data.obj, s1))
+    # the zero map is not a right approximation when maps exist; the witness
+    # is a map P1 -> S1 outside the (zero) span of maps through it
+    zero = cat.zero_mor(data.obj, s1)
+    assert not is_right_approximation(cat, spec, zero)
+    witness = approximation_witness(cat, spec, zero, "right")
+    assert witness.src is fx.projectives["1"] and witness.tgt is s1
+    assert not witness.is_zero()
+
+
+def test_approximation_witness_is_none_exactly_for_approximations():
+    rng = random.Random(5)
+    for fx in (a2(), a3(), kxx()):
+        cat = fx.algebra.modcat
+        spec = SubcatSpec(cat, [fx.projectives["1"]])
+        for x in list(fx.projectives.values()) + list(fx.simples.values()):
+            data, f = right_approximation(cat, spec, x)
+            for cand in (f, random_mor(cat, data.obj, x, rng), cat.zero_mor(data.obj, x)):
+                assert (approximation_witness(cat, spec, cand, "right") is None) == (
+                    is_right_approximation(cat, spec, cand)
+                )
+            data, g = left_approximation(cat, spec, x)
+            for cand in (g, random_mor(cat, x, data.obj, rng), cat.zero_mor(x, data.obj)):
+                assert (approximation_witness(cat, spec, cand, "left") is None) == (
+                    is_left_approximation(cat, spec, cand)
+                )
+    with pytest.raises(InputError):
+        approximation_witness(cat, spec, f, "up")
 
 
 def test_lemma_characterizations_presets():

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from deqcert import cli
-from deqcert.cli import main, parse_field, parse_scalar
+from deqcert.cli import main, parse_field
 from deqcert.errors import InputError, InternalConsistencyError
 from deqcert.exactla import FieldSpec
 
@@ -33,10 +33,17 @@ def test_parse_field():
 
 
 def test_parse_scalar():
+    # document scalars are read by FieldSpec.coerce
     q = FieldSpec(0)
     f5 = FieldSpec(5)
-    assert parse_scalar(q, "2/3") == parse_scalar(q, 2) / 3
-    assert parse_scalar(f5, "1/2") == 3  # 2 * 3 = 6 = 1 mod 5
+    assert q.coerce("2/3") == q.coerce(2) / 3
+    assert f5.coerce("1/2") == 3  # 2 * 3 = 6 = 1 mod 5
+    for bad in ("x", "1/0", "0.5", "1e-3", "1/"):
+        for field in (q, f5):
+            with pytest.raises(InputError):
+                field.coerce(bad)
+    with pytest.raises(InputError):
+        f5.coerce("2/5")
 
 
 def test_check_admissible_pass_and_fail(capsys):
@@ -183,6 +190,42 @@ def test_bad_document_is_input_error(tmp_path):
     path2 = tmp_path / "noquiver.json"
     path2.write_text(json.dumps({"schema": 1, "field": "q"}))
     assert main(["hom", "--input", str(path2), "--m", "P1", "--n", "P1"]) == 2
+
+
+def _one_module_document(entry):
+    return {
+        "schema": 1,
+        "field": "q",
+        "quiver": {"vertices": ["1", "2"], "arrows": [["a", "1", "2"]]},
+        "modules": {"M": {"dims": {"1": 1, "2": 1}, "mats": {"a": [[entry]]}}},
+    }
+
+
+def _assert_input_error(capsys, tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["hom", "--input", str(path), "--m", "P1", "--n", "P1"]) == 2
+    assert "input error:" in capsys.readouterr().err
+
+
+def test_non_numeric_matrix_entry_is_input_error(tmp_path, capsys):
+    _assert_input_error(capsys, tmp_path, _one_module_document("x"))
+
+
+def test_zero_denominator_entry_is_input_error(tmp_path, capsys):
+    _assert_input_error(capsys, tmp_path, _one_module_document("1/0"))
+
+
+def test_non_numeric_characteristic_is_input_error(capsys):
+    assert main(["hom", "--algebra", "a2", "--m", "P1", "--n", "P1", "--field", "fp:abc"]) == 2
+    assert "input error:" in capsys.readouterr().err
+
+
+def test_quiver_without_arrows_is_input_error(tmp_path, capsys):
+    doc = _one_module_document(1)
+    del doc["quiver"]["arrows"]
+    _assert_input_error(capsys, tmp_path, doc)
 
 
 def test_machine_report_is_deterministic(capsys):

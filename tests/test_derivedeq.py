@@ -1,17 +1,19 @@
 """The split-sequence equivalence engine for module categories."""
 
-import random
-
 import pytest
 
 from deqcert import derivedeq
-from deqcert.catideal import SubcatSpec, ideal_space
-from deqcert.derivedeq import (
-    minimize_right_approximation,
-    nu_stable_sequence,
-    verify_theorem1,
+from deqcert.algebra import ModuleRep
+from deqcert.catideal import (
+    SubcatSpec,
+    ideal_space,
+    is_right_approximation,
+    minimal_right_approximation,
+    right_approximation,
 )
+from deqcert.derivedeq import nu_stable_sequence, verify_theorem1
 from deqcert.errors import HypothesisError
+from deqcert.exactla import LinSolver, Mat
 from deqcert.presets import (
     a2,
     cyclic_nakayama,
@@ -114,14 +116,43 @@ def test_worked_example_certificate():
 
 
 def test_minimize_right_approximation_drops_redundant_summands():
-    fx = cyclic_nakayama(2, 2)
+    # End(P1) over k[x]/(x^2) has basis {1, x}: the universal approximation
+    # takes one copy of P1 per basis map, the identity alone already suffices
+    fx = kxx()
     cat = fx.algebra.modcat
     p1 = fx.projectives["1"]
-    s1 = fx.simples["1"]
     spec = SubcatSpec(cat, [p1])
-    cover = cat.hom(p1, s1).basis[0]
-    # duplicate the cover; minimization must discard the extra copy
-    summands, maps = minimize_right_approximation(
-        cat, spec, [p1, p1], [cover, cover], s1
+    universal, _ = right_approximation(cat, spec, p1)
+    minimal, f = minimal_right_approximation(cat, spec, p1)
+    assert len(universal.summands) == 2
+    assert len(minimal.summands) == 1
+    assert is_right_approximation(cat, spec, f)
+
+
+def test_in_add_decides_membership_exactly():
+    # P1 + P1 over k[x]/(x^2) with its arrow matrix conjugated by s: no single
+    # Hom basis map from P1 + P1 is an isomorphism, yet the module is in add(P1)
+    fx = kxx()
+    field = fx.algebra.field
+    cat = fx.algebra.modcat
+    spec = SubcatSpec(cat, [fx.projectives["1"]])
+    pp = cat.direct_sum([fx.projectives["1"], fx.projectives["1"]]).obj
+    s = Mat(field, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
+    solver = LinSolver(s)
+    s_inv = Mat.from_columns(
+        field, [solver.solve([int(i == j) for i in range(4)]) for j in range(4)], 4
     )
-    assert len(summands) == 1
+    mod = ModuleRep.quiver_rep(fx.algebra, {"1": 4}, {"x": s * pp.mats["x"] * s_inv})
+    assert derivedeq._in_add(cat, spec, mod) is True
+    # S1 + S2 over cyclic_nakayama(2, 2) has the dimension vector of P1 and
+    # nonzero Homs to and from it, but is not in add(P1, P2)
+    fx = cyclic_nakayama(2, 2)
+    cat = fx.algebra.modcat
+    spec = SubcatSpec(cat, [fx.projectives["1"], fx.projectives["2"]])
+    ss = cat.direct_sum([fx.simples["1"], fx.simples["2"]]).obj
+    assert derivedeq._in_add(cat, spec, ss) is False
+    assert derivedeq._in_add(cat, spec, fx.projectives["1"]) is True
+    # ... and it is the first kernel of the pipeline for P1 + P2 and S1 + S2
+    p = cat.direct_sum([fx.projectives["1"], fx.projectives["2"]]).obj
+    q = nu_stable_sequence(p, ss, max_steps=2)
+    assert [q.obj(i).total_dim for i in q.degrees()] == [2, 4, 4, 4, 2]

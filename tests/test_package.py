@@ -1,0 +1,19 @@
+"""Package surface: every exported name resolves."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import deqcert
+
+MODULES = ["deqcert"] + [
+    f"deqcert.{info.name}" for info in pkgutil.iter_modules(deqcert.__path__)
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", []) if not hasattr(module, attr)]
+    assert missing == [], f"{name}.__all__ names missing attributes: {missing}"
