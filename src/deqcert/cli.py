@@ -89,16 +89,16 @@ def parse_input(path) -> dict:
     quiver_spec = raw.get("quiver")
     if quiver_spec is None:
         raise InputError("document needs a quiver")
-    quiver = Quiver(
-        _required(quiver_spec, "vertices", "quiver"),
-        [tuple(a) for a in _required(quiver_spec, "arrows", "quiver")],
-    )
+    arrows = _required(quiver_spec, "arrows", "quiver")
+    if any(not isinstance(a, list) or len(a) != 3 for a in arrows):
+        raise InputError("every arrow is [name, source, target]")
+    quiver = Quiver(_required(quiver_spec, "vertices", "quiver"), [tuple(a) for a in arrows])
     relations = [list(r) for r in raw.get("relations", [])]
     algebra = path_algebra(quiver, relations, field)
     doc = {"field": field, "algebra": algebra, "modules": {}, "complexes": {}, "functors": {}}
     cat = algebra.modcat
     for name, spec in raw.get("modules", {}).items():
-        dims = {str(v): int(d) for v, d in spec.get("dims", {}).items()}
+        dims = {str(v): _integer(d, "dimension") for v, d in spec.get("dims", {}).items()}
         mats = {}
         for arrow, rows in spec.get("mats", {}).items():
             mats[arrow] = Mat(field, [[field.coerce(v) for v in row] for row in rows])
@@ -112,7 +112,7 @@ def parse_input(path) -> dict:
                 for v, rows in blocks.items()
             }
             diffs.append(cat.mor(objs[i], objs[i + 1], blocks))
-        doc["complexes"][name] = Complex(cat, int(spec.get("lo", 0)), objs, diffs)
+        doc["complexes"][name] = Complex(cat, _integer(spec.get("lo", 0), "lo"), objs, diffs)
     for name, spec in raw.get("functors", {}).items():
         if spec.get("type") != "quiver-twist":
             raise InputError("only quiver-twist functors are accepted in documents")
@@ -120,7 +120,7 @@ def parse_input(path) -> dict:
             algebra,
             {str(k): str(v) for k, v in _required(spec, "vertices", name).items()},
             {str(k): str(v) for k, v in _required(spec, "arrows", name).items()},
-            int(_required(spec, "order", name)),
+            _integer(_required(spec, "order", name), "order"),
         )
     return doc
 
@@ -129,6 +129,13 @@ def _required(spec, key, where):
     if not isinstance(spec, dict) or key not in spec:
         raise InputError(f"{where!r} in the document needs {key!r}")
     return spec[key]
+
+
+def _integer(value, what):
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} {value!r} is not an integer") from None
 
 
 _PRESETS = {

@@ -153,9 +153,16 @@ class Mat:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of(cls, field, data, rows, cols):
+        """Wrap rows whose entries are already field elements: no coerce, no copy."""
+        m = cls.__new__(cls)
+        m.field, m.data, m.rows, m.cols = field, data, rows, cols
+        return m
+
+    @classmethod
     def zeros(cls, field, rows, cols):
         z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)], rows, cols)
+        return cls._of(field, [[z] * cols for _ in range(rows)], rows, cols)
 
     @classmethod
     def identity(cls, field, n):
@@ -180,14 +187,14 @@ class Mat:
         return cls(field, [[x] for x in vec], len(vec), 1)
 
     def copy(self):
-        return Mat(self.field, [row[:] for row in self.data], self.rows, self.cols)
+        return Mat._of(self.field, [row[:] for row in self.data], self.rows, self.cols)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         self._check_shape(other)
         f = self.field
-        return Mat(
+        return Mat._of(
             f,
             [
                 [f.add(a, b) for a, b in zip(ra, rb)]
@@ -200,7 +207,7 @@ class Mat:
     def __sub__(self, other):
         self._check_shape(other)
         f = self.field
-        return Mat(
+        return Mat._of(
             f,
             [
                 [f.sub(a, b) for a, b in zip(ra, rb)]
@@ -212,12 +219,12 @@ class Mat:
 
     def __neg__(self):
         f = self.field
-        return Mat(f, [[f.neg(a) for a in row] for row in self.data], self.rows, self.cols)
+        return Mat._of(f, [[f.neg(a) for a in row] for row in self.data], self.rows, self.cols)
 
     def scale(self, c):
         f = self.field
         c = f.coerce(c)
-        return Mat(f, [[f.mul(c, a) for a in row] for row in self.data], self.rows, self.cols)
+        return Mat._of(f, [[f.mul(c, a) for a in row] for row in self.data], self.rows, self.cols)
 
     def __mul__(self, other):
         if not isinstance(other, Mat):
@@ -257,7 +264,7 @@ class Mat:
         return out
 
     def transpose(self):
-        return Mat(
+        return Mat._of(
             self.field,
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
             self.cols,
@@ -313,7 +320,7 @@ class Mat:
                     rows[i] = [f.sub(x, f.mul(q, y)) for x, y in zip(rows[i], rows[r])]
             pivots.append(c)
             r += 1
-        return Mat(f, rows, self.rows, self.cols), pivots
+        return Mat._of(f, rows, self.rows, self.cols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -337,48 +344,38 @@ class Mat:
 class LinSolver:
     """Repeated exact solves of A·x = b with A fixed.
 
-    Precomputes the RREF of [A | I]; each solve is then a single
-    matrix-vector product plus consistency check.
+    Precomputes the RREF of [A | I] = T·[A | I] and keeps each row of the
+    transform T as its nonzero (column, value) pairs; a solve touches only
+    those.  Row r < rank gives the r-th pivot coordinate of x, and the rows
+    past the rank must vanish on b for a solution to exist.
     """
 
     def __init__(self, a: Mat):
-        self.field = a.field
-        self.a = a
-        aug = Mat(
-            a.field,
-            [
-                row + [a.field.one if i == j else a.field.zero for j in range(a.rows)]
-                for i, row in enumerate(a.data)
-            ]
-            if a.rows
-            else [],
-            a.rows,
-            a.cols + a.rows,
-        )
+        f = self.field = a.field
+        self.cols = a.cols
+        ident = Mat.identity(f, a.rows).data
+        aug = Mat._of(f, [row + e for row, e in zip(a.data, ident)], a.rows, a.cols + a.rows)
         red, pivots = aug.rref()
         self.pivots = [p for p in pivots if p < a.cols]
-        self.rank = len(self.pivots)
-        # transform rows: red = T·[A|I], so T = right block
-        self.transform = [row[a.cols :] for row in red.data]
-        self.reduced = [row[: a.cols] for row in red.data]
+        self.transform = [[(j, t) for j, t in enumerate(row[a.cols :]) if t] for row in red.data]
 
     def solve(self, b):
-        """One solution of A·x = b, or None."""
-        f = self.field
-        w = []
-        for trow in self.transform:
-            s = f.zero
-            for t, bi in zip(trow, b):
-                if t and bi:
-                    s = f.add(s, f.mul(t, bi))
-            w.append(s)
-        x = [f.zero] * self.a.cols
-        for r, pc in enumerate(self.pivots):
-            x[pc] = w[r]
-        # rows past the rank must be consistent
-        for r in range(self.rank, len(w)):
-            if w[r]:
-                return None
+        """The solution of A·x = b that is zero on every free column, or None."""
+        zero, p = self.field.zero, self.field.char
+        nonzero = {j: bj for j, bj in enumerate(b) if bj}
+
+        def dot(row):
+            terms = [t * nonzero[j] for j, t in row if j in nonzero]
+            if not terms:
+                return zero
+            s = sum(terms[1:], terms[0])  # no int 0 start: 0 + Fraction is slow
+            return s % p if p else s
+
+        if any(dot(row) for row in self.transform[len(self.pivots) :]):
+            return None
+        x = [zero] * self.cols
+        for pc, row in zip(self.pivots, self.transform):
+            x[pc] = dot(row)
         return x
 
 
@@ -511,8 +508,8 @@ class CosetSpace:
         )
 
     def project(self, vec):
-        """Coordinates of vec + sub in the coset basis."""
-        sol = self._solver.solve([self.field.coerce(x) for x in vec])
+        """Coordinates of vec + sub in the coset basis; vec holds field elements."""
+        sol = self._solver.solve(vec)
         if sol is None:
             raise InputError("vector outside the total space")
         return sol[: self.dim]

@@ -228,6 +228,18 @@ def test_quiver_without_arrows_is_input_error(tmp_path, capsys):
     _assert_input_error(capsys, tmp_path, doc)
 
 
+def test_non_integer_dimension_is_input_error(tmp_path, capsys):
+    doc = _one_module_document(1)
+    doc["modules"]["M"]["dims"]["1"] = "x"
+    _assert_input_error(capsys, tmp_path, doc)
+
+
+def test_arrow_without_target_is_input_error(tmp_path, capsys):
+    doc = _one_module_document(1)
+    doc["quiver"]["arrows"] = [["a", "1"]]
+    _assert_input_error(capsys, tmp_path, doc)
+
+
 def test_machine_report_is_deterministic(capsys):
     _, first = run(capsys, "verify-thm2", "--json")
     _, second = run(capsys, "verify-thm2", "--json")

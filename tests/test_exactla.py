@@ -17,7 +17,8 @@ from deqcert.exactla import (
 
 
 def rand_mat(field, rows, cols, rng):
-    return Mat(field, [[field.random(rng) for _ in range(cols)] for _ in range(rows)])
+    data = [[field.random(rng) for _ in range(cols)] for _ in range(rows)]
+    return Mat(field, data, rows, cols)  # the shape holds for 0 rows or 0 columns too
 
 
 def test_field_spec_basics():
@@ -98,6 +99,32 @@ def test_lin_solver_matches_direct_solve():
         target = a.apply([f5.random(rng) for _ in range(4)])
         x = solver.solve(target)
         assert x is not None and a.apply(x) == target
+
+
+def test_lin_solver_returns_the_solution_zero_on_free_columns():
+    # pins the particular solution that the JSON reports are built from
+    rng = random.Random(4)
+    for field in (FieldSpec(0), FieldSpec(2), FieldSpec(101)):
+        for _ in range(80):
+            rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+            k = rng.randint(0, min(rows, cols))
+            # rank at most k, and often below min(rows, cols)
+            a = rand_mat(field, rows, k, rng) * rand_mat(field, k, cols, rng)
+            if rng.random() < 0.5:
+                b = a.apply([field.random(rng) for _ in range(cols)])
+            else:
+                b = [field.random(rng) for _ in range(rows)]
+            solver = LinSolver(a)
+            pivots = a.rref()[1]
+            assert solver.pivots == pivots
+            assert all(t for row in solver.transform for _, t in row)
+            x = solver.solve(b)
+            if Mat.from_columns(field, a.transpose().data + [b], rows).rank() > len(pivots):
+                assert x is None
+                continue
+            assert x is not None and a.apply(x) == b
+            assert all(type(v) is type(field.zero) for v in x)
+            assert all(not x[c] for c in range(cols) if c not in pivots)
 
 
 def test_subspace_membership_and_sum_intersection_dims():
