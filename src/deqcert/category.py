@@ -113,12 +113,11 @@ class HomSpace:
         return tuple(sol[: self.dim])
 
     def from_coords(self, vec) -> Mor:
+        """The morphism with coordinates vec, which holds field elements."""
         if len(vec) != self.dim:
             raise InputError("coordinate length mismatch")
-        f = self.cat.field
         out = self.zero()
         for c, b in zip(vec, self.basis):
-            c = f.coerce(c)
             if c:
                 out = out + b.scale(c)
         return out

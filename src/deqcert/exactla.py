@@ -2,8 +2,9 @@
 
 Every Hom space, ideal and homology computation in this package reduces to
 kernels, solves and subspace arithmetic implemented here.  All arithmetic is
-exact: rationals are `fractions.Fraction` in lowest terms, prime-field
-elements are ints in [0, p).  Subspaces are kept in reduced row echelon form,
+exact: a rational is a plain int when its value is an integer and a
+`fractions.Fraction` in lowest terms otherwise, and prime-field elements are
+ints in [0, p).  Subspaces are kept in reduced row echelon form,
 which is the canonical representative used for every equality test.
 """
 
@@ -57,34 +58,24 @@ class FieldSpec:
 
     # -- element arithmetic ------------------------------------------------
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.char == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.char == 0 else 1
+    zero = 0
+    one = 1
 
     def coerce(self, x):
         """Accept ints, Fractions and integer or 'a/b' strings, which read the
-        same over Q and F_p; InputError otherwise."""
-        if self.char == 0:
-            if isinstance(x, Fraction):
-                return x
-            if isinstance(x, int):
-                return Fraction(x)
-            if isinstance(x, str):
-                return _parse_rational(x)
-            raise InputError(f"cannot coerce {x!r} into Q")
+        same over Q and F_p; InputError otherwise (bools included)."""
+        p = self.char
+        if isinstance(x, int) and x is not True and x is not False:
+            return x % p if p else x
         if isinstance(x, str):
             x = _parse_rational(x)
-        if isinstance(x, int):
-            return x % self.char
         if isinstance(x, Fraction):
-            if x.denominator % self.char == 0:
-                raise InputError(f"{x} has no value in F_{self.char}")
-            return self.div(x.numerator % self.char, x.denominator % self.char)
-        raise InputError(f"cannot coerce {x!r} into F_{self.char}")
+            if not p:
+                return x.numerator if x.denominator == 1 else x
+            if x.denominator % p == 0:
+                raise InputError(f"{x} has no value in F_{p}")
+            return self.div(x.numerator % p, x.denominator % p)
+        raise InputError(f"cannot coerce {x!r} into {'F_' + str(p) if p else 'Q'}")
 
     def add(self, a, b):
         return a + b if self.char == 0 else (a + b) % self.char
@@ -101,7 +92,10 @@ class FieldSpec:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("field inverse of zero")
-        return 1 / Fraction(a) if self.char == 0 else pow(a, self.char - 2, self.char)
+        if self.char:
+            return pow(a, self.char - 2, self.char)
+        r = 1 / Fraction(a)
+        return r.numerator if r.denominator == 1 else r
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -115,7 +109,7 @@ class FieldSpec:
     def random(self, rng):
         if self.char:
             return rng.randrange(self.char)
-        return Fraction(rng.randint(-4, 4))
+        return rng.randint(-4, 4)
 
     def fmt(self, a) -> str:
         return str(a)

@@ -36,7 +36,7 @@ def test_parse_scalar():
     # document scalars are read by FieldSpec.coerce
     q = FieldSpec(0)
     f5 = FieldSpec(5)
-    assert q.coerce("2/3") == q.coerce(2) / 3
+    assert q.coerce("2/3") == q.div(q.coerce(2), q.coerce(3))
     assert f5.coerce("1/2") == 3  # 2 * 3 = 6 = 1 mod 5
     for bad in ("x", "1/0", "0.5", "1e-3", "1/"):
         for field in (q, f5):
@@ -211,6 +211,14 @@ def _assert_input_error(capsys, tmp_path, doc):
 
 def test_non_numeric_matrix_entry_is_input_error(tmp_path, capsys):
     _assert_input_error(capsys, tmp_path, _one_module_document("x"))
+
+
+@pytest.mark.parametrize("field", ["q", "fp:5"])
+def test_boolean_matrix_entry_is_input_error(tmp_path, capsys, field):
+    # bool is a subclass of int, so a JSON true must not read as the scalar 1
+    doc = _one_module_document(True)
+    doc["field"] = field
+    _assert_input_error(capsys, tmp_path, doc)
 
 
 def test_zero_denominator_entry_is_input_error(tmp_path, capsys):

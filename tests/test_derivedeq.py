@@ -1,10 +1,15 @@
 """The split-sequence equivalence engine for module categories."""
 
+from fractions import Fraction
+
 import pytest
 
 from deqcert import derivedeq
 from deqcert.algebra import ModuleRep
+from deqcert.angulate import verify_theorem2
+from deqcert.category import Mor
 from deqcert.catideal import (
+    RingPresentation,
     SubcatSpec,
     ideal_space,
     is_right_approximation,
@@ -13,9 +18,10 @@ from deqcert.catideal import (
 )
 from deqcert.derivedeq import nu_stable_sequence, verify_theorem1
 from deqcert.errors import HypothesisError
-from deqcert.exactla import LinSolver, Mat
+from deqcert.exactla import LinSolver, Mat, Subspace, kernel
 from deqcert.presets import (
     a2,
+    a2_triangle,
     cyclic_nakayama,
     d_split_sequence,
     kxx,
@@ -156,3 +162,45 @@ def test_in_add_decides_membership_exactly():
     p = cat.direct_sum([fx.projectives["1"], fx.projectives["2"]]).obj
     q = nu_stable_sequence(p, ss, max_steps=2)
     assert [q.obj(i).total_dim for i in q.degrees()] == [2, 4, 4, 4, 2]
+
+
+def _q_entries(x):
+    """Every scalar held by x, through Mats, subspaces, rings, morphisms and containers."""
+    if isinstance(x, Mat):
+        yield from (v for row in x.data for v in row)
+    elif isinstance(x, Subspace):
+        yield from (v for vec in x.basis for v in vec)
+    elif isinstance(x, RingPresentation):
+        yield from _q_entries([x.table, x.unit])
+    elif isinstance(x, Mor):
+        yield from _q_entries(x.payload)
+    elif isinstance(x, dict):
+        for v in x.values():
+            yield from _q_entries(v)
+    elif isinstance(x, (list, tuple)):
+        for v in x:
+            yield from _q_entries(v)
+    else:
+        yield x
+
+
+def test_q_certificates_hold_no_float_bool_or_integral_fraction():
+    # over Q a field element is an int, or a Fraction only when a real
+    # denominator remains; an int / int anywhere would leak a float
+    fx = cyclic_nakayama(3, 2)
+    q, m = d_split_sequence(fx.algebra, fx.simples["1"])
+    tri = a2_triangle()
+    certs = [
+        (verify_theorem1(q, m, embedding_check=False), fx.algebra.modcat),
+        (verify_theorem2(tri.cat, tri.cat.sigma, tri.triangle, tri.m), tri.cat),
+    ]
+    for cert, cat in certs:
+        assert cert.passed and cat.field.char == 0
+        theta_mat, phi_mat = cert.data["theta_mat"], cert.data["phi_mat"]
+        held = [theta_mat, phi_mat, kernel(theta_mat), kernel(phi_mat)]
+        held += [cert.ring_left, cert.ring_right]
+        held += [space.basis for space in cat._hom_cache.values()]
+        entries = list(_q_entries(held))
+        assert entries
+        exact = [type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in entries]
+        assert all(exact), [v for v, ok in zip(entries, exact) if not ok][:5]

@@ -21,6 +21,13 @@ def rand_mat(field, rows, cols, rng):
     return Mat(field, data, rows, cols)  # the shape holds for 0 rows or 0 columns too
 
 
+def is_exact(field, v):
+    """An exact field element: an int, or over Q a Fraction; never a float or a bool."""
+    if isinstance(v, bool):
+        return False
+    return isinstance(v, (int, Fraction)) if field.char == 0 else isinstance(v, int)
+
+
 def test_field_spec_basics():
     q = FieldSpec(0)
     f5 = FieldSpec(5)
@@ -36,6 +43,27 @@ def test_field_spec_basics():
         q.elements()
     with pytest.raises(ZeroDivisionError):
         f5.inv(0)
+
+
+def test_rationals_are_ints_unless_a_denominator_remains():
+    q, f5 = FieldSpec(0), FieldSpec(5)
+    for field in (q, f5):
+        assert type(field.zero) is int and type(field.one) is int
+        for flag in (True, False):
+            with pytest.raises(InputError):
+                field.coerce(flag)
+    two = q.coerce(Fraction(4, 2))
+    assert type(two) is int and two == 2
+    assert type(q.coerce("6/3")) is int and type(q.coerce(-7)) is int
+    three = q.inv(Fraction(1, 3))
+    assert type(three) is int and three == 3
+    assert type(q.inv(-1)) is int and q.inv(-1) == -1
+    half = q.inv(2)
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    rng = random.Random(5)
+    assert all(type(q.random(rng)) is int for _ in range(50))
+    with pytest.raises(InputError):
+        q.coerce(0.5)
 
 
 def test_prime_field_inverses_exhaustive():
@@ -123,7 +151,7 @@ def test_lin_solver_returns_the_solution_zero_on_free_columns():
                 assert x is None
                 continue
             assert x is not None and a.apply(x) == b
-            assert all(type(v) is type(field.zero) for v in x)
+            assert all(is_exact(field, v) for v in x)
             assert all(not x[c] for c in range(cols) if c not in pivots)
 
 
