@@ -444,9 +444,7 @@ class ModuleCategory(FiniteCategory):
 
         if total == 0:
             return HomSpace(self, x, y, [], 0)
-        system = Mat(self.field, rows, len(rows), total) if rows else Mat.zeros(
-            self.field, 0, total
-        )
+        system = Mat._of(self.field, rows, len(rows), total)
         payloads = [self._unflatten(x, y, vec) for vec in system.kernel_basis()]
         return HomSpace(self, x, y, payloads, total)
 
@@ -454,13 +452,8 @@ class ModuleCategory(FiniteCategory):
         blocks, pos = {}, 0
         for s in x.slots:
             r, c = y.dims[s], x.dims[s]
-            blocks[s] = Mat(
-                self.field,
-                [[vec[pos + i * c + j] for j in range(c)] for i in range(r)]
-                if r
-                else [],
-                r,
-                c,
+            blocks[s] = Mat._of(
+                self.field, [[vec[pos + i * c + j] for j in range(c)] for i in range(r)], r, c
             )
             pos += r * c
         return blocks

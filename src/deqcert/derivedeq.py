@@ -17,6 +17,7 @@ from .algebra import (
     projective,
 )
 from .catideal import (
+    RingPresentation,
     SubcatSpec,
     approximation_witness,
     end_ring,
@@ -189,15 +190,23 @@ def _certify(t_complex, qcat_left, qcat_right, ym, mx, theta_of) -> EquivCertifi
     qcat_right; phi sends it to its homotopy class over qcat_left.  Both are
     checked to be surjective ring maps with equal kernels on the chain-map
     basis of End(T), and the quotient rings End(mx) and End(ym) are computed.
+
+    Multiplicativity is read off multiplication tables: theta and phi are
+    linear and composition bilinear, so theta(f_i f_j) = theta(f_i) theta(f_j)
+    exactly when theta_mat sends the chain-map coordinates of f_i f_j to the
+    End(ym) table product, and likewise for phi on the homotopy classes.  The
+    first failing pair, row-major, is data["multiplicative_witness"].
     """
     cat = t_complex.cat
     field = cat.field
-    _, basis = chain_map_space(HomComplex(cat, t_complex, t_complex))
+    hom_t = HomComplex(cat, t_complex, t_complex)
+    cyc, basis = chain_map_space(hom_t)
     n_dim = len(basis)
 
+    ring_left = end_ring(qcat_left, mx, f"end over {qcat_left.label} quotient of M+X")
+    ring_right = end_ring(qcat_right, ym, f"end over {qcat_right.label} quotient of Y+M")
     end_ym_q = qcat_right.hom(ym, ym)
-    theta_classes = [theta_of(f) for f in basis]
-    theta_cols = [end_ym_q.coords(g.payload) for g in theta_classes]
+    theta_cols = [end_ym_q.coords(theta_of(f).payload) for f in basis]
     theta_mat = Mat.from_columns(field, theta_cols, end_ym_q.dim)
 
     # phi: homotopy classes over the left quotient, in coset coordinates
@@ -216,34 +225,40 @@ def _certify(t_complex, qcat_left, qcat_right, ym, mx, theta_of) -> EquivCertifi
 
     phi_cols = [phi_of(f) for f in basis]
     phi_mat = Mat.from_columns(field, phi_cols, cosets.dim)
+    ident = ChainMap(
+        t_complex, t_complex, {i: cat.identity(t_complex.obj(i)) for i in t_complex.degrees()}
+    )
+    ident_class = phi_of(ident)
+    units = Mat.identity(field, cosets.dim).data
+    table = [[coset_mul(u, v) for v in units] for u in units]
+    homotopy = RingPresentation(field, [f"e{a}" for a in range(cosets.dim)], table, ident_class)
 
     ker_theta = Subspace.from_vectors(field, n_dim, theta_mat.kernel_basis())
     ker_phi = Subspace.from_vectors(field, n_dim, phi_mat.kernel_basis())
 
     # ring-map checks on all basis products, stopping at the first failure
-    def respects_product(i, j):
-        fg = basis[i].then(basis[j])
-        if not theta_of(fg).eq(theta_classes[i].then(theta_classes[j])):
-            return False
-        return phi_of(fg) == coset_mul(phi_cols[i], phi_cols[j])
-
-    multiplicative = all(respects_product(i, j) for i in range(n_dim) for j in range(n_dim))
-    ident = ChainMap(
-        t_complex, t_complex, {i: cat.identity(t_complex.obj(i)) for i in t_complex.degrees()}
-    )
-    ident_class = phi_of(ident)
+    chain_coords = LinSolver(Mat.from_columns(field, cyc.basis, cyc.ambient))
+    witness = None
+    for i, j in product(range(n_dim), repeat=2):
+        c = chain_coords.solve(hom_t.vec_from_maps(0, basis[i].then(basis[j]).maps))
+        if c is None:
+            raise InternalConsistencyError("a composite of chain maps is not a chain map")
+        if theta_mat.apply(c) != ring_right.mul(theta_cols[i], theta_cols[j]):
+            witness = (i, j, "theta")
+        elif phi_mat.apply(c) != homotopy.mul(phi_cols[i], phi_cols[j]):
+            witness = (i, j, "phi")
+        if witness:
+            break
     unital = theta_of(ident).eq(qcat_right.lift(cat.identity(ym))) and all(
-        coset_mul(ident_class, col) == col and coset_mul(col, ident_class) == col
+        homotopy.mul(ident_class, col) == col and homotopy.mul(col, ident_class) == col
         for col in phi_cols
     )
 
-    ring_left = end_ring(qcat_left, mx, f"end over {qcat_left.label} quotient of M+X")
-    ring_right = end_ring(qcat_right, ym, f"end over {qcat_right.label} quotient of Y+M")
     flags = {
         "theta_surjective": theta_mat.rank() == end_ym_q.dim,
         "phi_surjective": phi_mat.rank() == cosets.dim,
         "kernels_equal": ker_theta == ker_phi,
-        "multiplicative": multiplicative,
+        "multiplicative": witness is None,
         "unital": unital,
         "dim_match": n_dim - ker_theta.dim == ring_right.dim,
     }
@@ -252,6 +267,7 @@ def _certify(t_complex, qcat_left, qcat_right, ym, mx, theta_of) -> EquivCertifi
         "kernel_dim": ker_theta.dim,
         "theta_mat": theta_mat,
         "phi_mat": phi_mat,
+        "multiplicative_witness": witness,
     }
     return EquivCertificate(ring_left, ring_right, flags, data)
 

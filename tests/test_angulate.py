@@ -176,6 +176,7 @@ def test_doubled_theta_fails_exactly_the_ring_map_flags(monkeypatch):
     monkeypatch.setattr(angulate, "_certify", doubled)
     cert = verify_theorem2(fx.cat, fx.cat.sigma, fx.triangle, fx.m)
     assert {k for k, v in cert.flags.items() if not v} == {"multiplicative", "unital"}
+    assert cert.data["multiplicative_witness"] == (0, 0, "theta")
 
 
 def test_theorem2_computes_each_ideal_once(monkeypatch):

@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, report determinism."""
 
+import gc
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 from deqcert import cli
 from deqcert.cli import main, parse_field
+from deqcert.category import HomSpace
 from deqcert.errors import InputError, InternalConsistencyError
 from deqcert.exactla import FieldSpec
 
@@ -260,6 +262,24 @@ def test_machine_report_is_deterministic(capsys):
 def test_human_report_prints_elapsed(capsys):
     code, out = run(capsys, "check-admissible", "--set", "0,1")
     assert code == 0 and "elapsed:" in out
+
+
+def test_main_frees_its_categories_without_automatic_collection(capsys):
+    # category -> Hom cache -> HomSpace -> basis Mor -> category is a cycle,
+    # so without a collection in main the Hom spaces outlive the command
+    def live_hom_spaces():
+        return sum(isinstance(o, HomSpace) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_hom_spaces()
+        code, _ = run(capsys, "verify-thm2", "--json")
+        after = live_hom_spaces()
+    finally:
+        gc.enable()
+    assert code == 0
+    assert after == before
 
 
 def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):

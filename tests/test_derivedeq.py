@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from deqcert import derivedeq
+from deqcert import angulate, derivedeq
 from deqcert.algebra import ModuleRep
 from deqcert.angulate import verify_theorem2
 from deqcert.category import Mor
@@ -16,9 +16,17 @@ from deqcert.catideal import (
     minimal_right_approximation,
     right_approximation,
 )
+from deqcert.complexes import (
+    ChainMap,
+    HomComplex,
+    chain_map_space,
+    complex_in_quotient,
+    null_homotopic_space,
+)
 from deqcert.derivedeq import nu_stable_sequence, verify_theorem1
 from deqcert.errors import HypothesisError
-from deqcert.exactla import LinSolver, Mat, Subspace, kernel
+from deqcert.exactla import CosetSpace, FieldSpec, LinSolver, Mat, Subspace, kernel
+from deqcert.orbit import AdmissibleSet, OrbitCategory, ShiftAuto, corollary_orbit_verify
 from deqcert.presets import (
     a2,
     a2_triangle,
@@ -66,13 +74,148 @@ def test_embedding_check_flag_presence():
 
 def test_doubled_theta_fails_exactly_the_ring_map_flags(monkeypatch):
     # 2·theta over Q keeps surjectivity and the kernel, so only the ring-map
-    # flags can see it
+    # flags can see it; theta(f0·f0) != 0, so the first pair already fails
     fx = cyclic_nakayama(2, 2)
     q, m = d_split_sequence(fx.algebra, fx.simples["1"])
     theta = derivedeq.theta
     monkeypatch.setattr(derivedeq, "theta", lambda t, f: theta(t, f).scale(2))
     cert = verify_theorem1(q, m)
     assert {k for k, v in cert.flags.items() if not v} == {"multiplicative", "unital"}
+    assert cert.data["multiplicative_witness"] == (0, 0, "theta")
+    assert "multiplicative_witness" not in cert.as_dict()
+
+
+def _pairwise_ring_map_checks(
+    t_complex, qcat_left, qcat_right, ym, mx, theta_of, null_homotopic=null_homotopic_space
+):
+    """The per-pair definition of the ring-map flags, kept as an oracle for
+    _certify: compose the theta classes of each pair of basis chain maps
+    directly, and lift, compose and project their cosets for phi.  Returns
+    (multiplicative, unital, first failing pair or None)."""
+    cat = t_complex.cat
+    _, basis = chain_map_space(HomComplex(cat, t_complex, t_complex))
+    theta_classes = [theta_of(f) for f in basis]
+    t_bar = complex_in_quotient(qcat_left, t_complex)
+    hc = HomComplex(qcat_left, t_bar, t_bar)
+    cosets = CosetSpace(chain_map_space(hc)[0], null_homotopic(hc))
+
+    def phi_of(f):
+        maps = {i: qcat_left.lift(g) for i, g in f.maps.items()}
+        return cosets.project(hc.vec_from_maps(0, maps))
+
+    def coset_mul(u, v):
+        fu = ChainMap(t_bar, t_bar, hc.maps_from_vec(0, cosets.lift(u)))
+        fv = ChainMap(t_bar, t_bar, hc.maps_from_vec(0, cosets.lift(v)))
+        return cosets.project(hc.vec_from_maps(0, fu.then(fv).maps))
+
+    phi_cols = [phi_of(f) for f in basis]
+
+    def respects_product(i, j):
+        fg = basis[i].then(basis[j])
+        if not theta_of(fg).eq(theta_classes[i].then(theta_classes[j])):
+            return False
+        return phi_of(fg) == coset_mul(phi_cols[i], phi_cols[j])
+
+    pairs = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
+    first = next((p for p in pairs if not respects_product(*p)), None)
+    ident = ChainMap(
+        t_complex, t_complex, {i: cat.identity(t_complex.obj(i)) for i in t_complex.degrees()}
+    )
+    ident_class = phi_of(ident)
+    unital = theta_of(ident).eq(qcat_right.lift(cat.identity(ym))) and all(
+        coset_mul(ident_class, col) == col and coset_mul(col, ident_class) == col
+        for col in phi_cols
+    )
+    return first is None, unital, first
+
+
+def _orbit_a2(field):
+    fx = a2_triangle(field)
+    ocat = OrbitCategory(fx.cat, ShiftAuto(fx.cat), AdmissibleSet([0, 1]))
+    return corollary_orbit_verify(ocat, fx.cat.sigma, fx.triangle, fx.m)
+
+
+def _thm1_nakayama32(field):
+    fx = cyclic_nakayama(3, 2, field)
+    q, m = d_split_sequence(fx.algebra, fx.simples["1"])
+    return verify_theorem1(q, m, embedding_check=False)
+
+
+def _thm2_a2(field):
+    tri = a2_triangle(field)
+    return verify_theorem2(tri.cat, tri.cat.sigma, tri.triangle, tri.m)
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["theta", "doubled-theta"])
+@pytest.mark.parametrize(
+    "verdict, char",
+    [(_thm1_nakayama32, 0), (_thm1_nakayama32, 7), (_thm2_a2, 0), (_orbit_a2, 0)],
+    ids=["thm1-nakayama32-q", "thm1-nakayama32-gf7", "thm2-a2-q", "orbit-a2-q"],
+)
+def test_ring_map_flags_agree_with_the_pairwise_definition(monkeypatch, verdict, char, doubled):
+    certify = derivedeq._certify
+    seen = []
+
+    def recording(*args):
+        if doubled:
+            theta_of = args[-1]
+            args = args[:-1] + (lambda f: theta_of(f).scale(2),)
+        seen.append(args)
+        return certify(*args)
+
+    monkeypatch.setattr(derivedeq, "_certify", recording)
+    monkeypatch.setattr(angulate, "_certify", recording)
+    cert = verdict(FieldSpec(char))
+    (args,) = seen
+    multiplicative, unital, first = _pairwise_ring_map_checks(*args)
+    assert (cert.flags["multiplicative"], cert.flags["unital"]) == (multiplicative, unital)
+    assert multiplicative is not doubled and unital is not doubled
+    witness = cert.data["multiplicative_witness"]
+    assert (witness[:2] if witness else None) == first
+
+
+def test_non_ideal_homotopy_relation_fails_on_the_phi_side(monkeypatch):
+    # adding the first basis chain map to the null-homotopic maps leaves a
+    # subspace that is not an ideal, so the coset product is not the class
+    # of the product: theta still passes and the witness names phi
+    def enlarged(hc):
+        cyc = hc.cycles(0)
+        return null_homotopic_space(hc) + Subspace.from_vectors(
+            cyc.field, cyc.ambient, [cyc.basis[0]]
+        )
+
+    monkeypatch.setattr(derivedeq, "null_homotopic_space", enlarged)
+    certify = derivedeq._certify
+    seen = []
+    monkeypatch.setattr(derivedeq, "_certify", lambda *a: seen.append(a) or certify(*a))
+    cert = _thm1_nakayama32(FieldSpec(0))
+    multiplicative, unital, first = _pairwise_ring_map_checks(*seen[0], null_homotopic=enlarged)
+    assert not multiplicative and not cert.flags["multiplicative"]
+    assert cert.flags["unital"] == unital
+    assert cert.data["multiplicative_witness"] == first + ("phi",)
+
+
+def test_certify_solves_theta_per_basis_map_and_lifts_per_coset_product(monkeypatch):
+    # the products are read off multiplication tables: theta once per basis
+    # chain map plus once for the identity, and two coset lifts per entry of
+    # the m x m homotopy table, never per pair of basis maps
+    calls = {"theta": 0, "lift": 0}
+    theta, lift = derivedeq.theta, CosetSpace.lift
+
+    def counting_theta(t, f):
+        calls["theta"] += 1
+        return theta(t, f)
+
+    def counting_lift(self, coords):
+        calls["lift"] += 1
+        return lift(self, coords)
+
+    monkeypatch.setattr(derivedeq, "theta", counting_theta)
+    monkeypatch.setattr(CosetSpace, "lift", counting_lift)
+    cert = _thm1_nakayama32(FieldSpec(0))
+    n, m = cert.data["end_cb_dim"], cert.data["phi_mat"].rows
+    assert cert.passed and m < n
+    assert calls == {"theta": n + 1, "lift": 2 * m * m}
 
 
 def test_kxx_loop_algebra_sequence():
