@@ -16,8 +16,8 @@ from .catideal import (
     is_right_approximation,
     minimal_right_approximation,
 )
-from .category import DirectSumData, FiniteCategory, HomSpace, Mor, QuotientCategory
-from .complexes import ChainMap, Complex, HomComplex, null_homotopic_space, stalk
+from .category import DirectSumData, Mor, QuotientCategory
+from .complexes import Complex, HomotopyCategory, stalk
 from .derivedeq import EquivCertificate, _certify
 from .errors import HypothesisError, InputError, InternalConsistencyError
 from .exactla import LinSolver, Mat, Subspace
@@ -96,20 +96,14 @@ class KbShift(ShiftFunctor):
         return Mor(self.cat, src, tgt, {i - k: m for i, m in f.payload.items()})
 
 
-class KbProjCat(FiniteCategory):
-    """Bounded complexes of certified projectives up to homotopy.
-
-    Objects are Complex instances over the module category; morphism
-    payloads are dicts degree -> module map, acting as chain-map coset
-    representatives.  Hom spaces are degree-0 homotopy classes.
-    """
+class KbProjCat(HomotopyCategory):
+    """Bounded complexes of certified projectives up to homotopy: the
+    homotopy category of the module category, with the strict shift."""
 
     def __init__(self, algebra):
-        super().__init__(algebra.field)
+        super().__init__(algebra.modcat)
         self.algebra = algebra
-        self.base = algebra.modcat
         self._shift_cache = {}
-        self._hc_cache = {}
         self.sigma = KbShift(self)
 
     def object(self, cx: Complex) -> Complex:
@@ -134,51 +128,6 @@ class KbProjCat(FiniteCategory):
             cached._shift_amount = amount
             self._shift_cache[key] = cached
         return cached
-
-    # -- Hom machinery -----------------------------------------------------
-
-    def _hom_complex(self, x: Complex, y: Complex) -> HomComplex:
-        key = (x.key, y.key)
-        hc = self._hc_cache.get(key)
-        if hc is None:
-            hc = HomComplex(self.base, x, y)
-            self._hc_cache[key] = hc
-        return hc
-
-    def _hom_space(self, x, y) -> HomSpace:
-        hc = self._hom_complex(x, y)
-        cycles = hc.cycles(0)
-        boundaries = null_homotopic_space(hc)
-        payloads = [hc.maps_from_vec(0, list(v)) for v in cycles.quotient_basis(boundaries)]
-        return HomSpace(
-            self, x, y, payloads, hc.dim(0), extra_flats=[list(v) for v in boundaries.basis]
-        )
-
-    def _p_flatten(self, x, y, fp):
-        return self._hom_complex(x, y).vec_from_maps(0, fp)
-
-    def _p_compose(self, x, y, z, fp, gp):
-        out = {}
-        for i, f in fp.items():
-            g = gp.get(i)
-            if g is not None:
-                out[i] = f.then(g)
-        return out
-
-    def _p_add(self, fp, gp):
-        out = dict(fp)
-        for i, g in gp.items():
-            out[i] = out[i] + g if i in out else g
-        return out
-
-    def _p_scale(self, c, fp):
-        return {i: f.scale(c) for i, f in fp.items()}
-
-    def _p_zero(self, x, y):
-        return {}
-
-    def _p_identity(self, x):
-        return {i: self.base.identity(x.obj(i)) for i in x.degrees()}
 
     def _direct_sum(self, objs) -> DirectSumData:
         lo = min(o.lo for o in objs)
@@ -616,13 +565,9 @@ def verify_theorem2(cat, sigma: ShiftFunctor, angle: NAngle, m, spec: SubcatSpec
     j_ideal = qcat_j.ideal(ym_sum.obj, ym_sum.obj)
     hom_solutions = Subspace.from_vectors(field, end_ym.dim, sys_mat.kernel_basis())
 
-    def theta_of(cm: ChainMap):
-        f_top = cm.component(top_deg)
-        if f_top is None:
-            f_top = cat.zero_mor(top_sum.obj, top_sum.obj)
-        f_zero = cm.component(0)
-        if f_zero is None:
-            f_zero = cat.zero_mor(x_obj, x_obj)
+    def theta_of(f: dict):
+        f_top = f.get(top_deg) or cat.zero_mor(top_sum.obj, top_sum.obj)
+        f_zero = f.get(0) or cat.zero_mor(x_obj, x_obj)
         rhs = list(left_space.coords(f_top.then(g_tilde).payload)) + list(
             right_space.coords(eta_tilde.then(sigma.mor(f_zero)).payload)
         )

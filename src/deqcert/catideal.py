@@ -311,20 +311,8 @@ class RingPresentation:
             self.field, self.labels, table, self.unit, self.provenance + " (opposite)"
         )
 
-    def mul(self, u, v):
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                c = f.mul(a, b)
-                for k, s in enumerate(self.table[i][j]):
-                    if s:
-                        out[k] = f.add(out[k], f.mul(c, s))
-        return out
+    # the structure-constant product of Algebra, read off self.table
+    mul = Algebra.mul_vec
 
     def describe(self):
         return {

@@ -75,8 +75,11 @@ def parse_field(text) -> FieldSpec:
 # -- scenario documents ----------------------------------------------------
 
 
-def parse_input(path) -> dict:
-    """Load and validate a scenario document; returns resolved objects."""
+def parse_input(path, field_flag=None) -> dict:
+    """Load and validate a scenario document; returns resolved objects.
+
+    field_flag is the --field text: a document without "field" takes it,
+    and a document with one must name the same field."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -86,7 +89,11 @@ def parse_input(path) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}")
     if raw.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise InputError("unsupported schema version")
-    field = parse_field(raw.get("field", "q"))
+    field = parse_field(raw.get("field", field_flag))
+    if field_flag is not None and parse_field(field_flag).char != field.char:
+        raise InputError(
+            f"--field {field_flag} differs from the document's field {raw['field']!r}"
+        )
     quiver_spec = raw.get("quiver")
     if quiver_spec is None:
         raise InputError("document needs a quiver")
@@ -149,9 +156,9 @@ _PRESETS = {
 
 def _load_context(args):
     """Either an input document or a named preset bundle."""
-    field = parse_field(getattr(args, "field", None))
     if getattr(args, "input", None):
-        return parse_input(args.input)
+        return parse_input(args.input, args.field)
+    field = parse_field(args.field)
     name = getattr(args, "algebra", None) or "a2"
     if name not in _PRESETS:
         raise InputError(f"unknown preset algebra {name!r}")
@@ -451,7 +458,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, algebra=True):
-        p.add_argument("--field", default="q", help="q or fp:<p>")
+        p.add_argument("--field", help="q or fp:<p> (default: the document's field, else q)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true", help="machine report on stdout")
         p.add_argument("--input", help="scenario document (JSON)")

@@ -1,4 +1,5 @@
-"""Bounded complexes over a FiniteCategory, Hom-total complexes and the
+"""Bounded complexes over a FiniteCategory, Hom-total complexes, the
+categories of chain maps and of homotopy classes they form, and the
 homology conditions used by the equivalence constructions.
 
 Cochain conventions: differentials raise degree, ``d^i: X^i -> X^{i+1}``,
@@ -14,7 +15,7 @@ moves x^{i+1} into degree i and negates the differentials.
 
 from __future__ import annotations
 
-from .category import FiniteCategory, Mor, QuotientCategory, fresh_key
+from .category import FiniteCategory, HomSpace, Mor, QuotientCategory, fresh_key
 from .catideal import SubcatSpec, ideal_space
 from .errors import InputError
 from .exactla import Mat, Subspace
@@ -26,8 +27,8 @@ __all__ = [
     "HomComplex",
     "hom_total_complex",
     "homology_dims",
-    "ChainMap",
-    "chain_map_space",
+    "ChainMapCategory",
+    "HomotopyCategory",
     "null_homotopic_space",
     "check_thm1_conditions",
     "self_orthogonality_check",
@@ -221,61 +222,65 @@ def hom_total_complex(x: Complex, y: Complex) -> VectComplex:
     return HomComplex(x.cat, x, y).vect
 
 
-class ChainMap:
-    """A degreewise family of morphisms x -> y (degree shift already folded
-    into y when needed); closed under the obvious linear structure."""
+class ChainMapCategory(FiniteCategory):
+    """Bounded complexes over base with chain maps between them.
 
-    def __init__(self, x: Complex, y: Complex, maps: dict):
-        self.x = x
-        self.y = y
-        self.maps = dict(maps)
+    Hom(x, y) is the space of degree-0 cycles of the Hom-total complex,
+    built once per pair.  Payloads are dicts degree -> base morphism, with
+    absent degrees zero, and compose degreewise.
+    """
 
-    def component(self, i) -> Mor | None:
-        return self.maps.get(i)
+    def __init__(self, base: FiniteCategory):
+        super().__init__(base.field)
+        self.base = base
+        self._hc_cache = {}
 
-    def then(self, other: "ChainMap") -> "ChainMap":
-        maps = {}
-        for i, f in self.maps.items():
-            g = other.maps.get(i)
-            if g is not None:
-                maps[i] = f.then(g)
-        return ChainMap(self.x, other.y, maps)
+    def hom_complex(self, x: Complex, y: Complex) -> HomComplex:
+        key = (x.key, y.key)
+        hc = self._hc_cache.get(key)
+        if hc is None:
+            hc = self._hc_cache[key] = HomComplex(self.base, x, y)
+        return hc
 
-    def __add__(self, other):
-        maps = dict(self.maps)
-        for i, g in other.maps.items():
-            maps[i] = maps[i] + g if i in maps else g
-        return ChainMap(self.x, self.y, maps)
+    def _hom_space(self, x, y) -> HomSpace:
+        hc = self.hom_complex(x, y)
+        return self._cycle_classes(x, y, hc, hc.cycles(0).basis, [])
 
-    def scale(self, c):
-        return ChainMap(self.x, self.y, {i: f.scale(c) for i, f in self.maps.items()})
+    def _cycle_classes(self, x, y, hc, reps, extra) -> HomSpace:
+        payloads = [hc.maps_from_vec(0, list(v)) for v in reps]
+        return HomSpace(self, x, y, payloads, hc.dim(0), extra_flats=[list(v) for v in extra])
 
-    def is_chain_map(self) -> bool:
-        for i in self.x.degrees():
-            dx, dy = self.x.diff(i), self.y.diff(i)
-            if dx is None or dy is None:
-                continue
-            f_i, f_next = self.maps.get(i), self.maps.get(i + 1)
-            lhs = (
-                f_i.then(dy)
-                if f_i is not None
-                else self.x.cat.zero_mor(self.x.obj(i), self.y.obj(i + 1))
-            )
-            rhs = (
-                dx.then(f_next)
-                if f_next is not None
-                else self.x.cat.zero_mor(self.x.obj(i), self.y.obj(i + 1))
-            )
-            if not (lhs - rhs).is_zero():
-                return False
-        return True
+    def _p_flatten(self, x, y, fp):
+        return self.hom_complex(x, y).vec_from_maps(0, fp)
+
+    def _p_compose(self, x, y, z, fp, gp):
+        return {i: f.then(gp[i]) for i, f in fp.items() if i in gp}
+
+    def _p_add(self, fp, gp):
+        out = dict(fp)
+        for i, g in gp.items():
+            out[i] = out[i] + g if i in out else g
+        return out
+
+    def _p_scale(self, c, fp):
+        return {i: f.scale(c) for i, f in fp.items()}
+
+    def _p_zero(self, x, y):
+        return {}
+
+    def _p_identity(self, x):
+        return {i: self.base.identity(x.obj(i)) for i in x.degrees()}
 
 
-def chain_map_space(hc: HomComplex):
-    """(subspace of degree-0 cycles, list of basis ChainMaps)."""
-    cyc = hc.cycles(0)
-    basis = [ChainMap(hc.x, hc.y, hc.maps_from_vec(0, list(v))) for v in cyc.basis]
-    return cyc, basis
+class HomotopyCategory(ChainMapCategory):
+    """Chain maps modulo null-homotopic maps: Hom(x, y) is the degree-0
+    homology of the Hom-total complex, with chain-map payloads as coset
+    representatives."""
+
+    def _hom_space(self, x, y) -> HomSpace:
+        hc = self.hom_complex(x, y)
+        null = null_homotopic_space(hc)
+        return self._cycle_classes(x, y, hc, hc.cycles(0).quotient_basis(null), null.basis)
 
 
 def null_homotopic_space(hc: HomComplex) -> Subspace:

@@ -27,19 +27,17 @@ from .catideal import (
 )
 from .category import QuotientCategory
 from .complexes import (
-    ChainMap,
+    ChainMapCategory,
     Complex,
-    HomComplex,
-    chain_map_space,
+    HomotopyCategory,
     check_thm1_conditions,
     complex_in_quotient,
     homology_dims,
     hom_total_complex,
-    null_homotopic_space,
     stalk,
 )
 from .errors import HypothesisError, InputError, InternalConsistencyError
-from .exactla import CosetSpace, LinSolver, Mat, Subspace
+from .exactla import LinSolver, Mat, Subspace
 
 __all__ = [
     "TiltingData",
@@ -144,13 +142,11 @@ def _theta_solver(t: TiltingData):
     return t._theta_cache
 
 
-def theta(t: TiltingData, f: ChainMap):
-    """The induced endomorphism of Y+M modulo the right annihilator."""
-    cat = t.cat
+def theta(t: TiltingData, f: dict):
+    """The endomorphism of Y+M modulo the right annihilator induced by the
+    chain map T -> T with components f (degree -> morphism)."""
     end_ym, target, solver = _theta_solver(t)
-    f_top = f.component(t.n)
-    if f_top is None:
-        f_top = cat.zero_mor(t.qm_sum.obj, t.qm_sum.obj)
+    f_top = f.get(t.n) or t.cat.zero_mor(t.qm_sum.obj, t.qm_sum.obj)
     rhs = list(target.coords(f_top.then(t.d_tilde).payload))
     sol = solver.solve(rhs)
     if sol is None:
@@ -186,90 +182,83 @@ class EquivCertificate:
 def _certify(t_complex, qcat_left, qcat_right, ym, mx, theta_of) -> EquivCertificate:
     """The argument shared by Theorems 1 and 2 on the truncated complex T.
 
-    theta_of sends a chain map T -> T to an endomorphism of ym over
-    qcat_right; phi sends it to its homotopy class over qcat_left.  Both are
-    checked to be surjective ring maps with equal kernels on the chain-map
-    basis of End(T), and the quotient rings End(mx) and End(ym) are computed.
-
-    Multiplicativity is read off multiplication tables: theta and phi are
-    linear and composition bilinear, so theta(f_i f_j) = theta(f_i) theta(f_j)
-    exactly when theta_mat sends the chain-map coordinates of f_i f_j to the
-    End(ym) table product, and likewise for phi on the homotopy classes.  The
-    first failing pair, row-major, is data["multiplicative_witness"].
+    theta_of sends the components (degree -> morphism) of a chain map
+    T -> T to an endomorphism of ym over qcat_right; phi sends the chain
+    map to its homotopy class over qcat_left.  All four rings are read with
+    end_ring: End(T) over chain maps, End(mx) and End(ym) over the two
+    quotients, and End(T) over the homotopy category of qcat_left.  theta
+    and phi are checked to be surjective ring maps with equal kernels on
+    the chain-map basis of End(T); the first basis pair that breaks
+    multiplicativity is data["multiplicative_witness"].
     """
     cat = t_complex.cat
     field = cat.field
-    hom_t = HomComplex(cat, t_complex, t_complex)
-    cyc, basis = chain_map_space(hom_t)
-    n_dim = len(basis)
-
+    ccat = ChainMapCategory(cat)
+    end_t = end_ring(ccat, t_complex, "chain maps T -> T")
+    basis = [f.payload for f in ccat.hom(t_complex, t_complex).basis]
     ring_left = end_ring(qcat_left, mx, f"end over {qcat_left.label} quotient of M+X")
     ring_right = end_ring(qcat_right, ym, f"end over {qcat_right.label} quotient of Y+M")
-    end_ym_q = qcat_right.hom(ym, ym)
-    theta_cols = [end_ym_q.coords(theta_of(f).payload) for f in basis]
-    theta_mat = Mat.from_columns(field, theta_cols, end_ym_q.dim)
-
-    # phi: homotopy classes over the left quotient, in coset coordinates
+    hcat = HomotopyCategory(qcat_left)
     t_bar = complex_in_quotient(qcat_left, t_complex)
-    hc = HomComplex(qcat_left, t_bar, t_bar)
-    cosets = CosetSpace(chain_map_space(hc)[0], null_homotopic_space(hc))
+    homotopy = end_ring(hcat, t_bar, f"homotopy classes T -> T over {qcat_left.label}")
 
-    def phi_of(f: ChainMap):
-        maps = {i: qcat_left.lift(g) for i, g in f.maps.items()}
-        return cosets.project(hc.vec_from_maps(0, maps))
-
-    def coset_mul(u, v):
-        fu = ChainMap(t_bar, t_bar, hc.maps_from_vec(0, cosets.lift(u)))
-        fv = ChainMap(t_bar, t_bar, hc.maps_from_vec(0, cosets.lift(v)))
-        return cosets.project(hc.vec_from_maps(0, fu.then(fv).maps))
-
-    phi_cols = [phi_of(f) for f in basis]
-    phi_mat = Mat.from_columns(field, phi_cols, cosets.dim)
-    ident = ChainMap(
-        t_complex, t_complex, {i: cat.identity(t_complex.obj(i)) for i in t_complex.degrees()}
-    )
-    ident_class = phi_of(ident)
-    units = Mat.identity(field, cosets.dim).data
-    table = [[coset_mul(u, v) for v in units] for u in units]
-    homotopy = RingPresentation(field, [f"e{a}" for a in range(cosets.dim)], table, ident_class)
-
-    ker_theta = Subspace.from_vectors(field, n_dim, theta_mat.kernel_basis())
-    ker_phi = Subspace.from_vectors(field, n_dim, phi_mat.kernel_basis())
-
-    # ring-map checks on all basis products, stopping at the first failure
-    chain_coords = LinSolver(Mat.from_columns(field, cyc.basis, cyc.ambient))
-    witness = None
-    for i, j in product(range(n_dim), repeat=2):
-        c = chain_coords.solve(hom_t.vec_from_maps(0, basis[i].then(basis[j]).maps))
-        if c is None:
-            raise InternalConsistencyError("a composite of chain maps is not a chain map")
-        if theta_mat.apply(c) != ring_right.mul(theta_cols[i], theta_cols[j]):
-            witness = (i, j, "theta")
-        elif phi_mat.apply(c) != homotopy.mul(phi_cols[i], phi_cols[j]):
-            witness = (i, j, "phi")
-        if witness:
-            break
-    unital = theta_of(ident).eq(qcat_right.lift(cat.identity(ym))) and all(
-        homotopy.mul(ident_class, col) == col and homotopy.mul(col, ident_class) == col
-        for col in phi_cols
+    end_ym = qcat_right.hom(ym, ym)
+    theta_cols = [end_ym.coords(theta_of(f).payload) for f in basis]
+    theta_mat = Mat.from_columns(field, theta_cols, end_ym.dim)
+    classes = hcat.hom(t_bar, t_bar)
+    phi_cols = [classes.coords({i: qcat_left.lift(g) for i, g in f.items()}) for f in basis]
+    phi_mat = Mat.from_columns(field, phi_cols, classes.dim)
+    ker_theta = Subspace.from_vectors(field, len(basis), theta_mat.kernel_basis())
+    ker_phi = Subspace.from_vectors(field, len(basis), phi_mat.kernel_basis())
+    witness, unital = _ring_map_witness(
+        end_t, [("theta", theta_mat, ring_right), ("phi", phi_mat, homotopy)]
     )
 
     flags = {
-        "theta_surjective": theta_mat.rank() == end_ym_q.dim,
-        "phi_surjective": phi_mat.rank() == cosets.dim,
+        "theta_surjective": theta_mat.rank() == end_ym.dim,
+        "phi_surjective": phi_mat.rank() == classes.dim,
         "kernels_equal": ker_theta == ker_phi,
         "multiplicative": witness is None,
         "unital": unital,
-        "dim_match": n_dim - ker_theta.dim == ring_right.dim,
+        "dim_match": len(basis) - ker_theta.dim == ring_right.dim,
     }
     data = {
-        "end_cb_dim": n_dim,
+        "end_cb_dim": len(basis),
         "kernel_dim": ker_theta.dim,
         "theta_mat": theta_mat,
         "phi_mat": phi_mat,
         "multiplicative_witness": witness,
     }
     return EquivCertificate(ring_left, ring_right, flags, data)
+
+
+def _ring_map_witness(src: RingPresentation, maps):
+    """Check linear maps out of the ring src against its structure constants.
+
+    maps lists (name, mat, tgt): mat sends src coordinates to coordinates
+    in the ring tgt.  A map is multiplicative when mat(e_i e_j) equals
+    mat(e_i) mat(e_j) for every basis pair, which by bilinearity is the
+    whole claim.  Returns (witness, unital): the first failing (i, j, name),
+    pairs row-major and maps in list order within a pair, or None; and
+    whether every mat sends src's unit to tgt's, which is a two-sided
+    identity on every column of mat.
+    """
+    cols = [(name, mat, tgt, mat.transpose().data) for name, mat, tgt in maps]
+    witness = next(
+        (
+            (i, j, name)
+            for i, j in product(range(src.dim), repeat=2)
+            for name, mat, tgt, c in cols
+            if mat.apply(src.table[i][j]) != tgt.mul(c[i], c[j])
+        ),
+        None,
+    )
+    unital = all(
+        mat.apply(src.unit) == tgt.unit
+        and all(tgt.mul(tgt.unit, col) == col == tgt.mul(col, tgt.unit) for col in c)
+        for _, mat, tgt, c in cols
+    )
+    return witness, unital
 
 
 def verify_theorem1(q: Complex, m, embedding_check: bool = True) -> EquivCertificate:

@@ -485,33 +485,3 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F^{self.ambient})"
-
-
-class CosetSpace:
-    """Coordinates on total/sub: coset representatives plus projection maps."""
-
-    def __init__(self, total: Subspace, sub: Subspace):
-        self.field = total.field
-        self.ambient = total.ambient
-        self.total = total
-        self.sub = sub
-        self.reps = total.quotient_basis(sub)
-        self.dim = len(self.reps)
-        self._solver = LinSolver(
-            Mat.from_columns(self.field, self.reps + list(sub.basis), self.ambient)
-        )
-
-    def project(self, vec):
-        """Coordinates of vec + sub in the coset basis; vec holds field elements."""
-        sol = self._solver.solve(vec)
-        if sol is None:
-            raise InputError("vector outside the total space")
-        return sol[: self.dim]
-
-    def lift(self, coords):
-        f = self.field
-        v = [f.zero] * self.ambient
-        for c, rep in zip(coords, self.reps):
-            if c:
-                v = [f.add(a, f.mul(c, b)) for a, b in zip(v, rep)]
-        return v

@@ -14,6 +14,7 @@ from deqcert.exactla import FieldSpec
 
 # byte-exact --json reports committed with the benchmark; read, never written
 ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -211,6 +212,31 @@ def _assert_input_error(capsys, tmp_path, doc):
     assert "input error:" in capsys.readouterr().err
 
 
+def _hom_on_document(tmp_path, doc, *flags):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return main(["hom", "--input", str(path), "--m", "M", "--n", "M", *flags])
+
+
+def test_document_without_field_takes_the_field_flag(tmp_path, capsys):
+    # 1/2 has a value over Q but none in F_2
+    doc = _one_module_document("1/2")
+    del doc["field"]
+    assert _hom_on_document(tmp_path, doc) == 0
+    capsys.readouterr()
+    assert _hom_on_document(tmp_path, doc, "--field", "fp:2") == 2
+    assert "input error:" in capsys.readouterr().err
+
+
+def test_field_flag_must_match_the_documents_field(tmp_path, capsys):
+    doc = _one_module_document("1/2")
+    doc["field"] = "fp:3"
+    assert _hom_on_document(tmp_path, doc, "--field", "fp:3") == 0
+    capsys.readouterr()
+    assert _hom_on_document(tmp_path, doc, "--field", "q") == 2
+    assert "input error: --field q differs" in capsys.readouterr().err
+
+
 def test_non_numeric_matrix_entry_is_input_error(tmp_path, capsys):
     _assert_input_error(capsys, tmp_path, _one_module_document("x"))
 
@@ -309,3 +335,12 @@ def test_json_report_matches_oracle(capsys, command, field):
     code, out = run(capsys, *command.split(), "--field", field, "--json")
     assert code == 0
     assert out == (ORACLE / (oracle_name(command, field) + ".json")).read_text()
+
+
+def test_default_nu_pipeline_report_is_pinned(capsys):
+    # the default-step pipeline has no benchmark oracle; its report is
+    # pinned here until its stopping rule is changed on purpose
+    argv = ["nu-pipeline", "--algebra", "nakayama4", "--p", "P", "--y", "Y", "--json"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == (DATA / "nu-pipeline.nakayama4.q.json").read_text()

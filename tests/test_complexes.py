@@ -7,10 +7,10 @@ import pytest
 from deqcert.catideal import SubcatSpec, ideal_space, random_mor
 from deqcert.category import QuotientCategory
 from deqcert.complexes import (
-    ChainMap,
+    ChainMapCategory,
     Complex,
     HomComplex,
-    chain_map_space,
+    HomotopyCategory,
     check_thm1_conditions,
     complex_in_quotient,
     hom_total_complex,
@@ -71,55 +71,94 @@ def test_shift_sign_and_degrees():
     assert sh2.diff(0).eq(cx.diff(0))
 
 
+def is_chain_endomorphism(cx, f):
+    """Do the components f (degree -> morphism) commute with every differential?"""
+    for i, d in cx.diffs.items():
+        lhs = f[i].then(d) if i in f else cx.cat.zero_mor(d.src, d.tgt)
+        rhs = d.then(f[i + 1]) if i + 1 in f else cx.cat.zero_mor(d.src, d.tgt)
+        if not (lhs - rhs).is_zero():
+            return False
+    return True
+
+
 def test_hom_total_complex_endomorphisms_of_resolution():
     fx = a2()
     cx = s1_resolution(fx)
-    hc = HomComplex(cx.cat, cx, cx)
+    ccat = ChainMapCategory(cx.cat)
     # chain endomorphisms: both components equal; no homotopies P1 -> P2
-    cyc, basis = chain_map_space(hc)
-    assert cyc.dim == 1
-    assert null_homotopic_space(hc).dim == 0
+    basis = ccat.hom(cx, cx).basis
+    assert len(basis) == 1
+    assert null_homotopic_space(ccat.hom_complex(cx, cx)).dim == 0
     assert homology_dims(hom_total_complex(cx, cx)).get(0, 0) == 1
     for cm in basis:
-        assert cm.is_chain_map()
+        assert is_chain_endomorphism(cx, cm.payload)
 
 
 def test_chain_map_composition_and_homotopy_consistency():
     cat, cx = length_three_complex()
-    hc = HomComplex(cat, cx, cx)
-    cyc, basis = chain_map_space(hc)
-    for cm in basis:
+    ccat = ChainMapCategory(cat)
+    hc = ccat.hom_complex(cx, cx)
+    for cm in ccat.hom(cx, cx).basis:
         sq = cm.then(cm)
-        assert sq.is_chain_map()
-        assert cyc.contains(hc.vec_from_maps(0, sq.maps))
+        assert is_chain_endomorphism(cx, sq.payload)
+        assert hc.cycles(0).contains(hc.vec_from_maps(0, sq.payload))
+
+
+def random_complex(cat, objs, rng):
+    diffs = []
+    for a, b in zip(objs, objs[1:]):
+        diffs.append(random_mor(cat, a, b, rng))
+    # enforce d^2 = 0 for length-2 strings by zeroing the second map
+    if len(diffs) == 2 and not diffs[0].then(diffs[1]).is_zero():
+        diffs[1] = cat.zero_mor(objs[1], objs[2])
+    return Complex(cat, 0, objs, diffs)
+
+
+def assert_hom_dims_match_homology(x, y):
+    """dim H^n of the Hom-total complex equals the chain maps into the
+    shifted target modulo the null-homotopic ones, at every degree, both
+    from the Hom complex and from the two categories of complexes."""
+    ccat, hcat = ChainMapCategory(x.cat), HomotopyCategory(x.cat)
+    for n, d in homology_dims(hom_total_complex(x, y)).items():
+        y_n = y.shift(n)
+        hc = HomComplex(x.cat, x, y_n)
+        indep = hc.cycles(0).dim - hc.boundaries(0).dim
+        assert indep == d, (n, d, indep)
+        assert ccat.hom(x, y_n).dim == hc.cycles(0).dim
+        assert hcat.hom(x, y_n).dim == d
 
 
 def test_homology_dims_vs_chain_map_count_shifted():
-    """dim H^n of the Hom-total complex equals chain maps into the shifted
-    target modulo null-homotopics, at every degree."""
     rng = random.Random(13)
     fx = a3()
     cat = fx.algebra.modcat
     projs = list(fx.projectives.values())
     for _ in range(8):
-        objs_x = [rng.choice(projs) for _ in range(rng.randint(1, 2))]
-        objs_y = [rng.choice(projs) for _ in range(rng.randint(1, 2))]
+        x = random_complex(cat, [rng.choice(projs) for _ in range(rng.randint(1, 2))], rng)
+        y = random_complex(cat, [rng.choice(projs) for _ in range(rng.randint(1, 2))], rng)
+        assert_hom_dims_match_homology(x, y)
 
-        def build(objs):
-            diffs = []
-            for a, b in zip(objs, objs[1:]):
-                diffs.append(random_mor(cat, a, b, rng))
-            # enforce d^2 = 0 for length-2 strings by zeroing the second map
-            if len(diffs) == 2 and not diffs[0].then(diffs[1]).is_zero():
-                diffs[1] = cat.zero_mor(objs[1], objs[2])
-            return Complex(cat, 0, objs, diffs)
 
-        x, y = build(objs_x), build(objs_y)
-        total = homology_dims(hom_total_complex(x, y))
-        for n, d in total.items():
-            hc = HomComplex(cat, x, y.shift(n))
-            indep = hc.cycles(0).dim - hc.boundaries(0).dim
-            assert indep == d, (n, d, indep)
+def test_homology_dims_vs_chain_map_count_over_a_quotient():
+    # complexes over the quotient by the maps factoring through P2, the base
+    # category that the certificate's homotopy classes live over
+    rng = random.Random(17)
+    fx = a3()
+    cat = fx.algebra.modcat
+    spec = SubcatSpec(cat, [fx.projectives["2"]])
+    qcat = QuotientCategory(cat, lambda a, b: ideal_space(cat, spec, a, b, "F"))
+    projs = list(fx.projectives.values())
+    killed = 0
+    for _ in range(8):
+        x, y = (
+            random_complex(cat, [rng.choice(projs) for _ in range(rng.randint(1, 3))], rng)
+            for _ in range(2)
+        )
+        xq, yq = complex_in_quotient(qcat, x), complex_in_quotient(qcat, y)
+        assert_hom_dims_match_homology(xq, yq)
+        quotient_dims = HomComplex(qcat, xq, yq).vect.dims
+        killed += sum(quotient_dims) < sum(HomComplex(cat, x, y).vect.dims)
+    assert killed  # the ideal is nonzero on some sampled pair
 
 
 def test_hom_complex_diff_squares_to_zero():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from deqcert import angulate, derivedeq
+from deqcert import angulate, complexes, derivedeq
 from deqcert.algebra import ModuleRep
 from deqcert.angulate import verify_theorem2
 from deqcert.category import Mor
@@ -16,16 +16,10 @@ from deqcert.catideal import (
     minimal_right_approximation,
     right_approximation,
 )
-from deqcert.complexes import (
-    ChainMap,
-    HomComplex,
-    chain_map_space,
-    complex_in_quotient,
-    null_homotopic_space,
-)
+from deqcert.complexes import HomComplex, complex_in_quotient
 from deqcert.derivedeq import nu_stable_sequence, verify_theorem1
 from deqcert.errors import HypothesisError
-from deqcert.exactla import CosetSpace, FieldSpec, LinSolver, Mat, Subspace, kernel
+from deqcert.exactla import FieldSpec, LinSolver, Mat, Subspace, kernel
 from deqcert.orbit import AdmissibleSet, OrbitCategory, ShiftAuto, corollary_orbit_verify
 from deqcert.presets import (
     a2,
@@ -85,42 +79,50 @@ def test_doubled_theta_fails_exactly_the_ring_map_flags(monkeypatch):
     assert "multiplicative_witness" not in cert.as_dict()
 
 
-def _pairwise_ring_map_checks(
-    t_complex, qcat_left, qcat_right, ym, mx, theta_of, null_homotopic=null_homotopic_space
-):
+def _compose(f, g):
+    """Degreewise composite of two chain maps given by their components."""
+    return {i: h.then(g[i]) for i, h in f.items() if i in g}
+
+
+def _pairwise_ring_map_checks(t_complex, qcat_left, qcat_right, ym, mx, theta_of):
     """The per-pair definition of the ring-map flags, kept as an oracle for
-    _certify: compose the theta classes of each pair of basis chain maps
-    directly, and lift, compose and project their cosets for phi.  Returns
-    (multiplicative, unital, first failing pair or None)."""
+    _certify without its categories of complexes or end_ring: compose the
+    theta classes of each pair of basis chain maps directly, and for phi
+    lift both homotopy classes to chain maps over the left quotient,
+    compose them degreewise and project back.  Returns (multiplicative,
+    unital, first failing pair or None)."""
     cat = t_complex.cat
-    _, basis = chain_map_space(HomComplex(cat, t_complex, t_complex))
+    field = cat.field
+    hom_t = HomComplex(cat, t_complex, t_complex)
+    basis = [hom_t.maps_from_vec(0, list(v)) for v in hom_t.cycles(0).basis]
     theta_classes = [theta_of(f) for f in basis]
     t_bar = complex_in_quotient(qcat_left, t_complex)
     hc = HomComplex(qcat_left, t_bar, t_bar)
-    cosets = CosetSpace(chain_map_space(hc)[0], null_homotopic(hc))
+    null = complexes.null_homotopic_space(hc)
+    reps = hc.cycles(0).quotient_basis(null)
+    rep_mat = Mat.from_columns(field, reps, hc.dim(0))
+    classes = LinSolver(Mat.from_columns(field, reps + list(null.basis), hc.dim(0)))
 
     def phi_of(f):
-        maps = {i: qcat_left.lift(g) for i, g in f.maps.items()}
-        return cosets.project(hc.vec_from_maps(0, maps))
+        return classes.solve(hc.vec_from_maps(0, {i: qcat_left.lift(g) for i, g in f.items()}))[
+            : len(reps)
+        ]
 
     def coset_mul(u, v):
-        fu = ChainMap(t_bar, t_bar, hc.maps_from_vec(0, cosets.lift(u)))
-        fv = ChainMap(t_bar, t_bar, hc.maps_from_vec(0, cosets.lift(v)))
-        return cosets.project(hc.vec_from_maps(0, fu.then(fv).maps))
+        fu, fv = (hc.maps_from_vec(0, rep_mat.apply(w)) for w in (u, v))
+        return classes.solve(hc.vec_from_maps(0, _compose(fu, fv)))[: len(reps)]
 
     phi_cols = [phi_of(f) for f in basis]
 
     def respects_product(i, j):
-        fg = basis[i].then(basis[j])
+        fg = _compose(basis[i], basis[j])
         if not theta_of(fg).eq(theta_classes[i].then(theta_classes[j])):
             return False
         return phi_of(fg) == coset_mul(phi_cols[i], phi_cols[j])
 
     pairs = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
     first = next((p for p in pairs if not respects_product(*p)), None)
-    ident = ChainMap(
-        t_complex, t_complex, {i: cat.identity(t_complex.obj(i)) for i in t_complex.degrees()}
-    )
+    ident = {i: cat.identity(t_complex.obj(i)) for i in t_complex.degrees()}
     ident_class = phi_of(ident)
     unital = theta_of(ident).eq(qcat_right.lift(cat.identity(ym))) and all(
         coset_mul(ident_class, col) == col and coset_mul(col, ident_class) == col
@@ -178,44 +180,46 @@ def test_non_ideal_homotopy_relation_fails_on_the_phi_side(monkeypatch):
     # adding the first basis chain map to the null-homotopic maps leaves a
     # subspace that is not an ideal, so the coset product is not the class
     # of the product: theta still passes and the witness names phi
+    null_homotopic_space = complexes.null_homotopic_space
+
     def enlarged(hc):
         cyc = hc.cycles(0)
         return null_homotopic_space(hc) + Subspace.from_vectors(
             cyc.field, cyc.ambient, [cyc.basis[0]]
         )
 
-    monkeypatch.setattr(derivedeq, "null_homotopic_space", enlarged)
+    monkeypatch.setattr(complexes, "null_homotopic_space", enlarged)
     certify = derivedeq._certify
     seen = []
     monkeypatch.setattr(derivedeq, "_certify", lambda *a: seen.append(a) or certify(*a))
     cert = _thm1_nakayama32(FieldSpec(0))
-    multiplicative, unital, first = _pairwise_ring_map_checks(*seen[0], null_homotopic=enlarged)
+    multiplicative, unital, first = _pairwise_ring_map_checks(*seen[0])
     assert not multiplicative and not cert.flags["multiplicative"]
     assert cert.flags["unital"] == unital
-    assert cert.data["multiplicative_witness"] == first + ("phi",)
+    assert cert.data["multiplicative_witness"] == first + ("phi",) == (0, 7, "phi")
 
 
-def test_certify_solves_theta_per_basis_map_and_lifts_per_coset_product(monkeypatch):
+def test_certify_solves_theta_per_basis_map_and_builds_each_basis_chain_map_once(monkeypatch):
     # the products are read off multiplication tables: theta once per basis
-    # chain map plus once for the identity, and two coset lifts per entry of
-    # the m x m homotopy table, never per pair of basis maps
-    calls = {"theta": 0, "lift": 0}
-    theta, lift = derivedeq.theta, CosetSpace.lift
+    # chain map, and one chain map built from coordinates per basis element
+    # of End(T) and of its m homotopy classes, never per pair of them
+    calls = {"theta": 0, "maps_from_vec": 0}
+    theta, maps_from_vec = derivedeq.theta, HomComplex.maps_from_vec
 
     def counting_theta(t, f):
         calls["theta"] += 1
         return theta(t, f)
 
-    def counting_lift(self, coords):
-        calls["lift"] += 1
-        return lift(self, coords)
+    def counting_maps_from_vec(self, n, vec):
+        calls["maps_from_vec"] += 1
+        return maps_from_vec(self, n, vec)
 
     monkeypatch.setattr(derivedeq, "theta", counting_theta)
-    monkeypatch.setattr(CosetSpace, "lift", counting_lift)
+    monkeypatch.setattr(HomComplex, "maps_from_vec", counting_maps_from_vec)
     cert = _thm1_nakayama32(FieldSpec(0))
     n, m = cert.data["end_cb_dim"], cert.data["phi_mat"].rows
-    assert cert.passed and m < n
-    assert calls == {"theta": n + 1, "lift": 2 * m * m}
+    assert cert.passed and (n, m) == (19, 9)
+    assert calls == {"theta": n, "maps_from_vec": n + m}
 
 
 def test_kxx_loop_algebra_sequence():

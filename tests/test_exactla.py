@@ -1,4 +1,4 @@
-"""Exact linear algebra: matrices, kernels, subspaces, cosets."""
+"""Exact linear algebra: matrices, kernels, subspaces, quotient bases."""
 
 import random
 from fractions import Fraction
@@ -7,7 +7,6 @@ import pytest
 
 from deqcert.errors import InputError
 from deqcert.exactla import (
-    CosetSpace,
     FieldSpec,
     LinSolver,
     Mat,
@@ -192,26 +191,17 @@ def test_kernel_of_matrix():
         assert all(x == 0 for x in a.apply(vec))
 
 
-def test_quotient_basis_and_coset_space():
+def test_quotient_basis():
+    # the representatives extend a basis of sub to one of the total space
     q = FieldSpec(0)
     total = Subspace.full(q, 3)
     sub = Subspace.from_vectors(q, 3, [[1, 0, 0]])
     reps = total.quotient_basis(sub)
     assert len(reps) == 2
-    cs = CosetSpace(total, sub)
-    assert cs.dim == 2
-    vec = [Fraction(5), Fraction(1), Fraction(2)]
-    coords = cs.project(vec)
-    lifted = cs.lift(coords)
-    # lift and original vector agree modulo the subspace
-    diff = [a - b for a, b in zip(lifted, vec)]
-    assert sub.contains(diff)
-
-
-def test_coset_space_kills_subspace():
+    assert sub + Subspace.from_vectors(q, 3, reps) == total
     f3 = FieldSpec(3)
     total = Subspace.from_vectors(f3, 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
     sub = Subspace.from_vectors(f3, 4, [[1, 1, 0, 0]])
-    cs = CosetSpace(total, sub)
-    assert cs.dim == 2
-    assert all(c == 0 for c in cs.project([1, 1, 0, 0]))
+    reps = total.quotient_basis(sub)
+    assert len(reps) == 2
+    assert sub + Subspace.from_vectors(f3, 4, reps) == total
