@@ -156,10 +156,10 @@ _PRESETS = {
 
 def _load_context(args):
     """Either an input document or a named preset bundle."""
-    if getattr(args, "input", None):
+    if args.input:
         return parse_input(args.input, args.field)
     field = parse_field(args.field)
-    name = getattr(args, "algebra", None) or "a2"
+    name = args.algebra or "a2"
     if name not in _PRESETS:
         raise InputError(f"unknown preset algebra {name!r}")
     fx = _PRESETS[name](field)
@@ -457,17 +457,17 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="deqcert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, algebra=True):
+    def common(p, scenario=True):
         p.add_argument("--field", help="q or fp:<p> (default: the document's field, else q)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true", help="machine report on stdout")
-        p.add_argument("--input", help="scenario document (JSON)")
-        if algebra:
+        if scenario:  # commands with a built-in instance read neither
+            p.add_argument("--input", help="scenario document (JSON)")
             p.add_argument("--algebra", help="preset algebra name")
         return p
 
     p = sub.add_parser("check-admissible")
-    common(p, algebra=False)
+    common(p, scenario=False)
     p.add_argument("--set", required=True, help="comma-separated degrees")
     p.set_defaults(fn=cmd_check_admissible)
 
@@ -512,7 +512,7 @@ def build_parser():
     p.add_argument("--max-steps", type=int, default=16)
     p.set_defaults(fn=cmd_nu_pipeline)
 
-    p = common(sub.add_parser("verify-thm2"), algebra=False)
+    p = common(sub.add_parser("verify-thm2"), scenario=False)
     p.set_defaults(fn=cmd_verify_thm2)
 
     p = common(sub.add_parser("orbit-yoneda"))
@@ -521,11 +521,11 @@ def build_parser():
     p.add_argument("--phi", required=True)
     p.set_defaults(fn=cmd_orbit_yoneda)
 
-    p = common(sub.add_parser("orbit-verify"), algebra=False)
+    p = common(sub.add_parser("orbit-verify"), scenario=False)
     p.add_argument("--phi", default="0,1")
     p.set_defaults(fn=cmd_orbit_verify)
 
-    p = common(sub.add_parser("example"), algebra=False)
+    p = common(sub.add_parser("example"), scenario=False)
     p.add_argument("name")
     p.set_defaults(fn=cmd_example)
 

@@ -338,10 +338,10 @@ class Mat:
 class LinSolver:
     """Repeated exact solves of A·x = b with A fixed.
 
-    Precomputes the RREF of [A | I] = T·[A | I] and keeps each row of the
-    transform T as its nonzero (column, value) pairs; a solve touches only
-    those.  Row r < rank gives the r-th pivot coordinate of x, and the rows
-    past the rank must vanish on b for a solution to exist.
+    Precomputes the RREF of [A | I] = T·[A | I] and keeps each column of T
+    as its nonzero (row, value) pairs, so a solve reads only the columns
+    where b is nonzero.  Row r < rank of T·b is the r-th pivot coordinate
+    of x, and the rows past the rank must vanish for a solution to exist.
     """
 
     def __init__(self, a: Mat):
@@ -351,25 +351,25 @@ class LinSolver:
         aug = Mat._of(f, [row + e for row, e in zip(a.data, ident)], a.rows, a.cols + a.rows)
         red, pivots = aug.rref()
         self.pivots = [p for p in pivots if p < a.cols]
-        self.transform = [[(j, t) for j, t in enumerate(row[a.cols :]) if t] for row in red.data]
+        transform = [row[a.cols :] for row in red.data]
+        self.columns = [[(r, t) for r, t in enumerate(col) if t] for col in zip(*transform)]
 
     def solve(self, b):
         """The solution of A·x = b that is zero on every free column, or None."""
-        zero, p = self.field.zero, self.field.char
-        nonzero = {j: bj for j, bj in enumerate(b) if bj}
-
-        def dot(row):
-            terms = [t * nonzero[j] for j, t in row if j in nonzero]
-            if not terms:
-                return zero
-            s = sum(terms[1:], terms[0])  # no int 0 start: 0 + Fraction is slow
-            return s % p if p else s
-
-        if any(dot(row) for row in self.transform[len(self.pivots) :]):
-            return None
-        x = [zero] * self.cols
-        for pc, row in zip(self.pivots, self.transform):
-            x[pc] = dot(row)
+        acc = {}  # row r -> (T·b)_r; no int 0 start: 0 + Fraction is slow
+        for bj, col in zip(b, self.columns):
+            if bj:
+                for r, t in col:
+                    acc[r] = acc[r] + t * bj if r in acc else t * bj
+        p, pivots = self.field.char, self.pivots
+        x = [self.field.zero] * self.cols
+        for r, s in acc.items():
+            if p:
+                s %= p
+            if r < len(pivots):
+                x[pivots[r]] = s
+            elif s:
+                return None
         return x
 
 

@@ -26,7 +26,7 @@ from deqcert.algebra import (
     submodule,
     top,
 )
-from deqcert.errors import InputError, NonFiniteDimensionalError
+from deqcert.errors import InputError, InternalConsistencyError, NonFiniteDimensionalError
 from deqcert.exactla import FieldSpec, Mat
 from deqcert.presets import a2, a3, cyclic_nakayama, kxx
 
@@ -193,6 +193,18 @@ def test_kernel_image_of_arrow_map():
     assert sum(ker.dims.values()) == 0
     assert sum(img.dims.values()) == 1
     assert incl.then(f).is_zero()
+
+
+def test_coords_rejects_blocks_that_do_not_intertwine_an_arrow():
+    # identity at vertex 1 and zero at vertex 2 break the square of a: P1 -> P1
+    fx = a2()
+    cat = fx.algebra.modcat
+    p1 = fx.projectives["1"]
+    field = fx.algebra.field
+    end = cat.hom(p1, p1)
+    assert end.coords({"1": Mat(field, [[1]]), "2": Mat(field, [[1]])}) == (1,)
+    with pytest.raises(InternalConsistencyError):
+        end.coords({"1": Mat(field, [[1]]), "2": Mat(field, [[0]])})
 
 
 def test_sub_quotient_radical_socle_top():

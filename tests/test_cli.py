@@ -63,6 +63,25 @@ def test_check_admissible_bad_input(capsys):
     assert main(["check-admissible", "--set", "0,x"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-admissible", "--set", "0,1"],
+        ["verify-thm2"],
+        ["orbit-verify"],
+        ["example", "nakayama"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_built_in_instance_commands_reject_input_and_algebra(capsys, argv):
+    # these commands read no scenario, so a document or preset is a usage error
+    for option in ("--input", "--algebra"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [option, "/nonexistent.json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_hom_command(capsys):
     code, rep = run_json(capsys, "hom", "--algebra", "a2", "--m", "P1", "--n", "S2")
     assert code == 0 and rep["dim"] == 0

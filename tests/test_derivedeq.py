@@ -79,6 +79,36 @@ def test_doubled_theta_fails_exactly_the_ring_map_flags(monkeypatch):
     assert "multiplicative_witness" not in cert.as_dict()
 
 
+def test_zero_theta_fails_surjectivity_kernels_dimension_and_unit(monkeypatch):
+    # 0·theta is still multiplicative, but it is onto nothing, its kernel is
+    # all of End(T), and it misses the unit
+    fx = cyclic_nakayama(2, 2)
+    q, m = d_split_sequence(fx.algebra, fx.simples["1"])
+    theta = derivedeq.theta
+    monkeypatch.setattr(derivedeq, "theta", lambda t, f: theta(t, f).scale(0))
+    cert = verify_theorem1(q, m)
+    failed = {k for k, v in cert.flags.items() if not v}
+    assert failed == {"theta_surjective", "kernels_equal", "dim_match", "unital"}
+    assert cert.data["multiplicative_witness"] is None
+    assert cert.data["kernel_dim"] == cert.data["end_cb_dim"]
+
+
+def test_certify_empties_the_caches_of_its_complex_categories(monkeypatch):
+    # each sits in a category -> Hom cache -> Mor -> category cycle, which
+    # would keep its Hom complexes and solvers alive until a full collection
+    seen = []
+    end_ring = derivedeq.end_ring
+    monkeypatch.setattr(
+        derivedeq, "end_ring", lambda cat, *a: seen.append(cat) or end_ring(cat, *a)
+    )
+    fx = cyclic_nakayama(2, 2)
+    q, m = d_split_sequence(fx.algebra, fx.simples["1"])
+    assert verify_theorem1(q, m).passed
+    made = [c for c in seen if isinstance(c, complexes.ChainMapCategory)]
+    assert len(made) == 2
+    assert all(not c._hom_cache and not c._hc_cache for c in made)
+
+
 def _compose(f, g):
     """Degreewise composite of two chain maps given by their components."""
     return {i: h.then(g[i]) for i, h in f.items() if i in g}

@@ -132,26 +132,40 @@ def test_lin_solver_returns_the_solution_zero_on_free_columns():
     # pins the particular solution that the JSON reports are built from
     rng = random.Random(4)
     for field in (FieldSpec(0), FieldSpec(2), FieldSpec(101)):
+        past_rank_only = 0
         for _ in range(80):
             rows, cols = rng.randint(0, 6), rng.randint(0, 6)
             k = rng.randint(0, min(rows, cols))
             # rank at most k, and often below min(rows, cols)
             a = rand_mat(field, rows, k, rng) * rand_mat(field, k, cols, rng)
-            if rng.random() < 0.5:
-                b = a.apply([field.random(rng) for _ in range(cols)])
-            else:
-                b = [field.random(rng) for _ in range(rows)]
+            units = [[field.zero] * rows for _ in range(rows)]
+            for j, e in enumerate(units):
+                e[j] = field.random(rng) or field.one
+            rhs = [
+                a.apply([field.random(rng) for _ in range(cols)]),
+                [field.random(rng) for _ in range(rows)],
+                [field.random(rng) if rng.random() < 0.3 else field.zero for _ in range(rows)],
+                [field.zero] * rows,
+            ] + units
             solver = LinSolver(a)
             pivots = a.rref()[1]
             assert solver.pivots == pivots
-            assert all(t for row in solver.transform for _, t in row)
-            x = solver.solve(b)
-            if Mat.from_columns(field, a.transpose().data + [b], rows).rank() > len(pivots):
-                assert x is None
-                continue
-            assert x is not None and a.apply(x) == b
-            assert all(is_exact(field, v) for v in x)
-            assert all(not x[c] for c in range(cols) if c not in pivots)
+            assert len(solver.columns) == rows
+            assert all(t for col in solver.columns for _, t in col)
+            for b in rhs:
+                x = solver.solve(b)
+                if Mat.from_columns(field, a.transpose().data + [b], rows).rank() > len(pivots):
+                    assert x is None
+                    continue
+                assert x is not None and a.apply(x) == b
+                assert all(is_exact(field, v) for v in x)
+                assert all(not x[c] for c in range(cols) if c not in pivots)
+            # b = c·e_j whose column of T reaches only rows past the rank
+            for e, col in zip(units, solver.columns):
+                if col and all(r >= len(pivots) for r, _ in col):
+                    assert solver.solve(e) is None
+                    past_rank_only += 1
+        assert past_rank_only
 
 
 def test_subspace_membership_and_sum_intersection_dims():
