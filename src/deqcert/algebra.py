@@ -8,7 +8,7 @@ vectors, and the action of a path is the reverse-order matrix product.
 
 from __future__ import annotations
 
-from .category import DirectSumData, FiniteCategory, HomSpace, Mor, fresh_key
+from .category import DirectSumData, FiniteCategory, HomSpace, Mor, fresh_key, sparse_add
 from .errors import InputError, NonFiniteDimensionalError
 from .exactla import FieldSpec, LinSolver, Mat, Subspace, kernel
 
@@ -379,12 +379,9 @@ class ModuleRep:
         return f"ModuleRep({tag})"
 
 
-def _mod_blocks_zero(field, src: ModuleRep, tgt: ModuleRep):
-    return {s: Mat.zeros(field, tgt.dims[s], src.dims[s]) for s in src.slots}
-
-
 class ModuleCategory(FiniteCategory):
-    """Module category of an algebra; payloads are per-slot matrices."""
+    """Module category of an algebra; payloads are per-slot matrices, an
+    absent slot being a zero block (a present block may still be zero)."""
 
     def __init__(self, algebra: Algebra):
         super().__init__(algebra.field)
@@ -452,34 +449,35 @@ class ModuleCategory(FiniteCategory):
         blocks, pos = {}, 0
         for s in x.slots:
             r, c = y.dims[s], x.dims[s]
-            blocks[s] = Mat._of(
-                self.field, [[vec[pos + i * c + j] for j in range(c)] for i in range(r)], r, c
-            )
+            if any(vec[pos : pos + r * c]):
+                blocks[s] = Mat._of(
+                    self.field, [[vec[pos + i * c + j] for j in range(c)] for i in range(r)], r, c
+                )
             pos += r * c
         return blocks
 
     def _p_flatten(self, x, y, fp):
         out = []
         for s in x.slots:
-            for row in fp[s].data:
+            for row in fp[s].data if s in fp else [[self.field.zero] * x.dims[s]] * y.dims[s]:
                 out.extend(row)
         return out
 
     def _p_compose(self, x, y, z, fp, gp):
-        return {s: gp[s] * fp[s] for s in x.slots}
+        return {s: gp[s] * f for s, f in fp.items() if s in gp}
 
     def _p_add(self, fp, gp):
-        return {s: fp[s] + gp[s] for s in fp}
+        return sparse_add(fp, gp)
 
     def _p_scale(self, c, fp):
         c = self.field.coerce(c)
         return {s: m.scale(c) for s, m in fp.items()}
 
     def _p_zero(self, x, y):
-        return _mod_blocks_zero(self.field, x, y)
+        return {}
 
     def _p_identity(self, x):
-        return {s: Mat.identity(self.field, x.dims[s]) for s in x.slots}
+        return {s: Mat.identity(self.field, x.dims[s]) for s in x.slots if x.dims[s]}
 
     def _direct_sum(self, objs) -> DirectSumData:
         if not objs:
@@ -592,12 +590,18 @@ def hom_module(m: ModuleRep, n: ModuleRep):
     return m.algebra.modcat.hom(m, n).basis
 
 
+def _block(f: Mor, s) -> Mat:
+    """The slot-s block of a module map, a zero block when absent."""
+    blk = f.payload.get(s)
+    return blk if blk is not None else Mat.zeros(f.cat.field, f.tgt.dims[s], f.src.dims[s])
+
+
 def is_isomorphism(f: Mor) -> bool:
     src, tgt = f.src, f.tgt
     if any(src.dims[s] != tgt.dims[s] for s in src.slots):
         return False
     return all(
-        f.payload[s].rank() == src.dims[s] for s in src.slots if src.dims[s]
+        _block(f, s).rank() == src.dims[s] for s in src.slots if src.dims[s]
     )
 
 
@@ -608,7 +612,7 @@ def invert(f: Mor) -> Mor:
     blocks = {}
     for s in f.src.slots:
         n = f.src.dims[s]
-        solver = LinSolver(f.payload[s])
+        solver = LinSolver(_block(f, s))
         unit_cols = Mat.identity(cat.field, n).data
         blocks[s] = Mat.from_columns(cat.field, [solver.solve(e) for e in unit_cols], n)
     return Mor(cat, f.tgt, f.src, blocks)
@@ -671,7 +675,7 @@ def quotient_module(m: ModuleRep, spaces) -> tuple[ModuleRep, Mor]:
 
 
 def kernel_module(f: Mor) -> tuple[ModuleRep, Mor]:
-    spaces = {s: kernel(f.payload[s]) for s in f.src.slots}
+    spaces = {s: kernel(_block(f, s)) for s in f.src.slots}
     return submodule(f.src, spaces)
 
 
@@ -681,7 +685,7 @@ def image_module(f: Mor) -> tuple[ModuleRep, Mor]:
         s: Subspace.from_vectors(
             field,
             f.tgt.dims[s],
-            f.payload[s].transpose().data,
+            _block(f, s).transpose().data,
         )
         for s in f.src.slots
     }

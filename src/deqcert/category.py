@@ -25,6 +25,14 @@ def fresh_key() -> int:
     return next(_KEYS)
 
 
+def sparse_add(fp, gp):
+    """Sum of two dict payloads whose absent keys are zero."""
+    out = dict(fp)
+    for k, g in gp.items():
+        out[k] = out[k] + g if k in out else g
+    return out
+
+
 class Mor:
     """A morphism: source, target and a category-specific payload."""
 

@@ -15,7 +15,7 @@ moves x^{i+1} into degree i and negates the differentials.
 
 from __future__ import annotations
 
-from .category import FiniteCategory, HomSpace, Mor, QuotientCategory, fresh_key
+from .category import FiniteCategory, HomSpace, QuotientCategory, fresh_key, sparse_add
 from .catideal import SubcatSpec, ideal_space
 from .errors import InputError
 from .exactla import Mat, Subspace
@@ -180,23 +180,21 @@ class HomComplex:
         return out
 
     def apply_diff(self, n, maps) -> dict:
-        """(df)^m = f^m.d_y - (-1)^n d_x.f^{m+1} from degree n to n+1."""
+        """(df)^m = f^m.d_y - (-1)^n d_x.f^{m+1} from degree n to n+1, on
+        the blocks that maps reaches (absent blocks are zero)."""
         field = self.cat.field
-        sign = field.one if n % 2 == 0 else field.neg(field.one)
+        sign = field.neg(field.one) if n % 2 == 0 else field.one
         out = {}
-        for m, h in self.blocks.get(n + 1, []):
-            term = Mor(self.cat, self.x.obj(m), self.y.obj(m + n + 1), self.cat._p_zero(
-                self.x.obj(m), self.y.obj(m + n + 1)
-            ))
-            f_m = maps.get(m)
-            dy = self.y.diff(m + n)
+        for m, _ in self.blocks.get(n + 1, []):
+            f_m, dy = maps.get(m), self.y.diff(m + n)
+            f_next, dx = maps.get(m + 1), self.x.diff(m)
+            terms = []
             if f_m is not None and dy is not None:
-                term = term + f_m.then(dy)
-            f_next = maps.get(m + 1)
-            dx = self.x.diff(m)
+                terms.append(f_m.then(dy))
             if f_next is not None and dx is not None:
-                term = term - dx.then(f_next).scale(sign)
-            out[m] = term
+                terms.append(dx.then(f_next).scale(sign))
+            if terms:
+                out[m] = sum(terms[1:], terms[0])
         return out
 
     def _diff_matrix(self, n) -> Mat:
@@ -257,10 +255,7 @@ class ChainMapCategory(FiniteCategory):
         return {i: f.then(gp[i]) for i, f in fp.items() if i in gp}
 
     def _p_add(self, fp, gp):
-        out = dict(fp)
-        for i, g in gp.items():
-            out[i] = out[i] + g if i in out else g
-        return out
+        return sparse_add(fp, gp)
 
     def _p_scale(self, c, fp):
         return {i: f.scale(c) for i, f in fp.items()}

@@ -244,22 +244,32 @@ def _ring_map_witness(src: RingPresentation, maps):
     whole claim.  Returns (witness, unital): the first failing (i, j, name),
     pairs row-major and maps in list order within a pair, or None; and
     whether every mat sends src's unit to tgt's, which is a two-sided
-    identity on every column of mat.
+    identity on every column of mat.  An image sums only the columns of mat
+    where the vector is nonzero; a zero structure constant is still compared.
     """
-    cols = [(name, mat, tgt, mat.transpose().data) for name, mat, tgt in maps]
+    field = src.field
+    cols = [(name, tgt, mat.transpose().data) for name, mat, tgt in maps]
+
+    def image(c, vec, dim):
+        out = [field.zero] * dim
+        for a, col in zip(vec, c):
+            if a:
+                out = [field.add(o, field.mul(a, t)) if t else o for o, t in zip(out, col)]
+        return out
+
     witness = next(
         (
             (i, j, name)
             for i, j in product(range(src.dim), repeat=2)
-            for name, mat, tgt, c in cols
-            if mat.apply(src.table[i][j]) != tgt.mul(c[i], c[j])
+            for name, tgt, c in cols
+            if image(c, src.table[i][j], tgt.dim) != tgt.mul(c[i], c[j])
         ),
         None,
     )
     unital = all(
-        mat.apply(src.unit) == tgt.unit
+        image(c, src.unit, tgt.dim) == tgt.unit
         and all(tgt.mul(tgt.unit, col) == col == tgt.mul(col, tgt.unit) for col in c)
-        for _, mat, tgt, c in cols
+        for _, tgt, c in cols
     )
     return witness, unital
 

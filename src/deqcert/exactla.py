@@ -373,6 +373,20 @@ class LinSolver:
         return x
 
 
+def _echelon(rows):
+    """(pivot column, row) for echelon rows, each zero at earlier pivots."""
+    return [(next(i for i, x in enumerate(row) if x), row) for row in rows]
+
+
+def _eliminate(f, echelon, v):
+    """Residue of v after clearing each echelon pivot in turn."""
+    for pc, row in echelon:
+        if v[pc]:
+            c = v[pc]
+            v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
+    return v
+
+
 def kernel(m: Mat) -> "Subspace":
     """Right null space {v : m·v = 0} as a canonical Subspace."""
     return Subspace.from_vectors(m.field, m.cols, m.kernel_basis())
@@ -416,14 +430,7 @@ class Subspace:
 
     def reduce(self, vec):
         """Residue of vec after subtracting its projection onto the basis."""
-        f = self.field
-        v = [f.coerce(x) for x in vec]
-        for row in self.basis:
-            pc = next(i for i, x in enumerate(row) if x)
-            if v[pc]:
-                c = v[pc]
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        return v
+        return _eliminate(self.field, _echelon(self.basis), [self.field.coerce(x) for x in vec])
 
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
@@ -471,12 +478,17 @@ class Subspace:
         self._check(sub)
         if not self.contains_subspace(sub):
             raise InputError("quotient-basis requires sub to be contained in self")
+        # one running echelon: the rows of sub, then each accepted residual
+        f = self.field
+        echelon = _echelon(sub.basis)
         out = []
-        span = sub
         for v in self.basis:
-            if not span.contains(v):
+            w = _eliminate(f, echelon, list(v))
+            pc = next((i for i, x in enumerate(w) if x), None)
+            if pc is not None:
                 out.append(list(v))
-                span = span + Subspace.from_vectors(self.field, self.ambient, [v])
+                inv = f.inv(w[pc])
+                echelon.append((pc, [f.mul(inv, x) for x in w]))
         return out
 
     def _check(self, other):

@@ -16,7 +16,7 @@ from .catideal import (
     end_ring,
     ideal_space,
 )
-from .category import DirectSumData, FiniteCategory, HomSpace, Mor
+from .category import DirectSumData, FiniteCategory, HomSpace, Mor, sparse_add
 from .errors import HypothesisError, InputError, InternalConsistencyError
 from .exactla import Subspace
 
@@ -197,9 +197,8 @@ class QuiverTwistAuto(StrictAuto):
     def mor_power(self, f: Mor, u: int) -> Mor:
         src = self.obj_power(f.src, u)
         tgt = self.obj_power(f.tgt, u)
-        vinv = self._v_pows[(-u) % self.order]
-        payload = {v: f.payload[vinv[v]] for v in f.payload}
-        return Mor(self.base, src, tgt, payload)
+        vfwd = self._v_pows[u % self.order]
+        return Mor(self.base, src, tgt, {vfwd[s]: blk for s, blk in f.payload.items()})
 
 
 class OrbitCategory(FiniteCategory):
@@ -244,10 +243,7 @@ class OrbitCategory(FiniteCategory):
         return out
 
     def _p_add(self, fp, gp):
-        out = dict(fp)
-        for u, g in gp.items():
-            out[u] = out[u] + g if u in out else g
-        return out
+        return sparse_add(fp, gp)
 
     def _p_scale(self, c, fp):
         return {u: f.scale(c) for u, f in fp.items()}

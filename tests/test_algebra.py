@@ -286,3 +286,59 @@ def test_invalid_representation_rejected():
     with pytest.raises(InputError):
         # x^2 = 0 fails for this action matrix
         ModuleRep.quiver_rep(fx.algebra, {"1": 1}, {"x": Mat(field, [[1]])})
+
+
+# -- payloads with absent slots ----------------------------------------------
+
+
+def _dense(f):
+    """f rebuilt with an explicit block, zeros included, at every slot."""
+    return f.cat.mor(f.src, f.tgt, dict(f.payload))
+
+
+def test_sparse_and_dense_payloads_agree():
+    # a Hom basis element or a zero map stores only the slots where it can
+    # be nonzero; the same map with explicit zero blocks must compose, add,
+    # scale and take coordinates the same way
+    fx = cyclic_nakayama(3, 2)
+    cat = fx.algebra.modcat
+    objs = list(fx.projectives.values()) + list(fx.simples.values())
+    absent = 0
+    for x, y, z in itertools.product(objs, repeat=3):
+        fs = cat.hom(x, y).basis + [cat.zero_mor(x, y)]
+        gs = cat.hom(y, z).basis + [cat.zero_mor(y, z)]
+        for f in fs:
+            df = _dense(f)
+            assert set(df.payload) == set(x.slots)
+            absent += len(f.payload) < len(x.slots)
+            assert f.coords() == df.coords()
+            assert (f + df).coords() == (df + df).coords() == f.scale(2).coords()
+            assert f.scale(3).coords() == df.scale(3).coords()
+            for g in gs:
+                want = df.then(_dense(g)).coords()
+                assert f.then(g).coords() == f.then(_dense(g)).coords() == want
+                assert df.then(g).coords() == want
+    assert absent
+    assert cat.zero_mor(objs[0], objs[1]).payload == {}
+
+
+def test_module_operations_read_absent_slots_as_zero():
+    fx = a2()
+    cat = fx.algebra.modcat
+    p1, p2, s1 = fx.projectives["1"], fx.projectives["2"], fx.simples["1"]
+    f = cat.hom(p2, p1).basis[0]  # P2 is zero at vertex 1, so f has no block there
+    assert set(f.payload) == {"2"}
+    for op in (kernel_module, image_module):
+        sparse, dense = op(f)[0], op(_dense(f))[0]
+        assert sparse.dims == dense.dims
+    ker, incl = kernel_module(cat.zero_mor(p1, p2))
+    assert ker.dims == p1.dims and is_isomorphism(incl)
+    img, _ = image_module(cat.zero_mor(p1, p2))
+    assert img.total_dim == 0
+    # S1 is zero at vertex 2: its identity has no block there, yet inverts
+    one = cat.hom(s1, s1).from_coords([1])
+    assert set(one.payload) == {"1"} and is_isomorphism(one)
+    assert invert(one).then(one).eq(cat.identity(s1))
+    assert not is_isomorphism(cat.zero_mor(p1, p1))
+    with pytest.raises(InputError):
+        invert(cat.zero_mor(s1, s1))

@@ -1,6 +1,8 @@
 """The split-sequence equivalence engine for module categories."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,7 @@ from deqcert.catideal import (
 from deqcert.complexes import HomComplex, complex_in_quotient
 from deqcert.derivedeq import nu_stable_sequence, verify_theorem1
 from deqcert.errors import HypothesisError
-from deqcert.exactla import FieldSpec, LinSolver, Mat, Subspace, kernel
+from deqcert.exactla import QQ, FieldSpec, LinSolver, Mat, Subspace, kernel
 from deqcert.orbit import AdmissibleSet, OrbitCategory, ShiftAuto, corollary_orbit_verify
 from deqcert.presets import (
     a2,
@@ -381,3 +383,94 @@ def test_q_certificates_hold_no_float_bool_or_integral_fraction():
         assert entries
         exact = [type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in entries]
         assert all(exact), [v for v, ok in zip(entries, exact) if not ok][:5]
+
+
+def test_ring_map_witness_checks_pairs_whose_source_product_is_zero():
+    # x·x = 0 in k[x]/(x^2), but theta(x)·theta(x) = y^2 in k[y]/(y^3): the
+    # pair (1, 1) fails although its structure constant is the zero vector
+    src = RingPresentation(
+        QQ, ["1", "x"], [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0]
+    )
+    tgt = RingPresentation(
+        QQ,
+        ["1", "y", "y2"],
+        [[[int(i + j == k) for k in range(3)] for j in range(3)] for i in range(3)],
+        [1, 0, 0],
+    )
+    theta_mat = Mat(QQ, [[1, 0], [0, 1], [0, 0]])
+    witness, unital = derivedeq._ring_map_witness(src, [("theta", theta_mat, tgt)])
+    assert witness == (1, 1, "theta")
+    assert unital
+
+
+# -- pinned certificates ------------------------------------------------------
+
+PINS = Path(__file__).resolve().parent / "data" / "certificates.json"
+
+
+def _thm2_cone_nakayama23_p1_p2(field):
+    fx = cyclic_nakayama(2, 3, field)
+    cat = angulate.KbProjCat(fx.algebra)
+    p1, p2 = fx.projectives["1"], fx.projectives["2"]
+    f = fx.algebra.modcat.hom(p1, p2).basis[0]
+    x, m = cat.stalk_obj(p1), cat.stalk_obj(p2)
+    tri = angulate.cone_triangle(cat, Mor(cat, x, m, {0: f}))
+    return verify_theorem2(cat, cat.sigma, tri, m)
+
+
+PINNED = {
+    "thm1/cyclic_nakayama(3,2)/S1/q": (_thm1_nakayama32, 0),
+    "thm1/cyclic_nakayama(3,2)/S1/fp:101": (_thm1_nakayama32, 101),
+    "thm2/cyclic_nakayama(2,3)/P1->P2/q": (_thm2_cone_nakayama23_p1_p2, 0),
+}
+
+
+def _ring_pin(ring):
+    """Structure constants as sparse [i, j, k, value] entries, and the unit."""
+    table = [
+        [i, j, k, str(c)]
+        for i, row in enumerate(ring.table)
+        for j, vec in enumerate(row)
+        for k, c in enumerate(vec)
+        if c
+    ]
+    return {"dim": ring.dim, "table": table, "unit": [str(c) for c in ring.unit]}
+
+
+def _certificate_pin(verdict, char):
+    """Everything a certificate claims: flags, theta and phi, the four rings
+    (End(T), both quotient rings, the homotopy classes) and the witness."""
+    seen = []
+    witness_of = derivedeq._ring_map_witness
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            derivedeq,
+            "_ring_map_witness",
+            lambda src, maps: seen.append((src, maps)) or witness_of(src, maps),
+        )
+        cert = verdict(FieldSpec(char))
+    ((end_t, ((_, _, ring_right), (_, _, homotopy))),) = seen
+    witness = cert.data["multiplicative_witness"]
+    return {
+        "flags": cert.flags,
+        "theta": [[str(c) for c in row] for row in cert.data["theta_mat"].data],
+        "phi": [[str(c) for c in row] for row in cert.data["phi_mat"].data],
+        "rings": {
+            "end_t": _ring_pin(end_t),
+            "left": _ring_pin(cert.ring_left),
+            "right": _ring_pin(ring_right),
+            "homotopy": _ring_pin(homotopy),
+        },
+        "multiplicative_witness": list(witness) if witness else None,
+    }
+
+
+def certificate_pins():
+    """The pinned certificates, as stored in tests/data/certificates.json;
+    rewrite that file from this function only when a certificate is meant
+    to change."""
+    return {name: _certificate_pin(*args) for name, args in PINNED.items()}
+
+
+def test_pinned_certificates_are_unchanged():
+    assert certificate_pins() == json.loads(PINS.read_text())

@@ -186,3 +186,18 @@ def test_corollary_orbit_certificate():
     ocat = OrbitCategory(fx.cat, sh, AdmissibleSet([0, 1]))
     cert = corollary_orbit_verify(ocat, fx.cat.sigma, fx.triangle, fx.m)
     assert cert.passed, cert.flags
+
+
+def test_quiver_twist_of_a_map_with_absent_slots():
+    # a Hom basis map P1 -> P2 has no block at the vertices its image misses;
+    # twisting it must move the blocks it has and leave the rest zero
+    fx = nakayama4()
+    cat = fx.algebra.modcat
+    rot = rotation_functor(fx.algebra)
+    p1, p2 = fx.projectives["1"], fx.projectives["2"]
+    for f in cat.hom(p1, p2).basis:
+        assert len(f.payload) < len(p1.slots)
+        dense = cat.mor(f.src, f.tgt, dict(f.payload))
+        for u in range(4):
+            assert rot.mor_power(f, u).coords() == rot.mor_power(dense, u).coords()
+    assert rot.mor_power(cat.zero_mor(p1, p2), 1).is_zero()
