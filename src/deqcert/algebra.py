@@ -188,38 +188,6 @@ class Algebra:
         if check:
             self._check_axioms()
 
-    def generating_indices(self):
-        """Indices of a basis subset generating the algebra unitally.
-
-        Greedy: walk the basis, keep an element when it is outside the
-        subalgebra generated so far.  Used to shrink intertwiner systems.
-        """
-        cached = getattr(self, "_gen_indices", None)
-        if cached is not None:
-            return cached
-        from .exactla import Subspace
-
-        span = Subspace.from_vectors(self.field, self.dim, [self.unit])
-        gens = []
-        for i in range(self.dim):
-            e = self.basis_vec(i)
-            if span.contains(e):
-                continue
-            gens.append(i)
-            span = span + Subspace.from_vectors(self.field, self.dim, [e])
-            while True:
-                prods = [
-                    self.mul_vec(list(a), list(b))
-                    for a in span.basis
-                    for b in span.basis
-                ]
-                grown = span + Subspace.from_vectors(self.field, self.dim, prods)
-                if grown.dim == span.dim:
-                    break
-                span = grown
-        self._gen_indices = gens
-        return gens
-
     def mul_vec(self, u, v):
         f = self.field
         out = [f.zero] * self.dim
@@ -273,21 +241,16 @@ class Algebra:
 
 
 class ModuleRep:
-    """A module: vertex-graded spaces with arrow matrices (quiver case) or a
-    single space with one action matrix per algebra basis element."""
+    """A quiver representation: vertex-graded spaces with arrow matrices."""
 
-    def __init__(self, algebra, dims, mats, kind, name="", proj_summands=None, check=True):
+    def __init__(self, algebra, dims, mats, name="", proj_summands=None, check=True):
         self.algebra = algebra
-        self.kind = kind  # "quiver" | "plain"
         self.dims = dict(dims)
         self.mats = dict(mats)
         self.name = name
         self.proj_summands = tuple(proj_summands) if proj_summands is not None else None
         self.key = fresh_key()
-        if kind == "quiver":
-            self.slots = list(algebra.vertices())
-        else:
-            self.slots = ["*"]
+        self.slots = list(algebra.vertices())
         self.total_dim = sum(self.dims[s] for s in self.slots)
         if check:
             self._validate()
@@ -306,60 +269,26 @@ class ModuleRep:
             elif not isinstance(m, Mat):
                 m = Mat(field, m) if m else Mat.zeros(field, full_dims[t], full_dims[s])
             mats[arr_name] = m
-        return cls(algebra, full_dims, mats, "quiver", name, proj_summands, check)
-
-    @classmethod
-    def plain_rep(cls, algebra, dim, action_mats, name="", check=True):
-        return cls(algebra, {"*": int(dim)}, dict(action_mats), "plain", name, check=check)
+        return cls(algebra, full_dims, mats, name, proj_summands, check)
 
     @classmethod
     def zero(cls, algebra):
-        if algebra.presentation is not None:
-            return cls.quiver_rep(algebra, {}, {}, name="0")
-        z = Mat.zeros(algebra.field, 0, 0)
-        return cls.plain_rep(algebra, 0, {b: z for b in algebra.basis_names}, name="0")
+        return cls.quiver_rep(algebra, {}, {}, name="0")
 
     # -- validation --------------------------------------------------------
 
     def _validate(self):
-        if self.kind == "quiver":
-            for name, s, t in self.algebra.presentation.quiver.arrows:
-                m = self.mats[name]
-                if m.shape != (self.dims[t], self.dims[s]):
-                    raise InputError(
-                        f"arrow {name}: matrix shape {m.shape} does not match "
-                        f"({self.dims[t]}, {self.dims[s]})"
-                    )
-            for rel in self.algebra.presentation.relations:
-                src = self.algebra.presentation.quiver.arrow_by_name[rel[0]][1]
-                if not self.path_action(rel, src).is_zero():
-                    raise InputError(f"relation {'.'.join(rel)} does not act as zero")
-        else:
-            d = self.dims["*"]
-            alg = self.algebra
-            for bname in alg.basis_names:
-                m = self.mats.get(bname)
-                if m is None or m.shape != (d, d):
-                    raise InputError(f"missing or misshaped action matrix for {bname}")
-            # action convention: R[x.y] = R[y]·R[x]
-            ident = Mat.identity(alg.field, d)
-            unit_m = self._plain_action(alg.unit)
-            if unit_m != ident:
-                raise InputError("unit does not act as the identity")
-            for i in range(alg.dim):
-                for j in range(alg.dim):
-                    lhs = self._plain_action(alg.table[i][j])
-                    rhs = self.mats[alg.basis_names[j]] * self.mats[alg.basis_names[i]]
-                    if lhs != rhs:
-                        raise InputError("action does not satisfy the structure constants")
-
-    def _plain_action(self, vec):
-        d = self.dims["*"]
-        out = Mat.zeros(self.algebra.field, d, d)
-        for c, bname in zip(vec, self.algebra.basis_names):
-            if c:
-                out = out + self.mats[bname].scale(c)
-        return out
+        for name, s, t in self.algebra.presentation.quiver.arrows:
+            m = self.mats[name]
+            if m.shape != (self.dims[t], self.dims[s]):
+                raise InputError(
+                    f"arrow {name}: matrix shape {m.shape} does not match "
+                    f"({self.dims[t]}, {self.dims[s]})"
+                )
+        for rel in self.algebra.presentation.relations:
+            src = self.algebra.presentation.quiver.arrow_by_name[rel[0]][1]
+            if not self.path_action(rel, src).is_zero():
+                raise InputError(f"relation {'.'.join(rel)} does not act as zero")
 
     def path_action(self, arrow_names, source_vertex) -> Mat:
         """Matrix of the path's action, dim(target) x dim(source)."""
@@ -377,6 +306,38 @@ class ModuleRep:
     def __repr__(self):
         tag = self.name or f"dims={self.dims}"
         return f"ModuleRep({tag})"
+
+
+def intertwiner_kernel(field, slots, src_dims, tgt_dims, arrows):
+    """Basis of the slot maps F_s: src slot s -> tgt slot s that intertwine
+    every arrow, as flat vectors.
+
+    An arrow (s, t, a, b) acts from slot s to slot t by a on the target and
+    by b on the source, and F must satisfy a·F_s - F_t·b = 0.  The unknowns
+    are the blocks F_s, each tgt_dims[s] x src_dims[s], flattened row by row
+    in slot order.
+    """
+    offsets, total = {}, 0
+    for s in slots:
+        offsets[s] = total
+        total += tgt_dims[s] * src_dims[s]
+    if total == 0:
+        return []
+    rows = []
+    for s_src, s_tgt, a_mat, b_mat in arrows:
+        for r in range(a_mat.rows):
+            for c in range(b_mat.cols):
+                row = [field.zero] * total
+                for k in range(a_mat.cols):
+                    if a_mat.data[r][k]:
+                        idx = offsets[s_src] + k * src_dims[s_src] + c
+                        row[idx] = field.add(row[idx], a_mat.data[r][k])
+                for l in range(b_mat.rows):
+                    if b_mat.data[l][c]:
+                        idx = offsets[s_tgt] + r * src_dims[s_tgt] + l
+                        row[idx] = field.sub(row[idx], b_mat.data[l][c])
+                rows.append(row)
+    return Mat._of(field, rows, len(rows), total).kernel_basis()
 
 
 class ModuleCategory(FiniteCategory):
@@ -405,45 +366,13 @@ class ModuleCategory(FiniteCategory):
     def _hom_space(self, x, y) -> HomSpace:
         if x.algebra is not self.algebra or y.algebra is not self.algebra:
             raise InputError("modules over a different algebra")
-        if x.kind != y.kind:
-            raise InputError("cannot mix quiver and plain representations")
-        offsets, total = {}, 0
-        for s in x.slots:
-            offsets[s] = total
-            total += y.dims[s] * x.dims[s]
-
-        rows = []
-
-        def add_constraint(a_mat, s_src, s_tgt, b_mat):
-            # unknown blocks f_s; constraint a·f_{s_src} - f_{s_tgt}·b = 0
-            f = self.field
-            for r in range(a_mat.rows):
-                for c in range(b_mat.cols):
-                    row = [f.zero] * total
-                    for k in range(a_mat.cols):
-                        if a_mat.data[r][k]:
-                            idx = offsets[s_src] + k * x.dims[s_src] + c
-                            row[idx] = f.add(row[idx], a_mat.data[r][k])
-                    for l in range(b_mat.rows):
-                        if b_mat.data[l][c]:
-                            idx = offsets[s_tgt] + r * x.dims[s_tgt] + l
-                            row[idx] = f.sub(row[idx], b_mat.data[l][c])
-                    rows.append(row)
-
-        if x.kind == "quiver":
-            for name, s, t in self.algebra.presentation.quiver.arrows:
-                add_constraint(y.mats[name], s, t, x.mats[name])
-        else:
-            # intertwining an algebra-generating subset suffices
-            for i in self.algebra.generating_indices():
-                bname = self.algebra.basis_names[i]
-                add_constraint(y.mats[bname], "*", "*", x.mats[bname])
-
-        if total == 0:
-            return HomSpace(self, x, y, [], 0)
-        system = Mat._of(self.field, rows, len(rows), total)
-        payloads = [self._unflatten(x, y, vec) for vec in system.kernel_basis()]
-        return HomSpace(self, x, y, payloads, total)
+        arrows = [
+            (s, t, y.mats[name], x.mats[name])
+            for name, s, t in self.algebra.presentation.quiver.arrows
+        ]
+        vecs = intertwiner_kernel(self.field, x.slots, x.dims, y.dims, arrows)
+        total = sum(y.dims[s] * x.dims[s] for s in x.slots)
+        return HomSpace(self, x, y, [self._unflatten(x, y, vec) for vec in vecs], total)
 
     def _unflatten(self, x, y, vec):
         blocks, pos = {}, 0
@@ -484,44 +413,29 @@ class ModuleCategory(FiniteCategory):
             raise InputError("empty direct sum")
         a = self.algebra
         dims = {s: sum(o.dims[s] for o in objs) for s in objs[0].slots}
-        if objs[0].kind == "quiver":
-            mats = {}
-            for name, s, t in a.presentation.quiver.arrows:
-                big = Mat.zeros(self.field, dims[t], dims[s])
-                ro = co = 0
-                for o in objs:
-                    m = o.mats[name]
-                    for i in range(m.rows):
-                        for j in range(m.cols):
-                            big.data[ro + i][co + j] = m.data[i][j]
-                    ro += o.dims[t]
-                    co += o.dims[s]
-                mats[name] = big
-            prov = None
-            if all(o.proj_summands is not None for o in objs):
-                prov = [v for o in objs for v in o.proj_summands]
-            total = ModuleRep(
-                a,
-                dims,
-                mats,
-                "quiver",
-                name="(" + "+".join(o.name or "?" for o in objs) + ")",
-                proj_summands=prov,
-                check=False,
-            )
-        else:
-            mats = {}
-            for bname in a.basis_names:
-                big = Mat.zeros(self.field, dims["*"], dims["*"])
-                off = 0
-                for o in objs:
-                    m = o.mats[bname]
-                    for i in range(m.rows):
-                        for j in range(m.cols):
-                            big.data[off + i][off + j] = m.data[i][j]
-                    off += o.dims["*"]
-                mats[bname] = big
-            total = ModuleRep(a, dims, mats, "plain", check=False)
+        mats = {}
+        for name, s, t in a.presentation.quiver.arrows:
+            big = Mat.zeros(self.field, dims[t], dims[s])
+            ro = co = 0
+            for o in objs:
+                m = o.mats[name]
+                for i in range(m.rows):
+                    for j in range(m.cols):
+                        big.data[ro + i][co + j] = m.data[i][j]
+                ro += o.dims[t]
+                co += o.dims[s]
+            mats[name] = big
+        prov = None
+        if all(o.proj_summands is not None for o in objs):
+            prov = [v for o in objs for v in o.proj_summands]
+        total = ModuleRep(
+            a,
+            dims,
+            mats,
+            name="(" + "+".join(o.name or "?" for o in objs) + ")",
+            proj_summands=prov,
+            check=False,
+        )
 
         injections, projections = [], []
         offsets = {s: 0 for s in total.slots}
@@ -566,9 +480,7 @@ def projective(algebra: Algebra, vertex) -> ModuleRep:
                 q = Path(word, p.source, t)
                 m.data[pos[q]][pos[p]] = field.one
         mats[name] = m
-    return ModuleRep(
-        algebra, dims, mats, "quiver", name=f"P{vertex}", proj_summands=[vertex]
-    )
+    return ModuleRep(algebra, dims, mats, name=f"P{vertex}", proj_summands=[vertex])
 
 
 def simple_module(algebra: Algebra, vertex) -> ModuleRep:
@@ -633,14 +545,11 @@ def submodule(m: ModuleRep, spaces) -> tuple[ModuleRep, Mor]:
             raise InputError("subspaces are not closed under the action")
         return Mat.from_columns(field, coeffs, dims[s_tgt])
 
-    mats = {}
-    if m.kind == "quiver":
-        for name, s, t in m.algebra.presentation.quiver.arrows:
-            mats[name] = induced(m.mats[name], s, t)
-    else:
-        for bname in m.algebra.basis_names:
-            mats[bname] = induced(m.mats[bname], "*", "*")
-    sub = ModuleRep(m.algebra, dims, mats, m.kind, name=f"sub({m.name})", check=False)
+    mats = {
+        name: induced(m.mats[name], s, t)
+        for name, s, t in m.algebra.presentation.quiver.arrows
+    }
+    sub = ModuleRep(m.algebra, dims, mats, name=f"sub({m.name})", check=False)
     return sub, Mor(cat, sub, m, incl_blocks)
 
 
@@ -663,14 +572,11 @@ def quotient_module(m: ModuleRep, spaces) -> tuple[ModuleRep, Mor]:
         imgs = [proj_mats[s_tgt].apply(mat.apply(vec)) for vec in reps[s_src]]
         return Mat.from_columns(field, imgs, dims[s_tgt])
 
-    mats = {}
-    if m.kind == "quiver":
-        for name, s, t in m.algebra.presentation.quiver.arrows:
-            mats[name] = induced(m.mats[name], s, t)
-    else:
-        for bname in m.algebra.basis_names:
-            mats[bname] = induced(m.mats[bname], "*", "*")
-    quot = ModuleRep(m.algebra, dims, mats, m.kind, name=f"quot({m.name})", check=False)
+    mats = {
+        name: induced(m.mats[name], s, t)
+        for name, s, t in m.algebra.presentation.quiver.arrows
+    }
+    quot = ModuleRep(m.algebra, dims, mats, name=f"quot({m.name})", check=False)
     return quot, Mor(cat, m, quot, proj_mats)
 
 
@@ -692,14 +598,8 @@ def image_module(f: Mor) -> tuple[ModuleRep, Mor]:
     return submodule(f.tgt, spaces)
 
 
-def _require_quiver(m: ModuleRep):
-    if m.kind != "quiver":
-        raise InputError("structural operations need a quiver-presented module")
-
-
 def radical(m: ModuleRep) -> tuple[ModuleRep, Mor]:
     """Span of all arrow images, with its inclusion."""
-    _require_quiver(m)
     field = m.algebra.field
     spaces = {s: Subspace.zero(field, m.dims[s]) for s in m.slots}
     for name, s, t in m.algebra.presentation.quiver.arrows:
@@ -710,7 +610,6 @@ def radical(m: ModuleRep) -> tuple[ModuleRep, Mor]:
 
 def socle(m: ModuleRep) -> tuple[ModuleRep, Mor]:
     """Joint kernel of all arrow actions, with its inclusion."""
-    _require_quiver(m)
     field = m.algebra.field
     spaces = {s: Subspace.full(field, m.dims[s]) for s in m.slots}
     for name, s, t in m.algebra.presentation.quiver.arrows:
@@ -720,7 +619,6 @@ def socle(m: ModuleRep) -> tuple[ModuleRep, Mor]:
 
 def top(m: ModuleRep) -> tuple[ModuleRep, Mor]:
     """Quotient by the radical, with its projection."""
-    _require_quiver(m)
     field = m.algebra.field
     spaces = {s: Subspace.zero(field, m.dims[s]) for s in m.slots}
     for name, s, t in m.algebra.presentation.quiver.arrows:
@@ -731,7 +629,6 @@ def top(m: ModuleRep) -> tuple[ModuleRep, Mor]:
 
 def radical_layers(m: ModuleRep):
     """Tops of the radical filtration, as vertex -> dim dicts (top first)."""
-    _require_quiver(m)
     layers = []
     current = m
     while current.total_dim:
@@ -810,6 +707,4 @@ def nakayama_projective(algebra: Algebra, p: ModuleRep) -> ModuleRep:
         hom_s = cat.hom(p, projs[s])
         rows = [hom_s.coords(f.then(lmul).payload) for f in hom_bases[t]]
         mats[name] = Mat(algebra.field, rows, dims[t], dims[s])
-    return ModuleRep(
-        algebra, dims, mats, "quiver", name=f"nu({p.name})", check=True
-    )
+    return ModuleRep(algebra, dims, mats, name=f"nu({p.name})")

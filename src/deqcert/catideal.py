@@ -303,14 +303,6 @@ class RingPresentation:
     def to_algebra(self, check=True) -> Algebra:
         return Algebra(self.field, self.labels, self.table, self.unit, check=check)
 
-    def opposite(self) -> "RingPresentation":
-        table = [
-            [self.table[j][i] for j in range(self.dim)] for i in range(self.dim)
-        ]
-        return RingPresentation(
-            self.field, self.labels, table, self.unit, self.provenance + " (opposite)"
-        )
-
     # the structure-constant product of Algebra, read off self.table
     mul = Algebra.mul_vec
 

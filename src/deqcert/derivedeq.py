@@ -12,6 +12,7 @@ from .algebra import (
     ModuleRep,
     find_isomorphism,
     image_module,
+    intertwiner_kernel,
     kernel_module,
     nakayama_projective,
     projective,
@@ -25,7 +26,7 @@ from .catideal import (
     minimal_right_approximation,
     right_approximation,
 )
-from .category import QuotientCategory
+from .category import DirectSumData, QuotientCategory
 from .complexes import (
     ChainMapCategory,
     Complex,
@@ -277,43 +278,72 @@ def _ring_map_witness(src: RingPresentation, maps):
 def verify_theorem1(q: Complex, m, embedding_check: bool = True) -> EquivCertificate:
     """Run the full construction and verify every step numerically."""
     t = build_tilting(q, m)
-    mx = t.cat.direct_sum([t.m, q.obj(0)]).obj
+    mx_sum = t.cat.direct_sum([t.m, q.obj(0)])
     cert = _certify(
-        t.t_complex, t.qcat_left, t.qcat_right, t.ym_sum.obj, mx, lambda f: theta(t, f)
+        t.t_complex, t.qcat_left, t.qcat_right, t.ym_sum.obj, mx_sum.obj, lambda f: theta(t, f)
     )
     if embedding_check:
-        cert.flags["embedding_dims"] = _full_embedding_dim_check(t, mx, cert.ring_left)
+        cert.flags["embedding_dims"] = _full_embedding_dim_check(t, mx_sum, cert.ring_left)
     cert.data["facts"] = t.facts
     return cert
 
 
-def _full_embedding_dim_check(t: TiltingData, mx_obj, ring) -> bool:
+def _full_embedding_dim_check(t: TiltingData, mx_sum: DirectSumData, ring) -> bool:
     """Dimension form of the full-embedding claim: Hom over the left
     quotient between the terms of T• must match Hom between their images
-    under Hom(m+X, -), i.e. modules over ring = End(m+X) over that quotient."""
-    qcat = t.qcat_left
+    under Hom(m+X, -), i.e. right modules over ring = End(m+X) over that
+    quotient (notes/decisions.md).  ring must be associative and unital."""
     try:
-        alg = ring.opposite().to_algebra()
+        ring.to_algebra()
     except InputError:
         return False
-    end_space = qcat.hom(mx_obj, mx_obj)
+    qcat = t.qcat_left
     terms = list(t.t_complex.objs)
+    dims = _embedded_hom_dims(qcat, mx_sum.summands, terms)
+    return all(
+        dims[i][j] == qcat.hom(u, v).dim
+        for i, u in enumerate(terms)
+        for j, v in enumerate(terms)
+    )
+
+
+def _embedded_hom_dims(qcat, summands, terms):
+    """dims[i][j] = dim Hom_A(Hom(S, terms[i]), Hom(S, terms[j])), where S is
+    the sum of the summands s_k and A = End(S) over qcat.
+
+    Hom(S, u) is graded by the summands, slot k being Hom(s_k, u).  Every
+    basis element a of Hom(s_k, s_l) is an arrow l -> k acting by
+    h -> a.then(h).  These arrows span A, and a family of slot maps already
+    commutes with the slot idempotents, so the slot maps intertwining every
+    arrow are exactly the A-linear maps.
+    """
+    field = qcat.field
+    slots = range(len(summands))
+    arrows = [
+        (l, k, a)
+        for k, s_k in enumerate(summands)
+        for l, s_l in enumerate(summands)
+        for a in qcat.hom(s_k, s_l).basis
+    ]
     mods = []
     for u in terms:
-        space = qcat.hom(mx_obj, u)
-        mats = {
-            name: Mat.from_columns(
-                qcat.field, [space.coords(e.then(b).payload) for b in space.basis], space.dim
+        spaces = [qcat.hom(s, u) for s in summands]
+        acts = [
+            Mat.from_columns(
+                field,
+                [spaces[k].coords(a.then(h).payload) for h in spaces[l].basis],
+                spaces[k].dim,
             )
-            for name, e in zip(alg.basis_names, end_space.basis)
-        }
-        mods.append(ModuleRep.plain_rep(alg, space.dim, mats))
-    mcat = alg.modcat
-    for i, u in enumerate(terms):
-        for j, v in enumerate(terms):
-            if qcat.hom(u, v).dim != mcat.hom(mods[i], mods[j]).dim:
-                return False
-    return True
+            for l, k, a in arrows
+        ]
+        mods.append(([sp.dim for sp in spaces], acts))
+
+    def hom_dim(src, tgt):
+        (src_dims, src_acts), (tgt_dims, tgt_acts) = src, tgt
+        system = [(l, k, a_v, a_u) for (l, k, _), a_v, a_u in zip(arrows, tgt_acts, src_acts)]
+        return len(intertwiner_kernel(field, slots, src_dims, tgt_dims, system))
+
+    return [[hom_dim(src, tgt) for tgt in mods] for src in mods]
 
 
 # -- projective-approximation pipeline -------------------------------------

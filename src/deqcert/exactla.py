@@ -173,8 +173,9 @@ class Mat:
 
     @classmethod
     def from_columns(cls, field, cols, rows):
-        """The rows x len(cols) matrix whose j-th column is cols[j]."""
-        return cls(field, [[col[i] for col in cols] for i in range(rows)], rows, len(cols))
+        """The rows x len(cols) matrix whose j-th column is cols[j], a
+        sequence of field elements (no coerce)."""
+        return cls._of(field, [[col[i] for col in cols] for i in range(rows)], rows, len(cols))
 
     @classmethod
     def column(cls, field, vec):

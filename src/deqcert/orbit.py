@@ -176,9 +176,7 @@ class QuiverTwistAuto(StrictAuto):
         proj = (
             tuple(vfwd[p] for p in m.proj_summands) if m.proj_summands is not None else None
         )
-        return ModuleRep(
-            m.algebra, dims, mats, "quiver", name=f"F^{u}({m.name})", proj_summands=proj
-        )
+        return ModuleRep(m.algebra, dims, mats, name=f"F^{u}({m.name})", proj_summands=proj)
 
     def obj_power(self, x: ModuleRep, u: int):
         root = getattr(x, "_twist_root", x)

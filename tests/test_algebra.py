@@ -104,28 +104,6 @@ def test_algebra_axioms_hold_on_presets():
             assert alg.mul_vec(v, alg.unit) == v
 
 
-def test_generating_indices_generate():
-    for fx in (a3(), cyclic_nakayama(4, 5)):
-        alg = fx.algebra
-        gens = alg.generating_indices()
-        # closing the generators under products must reach the whole algebra
-        from deqcert.exactla import Subspace
-
-        span = Subspace.from_vectors(alg.field, alg.dim, [alg.unit])
-        vecs = [alg.basis_vec(i) for i in gens]
-        changed = True
-        while changed:
-            changed = False
-            current = [list(v) for v in span.basis]
-            for u in list(current):
-                for g in vecs:
-                    for prod in (alg.mul_vec(u, g), alg.mul_vec(g, u)):
-                        if not span.contains(prod):
-                            span = span + Subspace.from_vectors(alg.field, alg.dim, [prod])
-                            changed = True
-        assert span.dim == alg.dim
-
-
 def test_projective_and_simple_dimensions_a3():
     fx = a3()
     dims = {v: sum(projective(fx.algebra, v).dims.values()) for v in "123"}
@@ -263,21 +241,6 @@ def test_nakayama_transform_of_projectives():
         if find_isomorphism(n, cyc.projectives[v], rng=random.Random(8))[0] == "yes"
     ]
     assert len(hit) == 1
-
-
-def test_plain_rep_hom_matches_quiver_rep_hom():
-    fx = kxx()
-    cat = fx.algebra.modcat
-    p = fx.projectives["1"]
-    field = fx.algebra.field
-    # same module presented by action matrices for each basis element
-    plain = ModuleRep.plain_rep(
-        fx.algebra,
-        2,
-        {"e1": Mat.identity(field, 2), "x": Mat(field, [[0, 0], [1, 0]])},
-        name="plain P",
-    )
-    assert cat.hom(plain, plain).dim == cat.hom(p, p).dim == 2
 
 
 def test_invalid_representation_rejected():

@@ -190,19 +190,6 @@ def test_quotient_ring_by_socle_inclusion_span():
     assert alg.dim == 2
 
 
-def test_opposite_ring_reverses_multiplication():
-    fx, cat, spec = a2_setup()
-    both = cat.direct_sum([fx.projectives["1"], fx.simples["2"]]).obj
-    ring = end_ring(cat, both)
-    op = ring.opposite()
-    rng = random.Random(11)
-    for _ in range(10):
-        u = [ring.field.random(rng) for _ in ring.labels]
-        v = [ring.field.random(rng) for _ in ring.labels]
-        assert ring.mul(u, v) == op.mul(v, u)
-    op.to_algebra()
-
-
 def test_ring_quotient_dimension_drop():
     fx, cat, spec = a2_setup()
     p1 = fx.projectives["1"]

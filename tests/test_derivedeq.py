@@ -13,6 +13,7 @@ from deqcert.category import Mor
 from deqcert.catideal import (
     RingPresentation,
     SubcatSpec,
+    end_ring,
     ideal_space,
     is_right_approximation,
     minimal_right_approximation,
@@ -66,6 +67,91 @@ def test_embedding_check_flag_presence():
     assert "embedding_dims" in with_emb.flags
     assert "embedding_dims" not in without.flags
     assert with_emb.passed and without.passed
+
+
+EMBEDDING_INSTANCES = {
+    "kxx": kxx,
+    "cyclic_nakayama(2,2)": lambda field: cyclic_nakayama(2, 2, field),
+    "cyclic_nakayama(3,2)": lambda field: cyclic_nakayama(3, 2, field),
+}
+
+
+def _embedding_setup(name, char):
+    """The tilting data of the split sequence ending in S1, and X."""
+    fx = EMBEDDING_INSTANCES[name](FieldSpec(char))
+    q, m = d_split_sequence(fx.algebra, fx.simples["1"])
+    return derivedeq.build_tilting(q, m), q.obj(0)
+
+
+@pytest.mark.parametrize("char", [0, 2])
+@pytest.mark.parametrize("name", list(EMBEDDING_INSTANCES))
+def test_embedding_check_fails_when_graded_by_x_alone(name, char):
+    t, x = _embedding_setup(name, char)
+
+    def flag(objs, ring=None):
+        data = t.cat.direct_sum(objs)
+        ring = ring or end_ring(t.qcat_left, data.obj)
+        return derivedeq._full_embedding_dim_check(t, data, ring)
+
+    assert flag([t.m, x]) is True
+    # Hom(X, -) is not full on the terms of T
+    assert flag([x]) is False
+    # X has an add(M) copresentation, so Hom(M, -) alone still is
+    assert flag([t.m]) is True
+    # a ring that is not unital fails the guard before any Hom space
+    ring = end_ring(t.qcat_left, t.cat.direct_sum([t.m, x]).obj)
+    broken = RingPresentation(ring.field, ring.labels, ring.table, [0] * ring.dim)
+    assert flag([t.m, x], broken) is False
+
+
+def _dense_embedded_hom_dim(qcat, mx, u, v):
+    """dim Hom_A(Hom(mx, u), Hom(mx, v)) over A = End(mx) in qcat, from one
+    ungraded intertwiner system over the whole basis of A: the unknown F
+    is a dim Hom(mx, v) x dim Hom(mx, u) matrix with A_v·F = F·A_u for
+    every basis element, which acts by precomposition.  The kernel of the
+    stacked system is cut down by one basis element at a time."""
+    field = qcat.field
+    ends = qcat.hom(mx, mx).basis
+
+    def actions(w):
+        space = qcat.hom(mx, w)
+        return space.dim, [
+            Mat.from_rows(
+                field, [space.coords(e.then(h).payload) for h in space.basis], space.dim
+            ).transpose()
+            for e in ends
+        ]
+
+    du, acts_u = actions(u)
+    dv, acts_v = actions(v)
+    n = dv * du  # F[r][c] is coordinate r * du + c
+    kernel = Mat.identity(field, n)  # columns: a basis of the solutions so far
+    for a, b in zip(acts_v, acts_u):
+        # row r * du + c of this element's block: (A_v·F - F·A_u)[r][c]
+        block = Mat.zeros(field, n, n)
+        for r in range(dv):
+            for c in range(du):
+                row = block.data[r * du + c]
+                for k in range(dv):
+                    row[k * du + c] = field.add(row[k * du + c], a.data[r][k])
+                for l in range(du):
+                    row[r * du + l] = field.sub(row[r * du + l], b.data[l][c])
+        cut = (block * kernel).kernel_basis()
+        kernel = kernel * Mat.from_columns(field, cut, kernel.cols)
+    return kernel.cols
+
+
+@pytest.mark.parametrize("char", [0, 2])
+@pytest.mark.parametrize("name", list(EMBEDDING_INSTANCES))
+def test_graded_embedding_dims_match_the_dense_system(name, char):
+    t, x = _embedding_setup(name, char)
+    qcat = t.qcat_left
+    mx_sum = t.cat.direct_sum([t.m, x])
+    terms = list(t.t_complex.objs)
+    graded = derivedeq._embedded_hom_dims(qcat, mx_sum.summands, terms)
+    dense = [[_dense_embedded_hom_dim(qcat, mx_sum.obj, u, v) for v in terms] for u in terms]
+    assert graded == dense
+    assert graded == [[qcat.hom(u, v).dim for v in terms] for u in terms]
 
 
 def test_doubled_theta_fails_exactly_the_ring_map_flags(monkeypatch):
