@@ -16,11 +16,11 @@ from .catideal import (
     is_right_approximation,
     minimal_right_approximation,
 )
-from .category import DirectSumData, Mor, QuotientCategory
+from .category import DirectSumData, MorphismEquations, Mor, QuotientCategory
 from .complexes import Complex, HomotopyCategory, stalk
-from .derivedeq import EquivCertificate, _certify
+from .derivedeq import EquivCertificate, _certify, augment
 from .errors import HypothesisError, InputError, InternalConsistencyError
-from .exactla import LinSolver, Mat, Subspace
+from .exactla import Mat, kernel
 
 __all__ = [
     "NAngle",
@@ -317,76 +317,20 @@ def _fill_angle_square(cat, sigma, src: NAngle, tgt: NAngle, h1: Mor, h2: Mor):
     n = src.n
     if not h1.then(tgt.maps[0]).eq(src.maps[0].then(h2)):
         raise InputError("the given square does not commute")
-    spaces = [cat.hom(src.objects[i], tgt.objects[i]) for i in range(n)]
-    offsets, total = [], 0
-    for i in range(2, n):
-        offsets.append(total)
-        total += spaces[i].dim
-    field = cat.field
-
-    rows, rhs = [], []
-
-    def emit(count, build_row, rhs_vec):
-        for r in range(count):
-            rows.append(build_row(r))
-            rhs.append(rhs_vec[r])
-
-    # squares i = 1..n-1 (0-based index over maps): f_{i+1} h_{i+2} = h_{i+1} g_{i+1}
-    for sq in range(1, n - 1):
-        # src.maps[sq]: X_{sq+1} -> X_{sq+2}; unknowns h at positions sq, sq+1 (0-based obj)
-        out_space = cat.hom(src.objects[sq], tgt.objects[sq + 1])
-        known = (
-            h2.then(tgt.maps[sq]) if sq == 1 else None
-        )
-        cols = {}
-        if sq >= 2:
-            for j, b in enumerate(spaces[sq].basis):
-                cols[("left", j)] = out_space.coords(b.then(tgt.maps[sq]).payload)
-        for j, b in enumerate(spaces[sq + 1].basis):
-            cols[("right", j)] = out_space.coords(src.maps[sq].then(b).payload)
-        rhs_vec = [field.zero] * out_space.dim
-        if known is not None:
-            rhs_vec = [field.neg(c) for c in out_space.coords(known.payload)]
-
-        def build_row(r, sq=sq, cols=cols):
-            row = [field.zero] * total
-            for (side, j), col in cols.items():
-                pos = offsets[sq - 2] + j if side == "left" else offsets[sq - 1] + j
-                sign = field.one if side == "left" else field.neg(field.one)
-                row[pos] = field.add(row[pos], field.mul(sign, col[r]))
-            return row
-
-        # equation: h_sq . g_sq - f_sq . h_{sq+1} = -(known part)
-        emit(out_space.dim, build_row, rhs_vec)
-
-    # final square: f_n (connecting) then Sigma(h1) = h_n then g_n
-    out_space = cat.hom(src.objects[n - 1], sigma.obj(tgt.objects[0]))
-    known = src.connecting.then(sigma.mor(h1))
-    cols = {}
-    for j, b in enumerate(spaces[n - 1].basis):
-        cols[j] = out_space.coords(b.then(tgt.connecting).payload)
-    rhs_vec = list(out_space.coords(known.payload))
-
-    def build_last(r):
-        row = [field.zero] * total
-        for j, col in cols.items():
-            row[offsets[n - 3] + j] = col[r]
-        return row
-
-    emit(out_space.dim, build_last, rhs_vec)
-
-    if total == 0:
-        return [] if all(v == field.zero for v in rhs) else None
-    if not rows:
-        return [spaces[i].zero() for i in range(2, n)]
-    sol = LinSolver(Mat(field, rows, len(rows), total)).solve(rhs)
-    if sol is None:
-        return None
-    out = []
-    for idx, i in enumerate(range(2, n)):
-        seg = sol[offsets[idx] : offsets[idx] + spaces[i].dim]
-        out.append(spaces[i].from_coords(seg))
-    return out
+    # unknowns h_3..h_n; square j = 2..n-1 reads f_j h_{j+1} - h_j g_j = 0,
+    # with the known h_2 g_2 on the right of square 2, and the last square
+    # reads h_n g_n = f_n Sigma(h_1).  Below, i = j - 1 indexes the maps.
+    equations = []
+    for i in range(1, n - 1):
+        terms = [(i - 1, src.maps[i].then)]
+        if i >= 2:
+            terms.append((i - 2, lambda h, g=tgt.maps[i]: -h.then(g)))
+        equations.append((cat.hom(src.objects[i], tgt.objects[i + 1]), terms))
+    last = cat.hom(src.objects[-1], sigma.obj(tgt.objects[0]))
+    equations.append((last, [(n - 3, lambda h: h.then(tgt.connecting))]))
+    rhs = [h2.then(tgt.maps[1])] + [None] * (n - 3) + [src.connecting.then(sigma.mor(h1))]
+    spaces = [cat.hom(src.objects[i], tgt.objects[i]) for i in range(2, n)]
+    return MorphismEquations(cat, spaces, equations).solve(rhs)
 
 
 def verify_weak_axioms(cat, sigma, angles, rng, filler_samples: int = 5) -> dict:
@@ -428,17 +372,13 @@ def verify_weak_axioms(cat, sigma, angles, rng, filler_samples: int = 5) -> dict
 
 
 def _solve_second(cat, src: NAngle, tgt: NAngle, h1: Mor):
+    """h2 with f1 h2 = h1 g1, or None."""
     space = cat.hom(src.objects[1], tgt.objects[1])
-    out_space = cat.hom(src.objects[0], tgt.objects[1])
-    if out_space.dim == 0:
-        return space.zero()
-    if space.dim == 0:
-        return space.zero() if h1.then(tgt.maps[0]).is_zero() else None
-    cols = [out_space.coords(src.maps[0].then(b).payload) for b in space.basis]
-    mat = Mat.from_columns(cat.field, cols, out_space.dim)
-    rhs = list(out_space.coords(h1.then(tgt.maps[0]).payload))
-    sol = LinSolver(mat).solve(rhs)
-    return space.from_coords(sol) if sol is not None else None
+    square = cat.hom(src.objects[0], tgt.objects[1])
+    sol = MorphismEquations(cat, [space], [(square, [(0, src.maps[0].then)])]).solve(
+        [h1.then(tgt.maps[0])]
+    )
+    return None if sol is None else sol[0]
 
 
 def lemma_nangle_check(cat, angle: NAngle, probes, window: int = 3) -> dict:
@@ -506,77 +446,49 @@ def verify_theorem2(cat, sigma: ShiftFunctor, angle: NAngle, m, spec: SubcatSpec
     angle: X -> M_1 -> ... -> M_{n-2} -> Y -> Sigma X.  The first map must
     be a left add(m)-approximation and the last interior map a right one.
     """
-    field = cat.field
-    n = angle.n
     x_obj = angle.objects[0]
-    y_obj = angle.objects[-1]
-    middles = angle.objects[1:-1]
     if spec is None:
         spec = SubcatSpec(cat, [m])
-        for mid in middles:
+        for mid in angle.objects[1:-1]:
             spec.member(mid)
-    f0 = angle.maps[0]
-    g = angle.maps[-1]
-    w = angle.connecting
-    if not is_left_approximation(cat, spec, f0):
+    if not is_left_approximation(cat, spec, angle.maps[0]):
         raise HypothesisError("the first map is not a left approximation")
-    if not is_right_approximation(cat, spec, g):
+    if not is_right_approximation(cat, spec, angle.maps[-1]):
         raise HypothesisError("the last interior map is not a right approximation")
 
     # augmented angle: ... -> M_{n-2}+M --diag(g,1)--> Y+M --(w,0)--> Sigma X
-    top_sum = spec.sum_of([middles[-1], m])
-    ym_sum = cat.direct_sum([y_obj, m])
-    g_tilde = cat.mor_from_blocks(top_sum, ym_sum, [[g, None], [None, cat.identity(m)]])
-    eta_tilde = ym_sum.projections[0].then(w)
-
-    # T: 0 -> X -> M_1 -> ... -> M_{n-2}+M -> 0 with X in degree 0
-    t_objs = [x_obj] + middles[:-1] + [top_sum.obj]
-    t_diffs = []
-    if len(middles) == 1:
-        t_diffs.append(f0.then(top_sum.injections[0]))
-    else:
-        t_diffs.append(f0)
-        for i in range(1, len(middles) - 1):
-            t_diffs.append(angle.maps[i])
-        t_diffs.append(angle.maps[len(middles) - 1].then(top_sum.injections[0]))
-    t_complex = Complex(cat, 0, t_objs, t_diffs)
-
+    _, t_complex, ym_sum, g_tilde = augment(cat, spec, m, angle.objects, angle.maps)
+    ym = ym_sum.obj
+    eta_tilde = ym_sum.projections[0].then(angle.connecting)
     qcat_i = QuotientCategory(
         cat, lambda a, b: ideal_space(cat, spec, a, b, "I"), label="proper-left"
     )
     qcat_j = QuotientCategory(
         cat, lambda a, b: ideal_space(cat, spec, a, b, "J"), label="proper-right"
     )
-    top_deg = len(t_objs) - 1
 
     # theta: joint solve  g~ . u = f_top . g~  and  u . eta~ = eta~ . Sigma(f0)
-    end_ym = cat.hom(ym_sum.obj, ym_sum.obj)
-    left_space = cat.hom(top_sum.obj, ym_sum.obj)
-    right_space = cat.hom(ym_sum.obj, sigma.obj(x_obj))
-    cols = [
-        list(left_space.coords(g_tilde.then(e).payload))
-        + list(right_space.coords(e.then(eta_tilde).payload))
-        for e in end_ym.basis
-    ]
-    sys_mat = Mat.from_columns(field, cols, left_space.dim + right_space.dim)
-    solver = LinSolver(sys_mat)
-
+    eqs = MorphismEquations(
+        cat,
+        [cat.hom(ym, ym)],
+        [
+            (cat.hom(g_tilde.src, ym), [(0, g_tilde.then)]),
+            (cat.hom(ym, sigma.obj(x_obj)), [(0, lambda u: u.then(eta_tilde))]),
+        ],
+    )
     # well-definedness: the homogeneous solutions must lie in the proper ideal
-    j_ideal = qcat_j.ideal(ym_sum.obj, ym_sum.obj)
-    hom_solutions = Subspace.from_vectors(field, end_ym.dim, sys_mat.kernel_basis())
+    j_ideal = qcat_j.ideal(ym, ym)
+    hom_solutions = kernel(eqs.matrix)
 
     def theta_of(f: dict):
-        f_top = f.get(top_deg) or cat.zero_mor(top_sum.obj, top_sum.obj)
+        f_top = f.get(t_complex.hi) or cat.zero_mor(g_tilde.src, g_tilde.src)
         f_zero = f.get(0) or cat.zero_mor(x_obj, x_obj)
-        rhs = list(left_space.coords(f_top.then(g_tilde).payload)) + list(
-            right_space.coords(eta_tilde.then(sigma.mor(f_zero)).payload)
-        )
-        sol = solver.solve(rhs)
+        sol = eqs.solve([f_top.then(g_tilde), eta_tilde.then(sigma.mor(f_zero))])
         if sol is None:
             raise InternalConsistencyError("angle filler system unsolvable")
-        return qcat_j.lift(end_ym.from_coords(sol[: end_ym.dim]))
+        return qcat_j.lift(sol[0])
 
     mx = cat.direct_sum([m, x_obj]).obj
-    cert = _certify(t_complex, qcat_i, qcat_j, ym_sum.obj, mx, theta_of)
+    cert = _certify(t_complex, qcat_i, qcat_j, ym, mx, theta_of)
     cert.flags = {"theta_well_defined": j_ideal.contains_subspace(hom_solutions), **cert.flags}
     return cert

@@ -137,6 +137,51 @@ class HomSpace:
         return f"HomSpace(dim {self.dim})"
 
 
+class MorphismEquations:
+    """Linear equations in unknown morphisms h_0, h_1, ..., with h_i in spaces[i].
+
+    equations lists (target, terms): the equation lives in the HomSpace
+    target and reads sum act(h_i) = rhs over its terms (i, act), where act
+    is a linear map from spaces[i] to target.  The matrix has one column per
+    basis element of each unknown space, in order, and stacks the
+    coordinates in each target, in equation order.
+    """
+
+    def __init__(self, cat, spaces, equations):
+        self.field = cat.field
+        self.spaces = list(spaces)
+        self.targets = [target for target, _ in equations]
+        cols = []
+        for i, space in enumerate(self.spaces):
+            for b in space.basis:
+                col = []
+                for target, terms in equations:
+                    images = [act(b) for j, act in terms if j == i]
+                    if images:
+                        col.extend(target.coords(sum(images[1:], images[0]).payload))
+                    else:
+                        col.extend([self.field.zero] * target.dim)
+                cols.append(col)
+        self.matrix = Mat.from_columns(self.field, cols, sum(t.dim for t in self.targets))
+        self._solver = LinSolver(self.matrix)
+
+    def solve(self, rhs):
+        """The maps h_i solving the equations, one right-hand side per
+        equation (a Mor, or None for zero), zero on every free column of the
+        matrix; None when there is no solution."""
+        vec = []
+        for target, r in zip(self.targets, rhs):
+            vec.extend(target.coords(r.payload) if r is not None else [self.field.zero] * target.dim)
+        sol = self._solver.solve(vec)
+        if sol is None:
+            return None
+        out, k = [], 0
+        for space in self.spaces:
+            out.append(space.from_coords(sol[k : k + space.dim]))
+            k += space.dim
+        return out
+
+
 class DirectSumData:
     """A direct sum with its canonical injections and projections."""
 

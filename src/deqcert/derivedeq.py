@@ -26,7 +26,7 @@ from .catideal import (
     minimal_right_approximation,
     right_approximation,
 )
-from .category import DirectSumData, QuotientCategory
+from .category import DirectSumData, MorphismEquations, QuotientCategory
 from .complexes import (
     ChainMapCategory,
     Complex,
@@ -38,11 +38,12 @@ from .complexes import (
     stalk,
 )
 from .errors import HypothesisError, InputError, InternalConsistencyError
-from .exactla import LinSolver, Mat, Subspace
+from .exactla import Mat, Subspace
 
 __all__ = [
     "TiltingData",
     "EquivCertificate",
+    "augment",
     "build_tilting",
     "theta",
     "verify_theorem1",
@@ -51,10 +52,10 @@ __all__ = [
 
 
 class TiltingData:
-    """The augmented complex P•, its truncation T•, and the two quotient
-    categories the equivalence lives over."""
+    """The augmented complex P•, its truncation T•, the two quotient
+    categories the equivalence lives over, and theta's top-square system."""
 
-    def __init__(self, cat, q, m, spec, n, p_complex, t_complex, ym_sum, qm_sum, facts):
+    def __init__(self, cat, q, m, spec, n, p_complex, t_complex, ym_sum, facts):
         self.cat = cat
         self.q = q
         self.m = m
@@ -63,7 +64,6 @@ class TiltingData:
         self.p_complex = p_complex
         self.t_complex = t_complex
         self.ym_sum = ym_sum  # Y + M with injections/projections
-        self.qm_sum = qm_sum  # Q^n + M
         self.facts = facts
         self.qcat_left = QuotientCategory(
             cat, lambda a, b: ideal_space(cat, spec, a, b, "L"), label="left-ann"
@@ -71,7 +71,31 @@ class TiltingData:
         self.qcat_right = QuotientCategory(
             cat, lambda a, b: ideal_space(cat, spec, a, b, "R"), label="right-ann"
         )
-        self.d_tilde = p_complex.diff(n)  # Q^n + M -> Y + M
+        # d~ . u = f^n . d~ for u in End(Y+M)
+        d_tilde = p_complex.diff(n)
+        ym = ym_sum.obj
+        self.theta_eqs = MorphismEquations(
+            cat, [cat.hom(ym, ym)], [(cat.hom(d_tilde.src, ym), [(0, d_tilde.then)])]
+        )
+
+
+def augment(cat, spec: SubcatSpec, m, objs, maps):
+    """Adjoin m in the top degrees of objs[0] -> ... -> objs[-1] (maps
+    between consecutive objects), the middle terms being members of spec.
+
+    Returns (P, T, Y+M, d~): d~ = diag(maps[-1], 1_m) from objs[-2] + m to
+    Y+M, where Y = objs[-1]; P is the complex objs[0] -> ... -> objs[-3] ->
+    objs[-2] + m -> Y+M with X = objs[0] in degree 0, and T is P without its
+    top term.
+    """
+    top = spec.sum_of([objs[-2], m])
+    ym_sum = cat.direct_sum([objs[-1], m])
+    d_tilde = cat.mor_from_blocks(top, ym_sum, [[maps[-1], None], [None, cat.identity(m)]])
+    t_objs = list(objs[:-2]) + [top.obj]
+    t_diffs = list(maps[:-2]) + [maps[-2].then(top.injections[0])]
+    t_complex = Complex(cat, 0, t_objs, t_diffs)
+    p_complex = Complex(cat, 0, t_objs + [ym_sum.obj], t_diffs + [d_tilde], check=False)
+    return p_complex, t_complex, ym_sum, d_tilde
 
 
 def build_tilting(q: Complex, m) -> TiltingData:
@@ -86,22 +110,9 @@ def build_tilting(q: Complex, m) -> TiltingData:
     spec = SubcatSpec(cat, [m])
     for i in range(1, n + 1):
         spec.member(q.obj(i))
-    qm_sum = spec.sum_of([q.obj(n), m])
-    ym_sum = cat.direct_sum([q.obj(n + 1), m])
-
-    objs = [q.obj(i) for i in range(0, n)] + [qm_sum.obj, ym_sum.obj]
-    diffs = []
-    for i in range(0, n - 1):
-        diffs.append(q.diff(i))
-    # into Q^n + M
-    diffs.append(q.diff(n - 1).then(qm_sum.injections[0]))
-    # diag(d^n, 1_m): Q^n + M -> Y + M
-    d_tilde = cat.mor_from_blocks(
-        qm_sum, ym_sum, [[q.diff(n), None], [None, cat.identity(m)]]
+    p_complex, t_complex, ym_sum, _ = augment(
+        cat, spec, m, [q.obj(i) for i in range(n + 2)], [q.diff(i) for i in range(n + 1)]
     )
-    diffs.append(d_tilde)
-    p_complex = Complex(cat, 0, objs, diffs)
-    t_complex = Complex(cat, 0, objs[:-1], diffs[:-1], check=False)
 
     m_stalk = stalk(cat, m)
     facts = {
@@ -126,36 +137,20 @@ def build_tilting(q: Complex, m) -> TiltingData:
         raise InternalConsistencyError(
             f"transported homology facts failed: {facts}"
         )
-    return TiltingData(cat, q, m, spec, n, p_complex, t_complex, ym_sum, qm_sum, facts)
-
-
-def _theta_solver(t: TiltingData):
-    """Linear data for solving d~ . g = f^n . d~ over End(Y+M)."""
-    cached = getattr(t, "_theta_cache", None)
-    if cached is not None:
-        return cached
-    cat = t.cat
-    ym = t.ym_sum.obj
-    end_ym = cat.hom(ym, ym)
-    target = cat.hom(t.qm_sum.obj, ym)
-    cols = [target.coords(t.d_tilde.then(e).payload) for e in end_ym.basis]
-    t._theta_cache = (end_ym, target, LinSolver(Mat.from_columns(cat.field, cols, target.dim)))
-    return t._theta_cache
+    return TiltingData(cat, q, m, spec, n, p_complex, t_complex, ym_sum, facts)
 
 
 def theta(t: TiltingData, f: dict):
     """The endomorphism of Y+M modulo the right annihilator induced by the
     chain map T -> T with components f (degree -> morphism)."""
-    end_ym, target, solver = _theta_solver(t)
-    f_top = f.get(t.n) or t.cat.zero_mor(t.qm_sum.obj, t.qm_sum.obj)
-    rhs = list(target.coords(f_top.then(t.d_tilde).payload))
-    sol = solver.solve(rhs)
+    d_tilde = t.p_complex.diff(t.n)
+    f_top = f.get(t.n) or t.cat.zero_mor(d_tilde.src, d_tilde.src)
+    sol = t.theta_eqs.solve([f_top.then(d_tilde)])
     if sol is None:
         raise InternalConsistencyError(
             "top square not solvable although the homology facts hold"
         )
-    g = end_ym.from_coords(sol[: end_ym.dim])
-    return t.qcat_right.lift(g)
+    return t.qcat_right.lift(sol[0])
 
 
 class EquivCertificate:

@@ -315,6 +315,16 @@ class Mat:
                     rows[i] = [f.sub(x, f.mul(q, y)) for x, y in zip(rows[i], rows[r])]
             pivots.append(c)
             r += 1
+        if not f.char:
+            # integral rationals as ints: rows past the rank are zero, and a
+            # type scan at C speed skips the rows that hold no Fraction
+            rows[r:] = [[0] * self.cols for _ in range(self.rows - r)]
+            rows[:r] = [
+                [x.numerator if type(x) is Fraction and x.denominator == 1 else x for x in row]
+                if Fraction in map(type, row)
+                else row
+                for row in rows[:r]
+            ]
         return Mat._of(f, rows, self.rows, self.cols), pivots
 
     def rank(self) -> int:
@@ -367,6 +377,8 @@ class LinSolver:
         for r, s in acc.items():
             if p:
                 s %= p
+            elif type(s) is Fraction and s.denominator == 1:
+                s = s.numerator
             if r < len(pivots):
                 x[pivots[r]] = s
             elif s:

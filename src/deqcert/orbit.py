@@ -18,7 +18,7 @@ from .catideal import (
 )
 from .category import DirectSumData, FiniteCategory, HomSpace, Mor, sparse_add
 from .errors import HypothesisError, InputError, InternalConsistencyError
-from .exactla import Subspace
+from .exactla import Mat, Subspace
 
 __all__ = [
     "AdmissibleSet",
@@ -403,8 +403,7 @@ def ideals_IJ(
         ],
     )
     f_ideal_ym = ideal_space(ocat, spec, ym.obj, ym.obj, "F")
-    lo, hi = ocat.degree_zero_block(ym.obj, ym.obj)
-    f_deg0_ym = _restrict_degree_zero(field, f_ideal_ym, lo, hi, ocat.hom(ym.obj, ym.obj).dim)
+    f_deg0_ym = _degree_zero_part(ocat, ym.obj, f_ideal_ym)
     j_deg0 = j_factor.intersect(f_deg0_ym)
     j_sub = _embed_degree_zero(ocat, ym.obj, j_deg0)
 
@@ -420,8 +419,7 @@ def ideals_IJ(
         ],
     )
     f_ideal_xm = ideal_space(ocat, spec, xm.obj, xm.obj, "F")
-    lo, hi = ocat.degree_zero_block(xm.obj, xm.obj)
-    f_deg0_xm = _restrict_degree_zero(field, f_ideal_xm, lo, hi, ocat.hom(xm.obj, xm.obj).dim)
+    f_deg0_xm = _degree_zero_part(ocat, xm.obj, f_ideal_xm)
     i_deg0 = i_factor.intersect(f_deg0_xm)
     i_sub = _embed_degree_zero(ocat, xm.obj, i_deg0)
 
@@ -436,33 +434,13 @@ def ideals_IJ(
     return report
 
 
-def _restrict_degree_zero(field, sub: Subspace, lo, hi, ambient) -> Subspace:
-    """Elements of sub supported in the degree-0 block, as base coordinates."""
-    from .exactla import Mat
-
-    if sub.dim == 0:
-        return Subspace.zero(field, hi - lo)
-    rows = []
-    outside = [i for i in range(ambient) if i < lo or i >= hi]
-    for i in outside:
-        rows.append([b[i] for b in sub.basis])
-    if rows:
-        mat = Mat(field, rows, len(rows), sub.dim)
-        coeffs = mat.kernel_basis()
-    else:
-        coeffs = [
-            [field.one if j == k else field.zero for j in range(sub.dim)]
-            for k in range(sub.dim)
-        ]
-    vecs = []
-    for c in coeffs:
-        vec = [field.zero] * ambient
-        for cj, b in zip(c, sub.basis):
-            if cj:
-                for t in range(ambient):
-                    vec[t] = field.add(vec[t], field.mul(cj, b[t]))
-        vecs.append(vec[lo:hi])
-    return Subspace.from_vectors(field, hi - lo, vecs)
+def _degree_zero_part(ocat, x, sub: Subspace) -> Subspace:
+    """Elements of the graded subspace sub supported in degree 0, in base
+    Hom coordinates: sub meets the coordinate subspace of the degree-0 block."""
+    field = ocat.field
+    lo, hi = ocat.degree_zero_block(x, x)
+    block = Subspace(field, sub.ambient, Mat.identity(field, sub.ambient).data[lo:hi])
+    return Subspace(field, hi - lo, [v[lo:hi] for v in sub.intersect(block).basis])
 
 
 class OrbitShift(ShiftFunctor):

@@ -21,6 +21,7 @@ from deqcert.catideal import random_mor
 from deqcert.category import Mor
 from deqcert.complexes import Complex
 from deqcert.errors import InputError
+from deqcert.exactla import FieldSpec, Subspace
 from deqcert.presets import a2, a2_triangle, a3, cyclic_nakayama
 
 
@@ -126,6 +127,34 @@ def test_weak_axioms_on_cone_triangles():
     assert report["fillers"]  # at least one filler square was solved
 
 
+def test_weak_axiom_fillers_make_every_square_commute(monkeypatch):
+    # the report keeps booleans only; check the maps the solver found
+    fx = a3()
+    cat = KbProjCat(fx.algebra)
+    x = cat.stalk_obj(fx.projectives["3"])
+    y = cat.stalk_obj(fx.projectives["2"])
+    z = cat.stalk_obj(fx.projectives["1"])
+    angles = [cone_triangle(cat, cat.hom(x, y).basis[0]), cone_triangle(cat, cat.hom(y, z).basis[0])]
+    seen = []
+    fill = angulate._fill_angle_square
+
+    def recording(cat, sigma, src, tgt, h1, h2):
+        out = fill(cat, sigma, src, tgt, h1, h2)
+        seen.append((src, tgt, [h1, h2] + (out or [])))
+        return out
+
+    monkeypatch.setattr(angulate, "_fill_angle_square", recording)
+    report = verify_weak_axioms(cat, cat.sigma, angles, random.Random(3))
+    assert report["ok"], report
+    assert len(seen) == len(report["fillers"]) > 0
+    assert any(not h.is_zero() for _, _, hs in seen for h in hs[2:])
+    for src, tgt, hs in seen:
+        assert len(hs) == src.n
+        for k in range(src.n - 1):
+            assert hs[k].then(tgt.maps[k]).eq(src.maps[k].then(hs[k + 1]))
+        assert hs[-1].then(tgt.connecting).eq(src.connecting.then(cat.sigma.mor(hs[0])))
+
+
 def test_lemma_exactness_for_cone():
     fx = a2_triangle()
     cat = fx.cat
@@ -197,3 +226,31 @@ def test_theorem2_computes_each_ideal_once(monkeypatch):
     assert calls and max(calls.values()) == 1
     ym = fx.cat.direct_sum([fx.triangle.objects[-1], fx.m]).obj
     assert calls[(ym.key, ym.key, "J")] == 1
+
+
+@pytest.mark.parametrize("char", [0, 2, 101])
+def test_zero_j_ideal_fails_theta_well_defined(monkeypatch, char):
+    # over cyclic_nakayama(2,3) the cone of P1 -> P2 has J != 0, and theta's
+    # homogeneous solutions lie in J but not in the zero ideal
+    fx = cyclic_nakayama(2, 3, FieldSpec(char))
+    cat = KbProjCat(fx.algebra)
+    p1, p2 = fx.projectives["1"], fx.projectives["2"]
+    x, m = cat.stalk_obj(p1), cat.stalk_obj(p2)
+    tri = cone_triangle(cat, Mor(cat, x, m, {0: fx.algebra.modcat.hom(p1, p2).basis[0]}))
+    ideal_space = angulate.ideal_space
+
+    def zero_j(cat, spec, a, b, kind):
+        if kind == "J":
+            return Subspace.zero(cat.field, cat.hom(a, b).dim)
+        return ideal_space(cat, spec, a, b, kind)
+
+    assert verify_theorem2(cat, cat.sigma, tri, m).passed
+    monkeypatch.setattr(angulate, "ideal_space", zero_j)
+    cert = verify_theorem2(cat, cat.sigma, tri, m)
+    assert {k for k, v in cert.flags.items() if not v} == {
+        "theta_well_defined",
+        "theta_surjective",
+        "multiplicative",
+        "dim_match",
+    }
+    assert cert.data["multiplicative_witness"] == (5, 4, "theta")

@@ -1,0 +1,112 @@
+"""The morphism-equation solver shared by theta and the angle fillers."""
+
+import random
+
+from deqcert.catideal import random_mor
+from deqcert.category import MorphismEquations
+from deqcert.exactla import FieldSpec, Mat
+from deqcert.presets import cyclic_nakayama
+
+
+def _projectives(char=0):
+    fx = cyclic_nakayama(2, 3, FieldSpec(char))
+    return fx.algebra.modcat, fx.projectives["1"], fx.projectives["2"]
+
+
+def _system(cat, p1, p2):
+    """Unknowns h0: P1 -> P1 and h1: P2 -> P2, coupled through a: P1 -> P2:
+    h0.a - a.h1 in Hom(P1, P2), and h0.r in End(P1) for a radical r."""
+    a = cat.hom(p1, p2).basis[0]
+    r = next(e for e in cat.hom(p1, p1).basis if e.then(e).is_zero())
+    spaces = [cat.hom(p1, p1), cat.hom(p2, p2)]
+    equations = [
+        (cat.hom(p1, p2), [(0, lambda h: h.then(a)), (1, lambda h: -a.then(h))]),
+        (cat.hom(p1, p1), [(0, lambda h: h.then(r))]),
+    ]
+    return spaces, equations
+
+
+def _lhs(equations, hs):
+    """The left-hand side of each equation at the maps hs."""
+    out = []
+    for _, terms in equations:
+        images = [act(hs[i]) for i, act in terms]
+        out.append(sum(images[1:], images[0]))
+    return out
+
+
+def _stacked(equations, mors):
+    """Coordinates of one map per equation, stacked in equation order."""
+    return [c for (target, _), f in zip(equations, mors) for c in target.coords(f.payload)]
+
+
+def test_matrix_has_a_column_per_basis_element_and_stacks_the_targets():
+    cat, p1, p2 = _projectives()
+    spaces, equations = _system(cat, p1, p2)
+    eqs = MorphismEquations(cat, spaces, equations)
+    cols = []
+    for i, space in enumerate(spaces):
+        for b in space.basis:
+            hs = [sp.zero() for sp in spaces]
+            hs[i] = b
+            cols.append(_stacked(equations, _lhs(equations, hs)))
+    rows = sum(target.dim for target, _ in equations)
+    assert eqs.matrix == Mat.from_columns(cat.field, cols, rows)
+    assert eqs.matrix.shape == (rows, sum(sp.dim for sp in spaces))
+
+
+def test_solvable_system_returns_maps_that_satisfy_every_equation():
+    for char in (0, 2, 101):
+        cat, p1, p2 = _projectives(char)
+        spaces, equations = _system(cat, p1, p2)
+        eqs = MorphismEquations(cat, spaces, equations)
+        rng = random.Random(char)
+        for _ in range(5):
+            known = [random_mor(cat, sp.src, sp.tgt, rng) for sp in spaces]
+            rhs = _lhs(equations, known)
+            sol = eqs.solve(rhs)
+            assert sol is not None
+            assert [(h.src, h.tgt) for h in sol] == [(sp.src, sp.tgt) for sp in spaces]
+            assert all(got.eq(want) for got, want in zip(_lhs(equations, sol), rhs))
+        # None stands for a zero right-hand side
+        assert all(h.is_zero() for h in eqs.solve([None, None]))
+
+
+def test_unsolvable_system_returns_none():
+    cat, p1, p2 = _projectives()
+    spaces, equations = _system(cat, p1, p2)
+    eqs = MorphismEquations(cat, spaces, equations)
+    unsolvable = 0
+    for k, (target, _) in enumerate(equations):
+        for b in target.basis:
+            rhs = [t.zero() for t, _ in equations]
+            rhs[k] = b
+            vec = _stacked(equations, rhs)
+            augmented = Mat.from_columns(
+                cat.field, eqs.matrix.transpose().data + [vec], eqs.matrix.rows
+            )
+            sol = eqs.solve(rhs)
+            if augmented.rank() > eqs.matrix.rank():
+                assert sol is None
+                unsolvable += 1
+            else:
+                assert sol is not None
+    assert unsolvable
+    # the identity of P1 is not a multiple of the radical r
+    assert eqs.solve([None, cat.identity(p1)]) is None
+
+
+def test_empty_unknowns_and_empty_equations():
+    cat, p1, p2 = _projectives()
+    target = cat.hom(p1, p2)
+    # no unknowns: solvable exactly when every right-hand side is zero
+    none = MorphismEquations(cat, [], [(target, [])])
+    assert none.matrix.shape == (target.dim, 0)
+    assert none.solve([target.zero()]) == [] and none.solve([None]) == []
+    assert none.solve([target.basis[0]]) is None
+    # no equations: every unknown is free, and the solution is zero
+    space = cat.hom(p1, p1)
+    free = MorphismEquations(cat, [space, target], [])
+    assert free.matrix.shape == (0, space.dim + target.dim)
+    sol = free.solve([])
+    assert len(sol) == 2 and all(h.is_zero() for h in sol)

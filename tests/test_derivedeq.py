@@ -504,10 +504,18 @@ def _thm2_cone_nakayama23_p1_p2(field):
     return verify_theorem2(cat, cat.sigma, tri, m)
 
 
+def _orbit_a2_triangle_phi01(field):
+    fx = a2_triangle(field)
+    ocat = OrbitCategory(fx.cat, ShiftAuto(fx.cat), AdmissibleSet([0, 1]))
+    return corollary_orbit_verify(ocat, fx.cat.sigma, fx.triangle, fx.m)
+
+
 PINNED = {
     "thm1/cyclic_nakayama(3,2)/S1/q": (_thm1_nakayama32, 0),
     "thm1/cyclic_nakayama(3,2)/S1/fp:101": (_thm1_nakayama32, 101),
     "thm2/cyclic_nakayama(2,3)/P1->P2/q": (_thm2_cone_nakayama23_p1_p2, 0),
+    "thm2/cyclic_nakayama(2,3)/P1->P2/fp:101": (_thm2_cone_nakayama23_p1_p2, 101),
+    "orbit/a2_triangle/phi{0,1}/q": (_orbit_a2_triangle_phi01, 0),
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from deqcert.errors import InputError
 from deqcert.exactla import (
+    QQ,
     FieldSpec,
     LinSolver,
     Mat,
@@ -63,6 +64,17 @@ def test_rationals_are_ints_unless_a_denominator_remains():
     assert all(type(q.random(rng)) is int for _ in range(50))
     with pytest.raises(InputError):
         q.coerce(0.5)
+
+
+def test_rref_and_solve_return_integral_rationals_as_ints():
+    # a pivot of 2 makes every later entry a Fraction during elimination
+    red, pivots = Mat(QQ, [[2, 4], [1, 1]]).rref()
+    assert pivots == [0, 1]
+    assert all(type(x) is int for row in red.data for x in row), red.data
+    x = LinSolver(Mat(QQ, [[2, 0], [0, 1]])).solve([2, 0])
+    assert x == [1, 0] and all(type(v) is int for v in x), x
+    half = LinSolver(Mat(QQ, [[2, 0], [0, 1]])).solve([1, 0])
+    assert half == [Fraction(1, 2), 0] and type(half[0]) is Fraction
 
 
 def test_prime_field_inverses_exhaustive():

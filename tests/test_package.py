@@ -1,7 +1,10 @@
-"""Package surface: every exported name resolves."""
+"""Package surface: every exported name resolves, and no module imports a
+name it never uses."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +20,28 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", []) if not hasattr(module, attr)]
     assert missing == [], f"{name}.__all__ names missing attributes: {missing}"
+
+
+SOURCES = sorted(Path(deqcert.__file__).resolve().parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_module_imports_a_name_it_never_uses(path):
+    # a name counts as used when the module reads it or lists it in __all__
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    unused = sorted((line, name) for name, line in imported.items() if name not in used)
+    assert unused == [], f"{path.name} imports names it never uses (line, name): {unused}"
