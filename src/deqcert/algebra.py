@@ -8,6 +8,8 @@ vectors, and the action of a path is the reverse-order matrix product.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .category import DirectSumData, FiniteCategory, HomSpace, Mor, fresh_key, sparse_add
 from .errors import InputError, NonFiniteDimensionalError
 from .exactla import FieldSpec, LinSolver, Mat, Subspace, kernel
@@ -214,16 +216,25 @@ class Algebra:
             e = self.basis_vec(i)
             if self.mul_vec(self.unit, e) != e or self.mul_vec(e, self.unit) != e:
                 raise InputError("unit is not a two-sided identity")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.table[i][j]
-                for k in range(self.dim):
-                    left = self.mul_vec(ij, self.basis_vec(k))
-                    right = self.mul_vec(self.basis_vec(i), self.table[j][k])
-                    if left != right:
-                        raise InputError(
-                            f"structure constants not associative at ({i},{j},{k})"
-                        )
+        # (e_i e_j) e_k and e_i (e_j e_k) on every triple, each summed over the
+        # nonzero structure constants only and compared as {index: nonzero value}
+        nz = [[[(a, c) for a, c in enumerate(vec) if c] for vec in row] for row in self.table]
+
+        def combine(terms):
+            out = {}
+            for c, entries in terms:
+                for b, s in entries:
+                    out[b] = f.add(out[b], f.mul(c, s)) if b in out else f.mul(c, s)
+            return {b: v for b, v in out.items() if v}
+
+        for i, j, k in product(range(self.dim), repeat=3):
+            ij, jk = nz[i][j], nz[j][k]
+            if not ij and not jk:
+                continue  # both sides are zero
+            left = combine((c, nz[a][k]) for a, c in ij)
+            right = combine((c, nz[i][a]) for a, c in jk)
+            if left != right:
+                raise InputError(f"structure constants not associative at ({i},{j},{k})")
 
     @property
     def modcat(self) -> "ModuleCategory":

@@ -114,6 +114,8 @@ class HomSpace:
         self._solver = LinSolver(Mat.from_columns(cat.field, flats + list(extra_flats), flat_dim))
 
     def coords(self, payload):
+        if not payload:  # the zero payload of every category is {}
+            return (self.cat.field.zero,) * self.dim
         flat = self.cat._p_flatten(self.src, self.tgt, payload)
         sol = self._solver.solve(flat)
         if sol is None:

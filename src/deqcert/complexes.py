@@ -156,12 +156,35 @@ class HomComplex:
             for m in range(max(x.lo, y.lo - n), min(x.hi, y.hi - n) + 1):
                 blocks.append((m, cat.hom(x.obj(m), y.obj(m + n))))
             self.blocks[n] = blocks
+        self._diffs = {}  # degree -> differential leaving it, built on demand
+
+    @property
+    def vect(self) -> VectComplex:
+        """The whole complex of coordinate vectors: builds every differential."""
         dims = [self.dim(n) for n in range(self.lo, self.hi + 1)]
-        mats = [self._diff_matrix(n) for n in range(self.lo, self.hi)]
-        self.vect = VectComplex(cat.field, self.lo, dims, mats)
+        mats = [self.diff(n) for n in range(self.lo, self.hi)]
+        return VectComplex(self.cat.field, self.lo, dims, mats)
 
     def dim(self, n):
         return sum(h.dim for (_, h) in self.blocks.get(n, []))
+
+    def diff(self, n) -> Mat:
+        """The differential leaving degree n (zero-shaped when absent), built
+        the first time it is asked for.  Its composites with the built
+        differentials next to it must vanish."""
+        d = self._diffs.get(n)
+        if d is not None:
+            return d
+        if not self.lo <= n < self.hi:
+            return Mat.zeros(self.cat.field, self.dim(n + 1), self.dim(n))
+        d = self._diff_matrix(n)
+        before, after = self._diffs.get(n - 1), self._diffs.get(n + 1)
+        if (before is not None and not (d * before).is_zero()) or (
+            after is not None and not (after * d).is_zero()
+        ):
+            raise InputError("consecutive matrices do not compose to zero")
+        self._diffs[n] = d
+        return d
 
     def maps_from_vec(self, n, vec) -> dict:
         """Coordinate vector of degree n -> {m: Mor(x^m, y^{m+n})}."""
@@ -206,13 +229,12 @@ class HomComplex:
         return Mat.from_columns(self.cat.field, cols, self.dim(n + 1))
 
     def cycles(self, n) -> Subspace:
-        d = self.vect.mat(n)
         if self.dim(n) == 0:
             return Subspace.zero(self.cat.field, 0)
-        return Subspace.from_vectors(self.cat.field, self.dim(n), d.kernel_basis())
+        return Subspace.from_vectors(self.cat.field, self.dim(n), self.diff(n).kernel_basis())
 
     def boundaries(self, n) -> Subspace:
-        d = self.vect.mat(n - 1)
+        d = self.diff(n - 1)
         return Subspace.from_vectors(self.cat.field, self.dim(n), d.transpose().data)
 
 

@@ -293,7 +293,8 @@ def _full_embedding_dim_check(t: TiltingData, mx_sum: DirectSumData, ring) -> bo
     except InputError:
         return False
     qcat = t.qcat_left
-    terms = list(t.t_complex.objs)
+    # dims[i][j] depends on the two objects alone: one system per distinct pair
+    terms = list({u.key: u for u in t.t_complex.objs}.values())
     dims = _embedded_hom_dims(qcat, mx_sum.summands, terms)
     return all(
         dims[i][j] == qcat.hom(u, v).dim

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from deqcert.algebra import (
+    Algebra,
     ModuleRep,
     Quiver,
     find_isomorphism,
@@ -102,6 +103,42 @@ def test_algebra_axioms_hold_on_presets():
             v = alg.basis_vec(i)
             assert alg.mul_vec(alg.unit, v) == v
             assert alg.mul_vec(v, alg.unit) == v
+
+
+def _first_nonassociative_triple(field, table):
+    """The first (i, j, k) in row-major order with (e_i e_j) e_k != e_i (e_j e_k),
+    from dense sums over every structure constant."""
+    n, p = len(table), field.char
+    for i, j, k in itertools.product(range(n), repeat=3):
+        left = [sum(table[i][j][a] * table[a][k][b] for a in range(n)) for b in range(n)]
+        right = [sum(table[j][k][a] * table[i][a][b] for a in range(n)) for b in range(n)]
+        if [x % p for x in left] != [x % p for x in right] if p else left != right:
+            return i, j, k
+    return None
+
+
+@pytest.mark.parametrize("char", [0, 3])
+def test_algebra_rejects_a_nonassociative_table_at_the_first_triple(char):
+    alg = a3(FieldSpec(char)).algebra
+    names = alg.basis_names
+    table = [[list(vec) for vec in row] for row in alg.table]
+    assert _first_nonassociative_triple(alg.field, table) is None
+    # a.b = a + ab instead of ab, with the unit untouched
+    a, b = names.index("a"), names.index("b")
+    table[a][b][a] = alg.field.one
+    first = _first_nonassociative_triple(alg.field, table)
+    assert first is not None
+    with pytest.raises(InputError, match=r"not associative at \(%d,%d,%d\)" % first):
+        Algebra(alg.field, names, table, alg.unit)
+
+
+def test_algebra_rejects_a_wrong_unit():
+    alg = a3().algebra
+    e3 = alg.basis_names.index("e3")
+    for unit in ([x if i != e3 else 0 for i, x in enumerate(alg.unit)], [2 * x for x in alg.unit]):
+        with pytest.raises(InputError, match="unit is not a two-sided identity"):
+            Algebra(alg.field, alg.basis_names, alg.table, unit)
+    Algebra(alg.field, alg.basis_names, alg.table, alg.unit)  # the true unit passes
 
 
 def test_projective_and_simple_dimensions_a3():

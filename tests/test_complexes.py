@@ -171,6 +171,61 @@ def test_hom_complex_diff_squares_to_zero():
             assert (b * a).is_zero()
 
 
+def length_four_complex():
+    """P1 -> P2 -> P1 -> P2 over the two-vertex cyclic Nakayama algebra."""
+    cat, cx = length_three_complex()
+    p1, p2 = cx.objs[0], cx.objs[1]
+    u, v = cx.diff(0), cx.diff(1)
+    return cat, Complex(cat, 0, [p1, p2, p1, p2], [u, v, u])
+
+
+def count_diff_matrices(monkeypatch):
+    built = []
+    diff_matrix = HomComplex._diff_matrix
+
+    def counting(self, n):
+        built.append(n)
+        return diff_matrix(self, n)
+
+    monkeypatch.setattr(HomComplex, "_diff_matrix", counting)
+    return built
+
+
+def test_chain_maps_build_only_the_degree_zero_differential(monkeypatch):
+    cat, cx = length_four_complex()
+    built = count_diff_matrices(monkeypatch)
+    ChainMapCategory(cat).hom(cx, cx)
+    assert built == [0]
+
+
+def test_homotopy_classes_build_only_the_differentials_around_degree_zero(monkeypatch):
+    cat, cx = length_four_complex()
+    built = count_diff_matrices(monkeypatch)
+    hcat = HomotopyCategory(cat)
+    hcat.hom(cx, cx)
+    assert sorted(built) == [-1, 0]
+    # the lazily built classes agree with the homology of the whole complex
+    assert hcat.hom(cx, cx).dim == homology_dims(hom_total_complex(cx, cx))[0]
+
+
+def test_lazy_hom_complex_still_rejects_a_nonzero_composite():
+    # P2 -> P1 -> P1 with d.d = the arrow P2 -> P1, built without the check
+    fx = a2()
+    cat = fx.algebra.modcat
+    p1, p2 = fx.projectives["1"], fx.projectives["2"]
+    f = cat.hom(p2, p1).basis[0]
+    cx = Complex(cat, 0, [p2, p1, p1], [f, cat.identity(p1)], check=False)
+    for degrees in ([0, -1], [-1, 0]):
+        hc = HomComplex(cat, cx, cx)
+        hc.diff(degrees[0])
+        with pytest.raises(InputError, match="do not compose to zero"):
+            hc.diff(degrees[1])
+    with pytest.raises(InputError, match="do not compose to zero"):
+        HomotopyCategory(cat).hom(cx, cx)
+    with pytest.raises(InputError, match="do not compose to zero"):
+        hom_total_complex(cx, cx)
+
+
 def test_check_thm1_conditions_on_split_sequence():
     fx = cyclic_nakayama(2, 2)
     q, m = d_split_sequence(fx.algebra, fx.simples["1"])

@@ -154,6 +154,47 @@ def test_graded_embedding_dims_match_the_dense_system(name, char):
     assert graded == [[qcat.hom(u, v).dim for v in terms] for u in terms]
 
 
+def _nu_pipeline_setup():
+    """The default nu-pipeline over nakayama4: 18 terms, 4 of them distinct."""
+    fx = nakayama4()
+    q = nu_stable_sequence(fx.p, fx.y)
+    return derivedeq.build_tilting(q, fx.p), q.obj(0)
+
+
+def _periodic_nakayama22_setup():
+    """S1 over cyclic_nakayama(2, 2) resolved by P1 + P2 for three steps:
+    the projective terms P1 and P2 repeat."""
+    fx = cyclic_nakayama(2, 2)
+    p = fx.algebra.modcat.direct_sum([fx.projectives["1"], fx.projectives["2"]]).obj
+    q = nu_stable_sequence(p, fx.simples["1"], steps=3)
+    return derivedeq.build_tilting(q, p), q.obj(0)
+
+
+@pytest.mark.parametrize("setup", [_nu_pipeline_setup, _periodic_nakayama22_setup])
+def test_embedding_dims_of_the_distinct_terms_match_the_full_term_list(setup, monkeypatch):
+    t, x = setup()
+    qcat = t.qcat_left
+    mx_sum = t.cat.direct_sum([t.m, x])
+    terms = list(t.t_complex.objs)
+    distinct = list({u.key: u for u in terms}.values())
+    assert len(distinct) < len(terms)
+    full = derivedeq._embedded_hom_dims(qcat, mx_sum.summands, terms)
+    dedup = derivedeq._embedded_hom_dims(qcat, mx_sum.summands, distinct)
+    at = {u.key: i for i, u in enumerate(distinct)}
+    assert full == [[dedup[at[u.key]][at[v.key]] for v in terms] for u in terms]
+    # the check itself solves the distinct terms only, and passes
+    seen, embedded = [], derivedeq._embedded_hom_dims
+
+    def recording(qcat, summands, terms):
+        seen.append([u.key for u in terms])
+        return embedded(qcat, summands, terms)
+
+    monkeypatch.setattr(derivedeq, "_embedded_hom_dims", recording)
+    ring = end_ring(qcat, mx_sum.obj)
+    assert derivedeq._full_embedding_dim_check(t, mx_sum, ring) is True
+    assert seen == [list(at)]
+
+
 def test_doubled_theta_fails_exactly_the_ring_map_flags(monkeypatch):
     # 2·theta over Q keeps surjectivity and the kernel, so only the ring-map
     # flags can see it; theta(f0·f0) != 0, so the first pair already fails
