@@ -12,7 +12,7 @@ from itertools import product
 
 from .category import DirectSumData, FiniteCategory, HomSpace, Mor, fresh_key, sparse_add
 from .errors import InputError, NonFiniteDimensionalError
-from .exactla import FieldSpec, LinSolver, Mat, Subspace, kernel
+from .exactla import FieldSpec, LinSolver, Mat, Subspace, kernel, sparse_kernel
 
 __all__ = [
     "Quiver",
@@ -336,19 +336,22 @@ def intertwiner_kernel(field, slots, src_dims, tgt_dims, arrows):
         return []
     rows = []
     for s_src, s_tgt, a_mat, b_mat in arrows:
-        for r in range(a_mat.rows):
-            for c in range(b_mat.cols):
-                row = [field.zero] * total
-                for k in range(a_mat.cols):
-                    if a_mat.data[r][k]:
-                        idx = offsets[s_src] + k * src_dims[s_src] + c
-                        row[idx] = field.add(row[idx], a_mat.data[r][k])
-                for l in range(b_mat.rows):
-                    if b_mat.data[l][c]:
-                        idx = offsets[s_tgt] + r * src_dims[s_tgt] + l
-                        row[idx] = field.sub(row[idx], b_mat.data[l][c])
+        a_off, n_src = offsets[s_src], src_dims[s_src]
+        b_off, n_tgt = offsets[s_tgt], src_dims[s_tgt]
+        b_cols = [[(l, x) for l, x in enumerate(col) if x] for col in b_mat.transpose().data]
+        for r, a_row in enumerate(a_mat.data):
+            a_nz = [(k, x) for k, x in enumerate(a_row) if x]
+            for c, b_nz in enumerate(b_cols):
+                row = {a_off + k * n_src + c: x for k, x in a_nz}
+                for l, x in b_nz:
+                    idx = b_off + r * n_tgt + l
+                    y = field.sub(row.get(idx, 0), x)
+                    if y:
+                        row[idx] = y
+                    else:
+                        del row[idx]
                 rows.append(row)
-    return Mat._of(field, rows, len(rows), total).kernel_basis()
+    return sparse_kernel(field, rows, total)
 
 
 class ModuleCategory(FiniteCategory):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .algebra import Algebra
 from .category import FiniteCategory, Mor, QuotientCategory
 from .errors import InputError, InternalConsistencyError
-from .exactla import Mat, Subspace
+from .exactla import Mat, Subspace, kernel
 
 __all__ = [
     "SubcatSpec",
@@ -132,13 +132,9 @@ def ideal_space(cat, spec: SubcatSpec, x, y, kind: str) -> Subspace:
 
 def _kernel_space(cat, cols) -> Subspace:
     """Kernel of the linear map whose column j is cols[j], inside k^len(cols)."""
-    n = len(cols)
-    if n == 0:
+    if not cols:
         return Subspace.zero(cat.field, 0)
-    if not cols[0]:
-        return Subspace.full(cat.field, n)
-    mat = Mat.from_columns(cat.field, cols, len(cols[0]))
-    return Subspace.from_vectors(cat.field, n, mat.kernel_basis())
+    return kernel(Mat.from_columns(cat.field, cols, len(cols[0])))
 
 
 # -- approximations --------------------------------------------------------

@@ -125,13 +125,8 @@ class VectComplex:
 
 
 def homology_dims(v: VectComplex) -> dict:
-    out = {}
-    for n in range(v.lo, v.hi + 1):
-        d_out = v.mat(n)
-        d_in = v.mat(n - 1)
-        ker = v.dim(n) - d_out.rank()
-        out[n] = ker - d_in.rank()
-    return out
+    rank = {n: v.mat(n).rank() for n in range(v.lo - 1, v.hi + 1)}  # each differential once
+    return {n: v.dim(n) - rank[n] - rank[n - 1] for n in range(v.lo, v.hi + 1)}
 
 
 class HomComplex:

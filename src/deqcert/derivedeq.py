@@ -211,8 +211,8 @@ def _certify(t_complex, qcat_left, qcat_right, ym, mx, theta_of) -> EquivCertifi
     )
 
     flags = {
-        "theta_surjective": theta_mat.rank() == end_ym.dim,
-        "phi_surjective": phi_mat.rank() == classes.dim,
+        "theta_surjective": len(basis) - ker_theta.dim == end_ym.dim,
+        "phi_surjective": len(basis) - ker_phi.dim == classes.dim,
         "kernels_equal": ker_theta == ker_phi,
         "multiplicative": witness is None,
         "unital": unital,

@@ -6,11 +6,18 @@ exact: a rational is a plain int when its value is an integer and a
 `fractions.Fraction` in lowest terms otherwise, and prime-field elements are
 ints in [0, p).  Subspaces are kept in reduced row echelon form,
 which is the canonical representative used for every equality test.
+
+Every rank, kernel, solve, span and intersection runs one elimination,
+`_rref_rows`: a row-at-a-time RREF of sparse {column: nonzero} rows after
+SymPy's `sdm_irref`, whose cost follows the nonzeros, not rows x columns.
+The RREF is unique, so it gives the entries a dense Gauss-Jordan would.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from itertools import compress, count
 
 from .errors import InputError
 
@@ -21,6 +28,7 @@ __all__ = [
     "Subspace",
     "LinSolver",
     "kernel",
+    "sparse_kernel",
 ]
 
 
@@ -94,8 +102,7 @@ class FieldSpec:
             raise ZeroDivisionError("field inverse of zero")
         if self.char:
             return pow(a, self.char - 2, self.char)
-        r = 1 / Fraction(a)
-        return r.numerator if r.denominator == 1 else r
+        return _integral(1 / Fraction(a))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -242,6 +249,10 @@ class Mat:
                     b = brow[j]
                     if b:
                         orow[j] = f.add(orow[j], f.mul(a, b))
+        if not f.char:
+            for orow in out.data:
+                if Fraction in map(type, orow):
+                    orow[:] = map(_integral, orow)
         return out
 
     def apply(self, vec):
@@ -256,6 +267,8 @@ class Mat:
                 if a and x:
                     s = f.add(s, f.mul(a, x))
             out.append(s)
+        if not f.char and Fraction in map(type, out):
+            out = list(map(_integral, out))
         return out
 
     def transpose(self):
@@ -296,74 +309,120 @@ class Mat:
 
     def rref(self):
         """Reduced row echelon form; returns (rref_matrix, pivot_columns)."""
-        f = self.field
-        rows = [row[:] for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r >= self.rows:
-                break
-            pr = next((i for i in range(r, self.rows) if rows[i][c]), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            inv = f.inv(rows[r][c])
-            rows[r] = [f.mul(inv, x) for x in rows[r]]
-            for i in range(self.rows):
-                if i != r and rows[i][c]:
-                    q = rows[i][c]
-                    rows[i] = [f.sub(x, f.mul(q, y)) for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-        if not f.char:
-            # integral rationals as ints: rows past the rank are zero, and a
-            # type scan at C speed skips the rows that hold no Fraction
-            rows[r:] = [[0] * self.cols for _ in range(self.rows - r)]
-            rows[:r] = [
-                [x.numerator if type(x) is Fraction and x.denominator == 1 else x for x in row]
-                if Fraction in map(type, row)
-                else row
-                for row in rows[:r]
-            ]
-        return Mat._of(f, rows, self.rows, self.cols), pivots
+        pivots, reduced, _ = _rref_rows(self.field, list(map(_sparse, self.data)))
+        data = [[0] * self.cols for _ in range(self.rows)]
+        for dense, row in zip(data, reduced):
+            for c, x in row.items():
+                dense[c] = x
+        return Mat._of(self.field, data, self.rows, self.cols), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_rref_rows(self.field, list(map(_sparse, self.data)))[0])
 
     def kernel_basis(self):
         """Basis of the right null space, one vector per free column."""
-        f = self.field
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            vec = [f.zero] * self.cols
-            vec[fc] = f.one
-            for r, pc in enumerate(pivots):
-                vec[pc] = f.neg(red.data[r][fc])
-            basis.append(vec)
-        return basis
+        return sparse_kernel(self.field, list(map(_sparse, self.data)), self.cols)
+
+
+def _sparse(row):
+    """A dense row as its {column: nonzero} dict, built at C speed."""
+    return dict(zip(compress(count(), row), compress(row, row)))
+
+
+def _integral(x):
+    """An integral Fraction as its int; anything else unchanged."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def _sub_multiple(p, dst, q, src):
+    """dst -= q·src in place, dropping the entries that cancel."""
+    for c, x in src.items():
+        y = dst.get(c, 0) - q * x
+        if p:
+            y %= p
+        if y:
+            dst[c] = y
+        else:
+            del dst[c]
+
+
+def _rref_rows(field, rows):
+    """RREF of {column: nonzero} rows, consumed in order: each row is reduced
+    by the pivot rows whose pivot it holds, scaled to 1 at its first column,
+    and that column is cleared from the earlier rows that hold it.  Returns
+    the ascending pivots, the reduced row of each, and the indices of the
+    rows that raised a pivot (those independent of the rows before them)."""
+    p = field.char
+    pivot_rows = {}  # pivot column -> its reduced row
+    holders = defaultdict(set)  # column -> pivots whose row may be nonzero there
+    raised = []
+    for i, row in enumerate(rows):
+        for j in row.keys() & pivot_rows.keys():
+            _sub_multiple(p, row, row[j], pivot_rows[j])
+        if not row:
+            continue
+        j = min(row)
+        if row[j] != 1:
+            inv = field.inv(row[j])
+            for c in row:
+                row[c] = row[c] * inv % p if p else row[c] * inv
+        for k in holders.pop(j, ()):
+            krow = pivot_rows[k]
+            if j in krow:
+                _sub_multiple(p, krow, krow[j], row)
+                for c in row:
+                    holders[c].add(k)
+        for c in row:
+            holders[c].add(j)
+        pivot_rows[j] = row
+        raised.append(i)
+    pivots = sorted(pivot_rows)
+    reduced = [pivot_rows[c] for c in pivots]
+    if not p:
+        # integral rationals as ints, once at the end; a type scan at C
+        # speed skips the rows that hold no Fraction
+        for row in reduced:
+            if Fraction in map(type, row.values()):
+                row.update(zip(row, map(_integral, row.values())))
+    return pivots, reduced, raised
+
+
+def sparse_kernel(field, rows, cols):
+    """Basis of {v in F^cols : row·v = 0 for every row}, one vector per free
+    column in ascending order; `rows` are {column: nonzero} dicts (consumed)."""
+    p = field.char
+    pivots, reduced, _ = _rref_rows(field, rows)
+    free = sorted(set(range(cols)) - set(pivots))
+    basis = {fc: [0] * fc + [1] + [0] * (cols - fc - 1) for fc in free}
+    for pc, row in zip(pivots, reduced):
+        for c, x in row.items():
+            if c != pc:
+                basis[c][pc] = -x % p if p else -x
+    return list(basis.values())
 
 
 class LinSolver:
     """Repeated exact solves of A·x = b with A fixed.
 
-    Precomputes the RREF of [A | I] = T·[A | I] and keeps each column of T
-    as its nonzero (row, value) pairs, so a solve reads only the columns
-    where b is nonzero.  Row r < rank of T·b is the r-th pivot coordinate
-    of x, and the rows past the rank must vanish for a solution to exist.
+    Precomputes the sparse RREF of [A | I] = T·[A | I], row i of A entering
+    as its nonzeros plus the entry n + i, and reads each column of T off the
+    reduced rows as its nonzero (row, value) pairs: the build costs the
+    nonzeros the elimination meets, and a solve reads only the columns where
+    b is nonzero.  Row r < rank of T·b is the r-th pivot coordinate of x,
+    and the rows past the rank must vanish for a solution to exist.
     """
 
     def __init__(self, a: Mat):
-        f = self.field = a.field
-        self.cols = a.cols
-        ident = Mat.identity(f, a.rows).data
-        aug = Mat._of(f, [row + e for row, e in zip(a.data, ident)], a.rows, a.cols + a.rows)
-        red, pivots = aug.rref()
-        self.pivots = [p for p in pivots if p < a.cols]
-        transform = [row[a.cols :] for row in red.data]
-        self.columns = [[(r, t) for r, t in enumerate(col) if t] for col in zip(*transform)]
+        self.field = a.field
+        n = self.cols = a.cols
+        rows = [{**_sparse(row), n + i: 1} for i, row in enumerate(a.data)]
+        pivots, reduced, _ = _rref_rows(a.field, rows)
+        self.pivots = [c for c in pivots if c < n]
+        self.columns = [[] for _ in range(a.rows)]
+        for r, row in enumerate(reduced):
+            for c, t in row.items():
+                if c >= n:
+                    self.columns[c - n].append((r, t))
 
     def solve(self, b):
         """The solution of A·x = b that is zero on every free column, or None."""
@@ -384,20 +443,6 @@ class LinSolver:
             elif s:
                 return None
         return x
-
-
-def _echelon(rows):
-    """(pivot column, row) for echelon rows, each zero at earlier pivots."""
-    return [(next(i for i, x in enumerate(row) if x), row) for row in rows]
-
-
-def _eliminate(f, echelon, v):
-    """Residue of v after clearing each echelon pivot in turn."""
-    for pc, row in echelon:
-        if v[pc]:
-            c = v[pc]
-            v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-    return v
 
 
 def kernel(m: Mat) -> "Subspace":
@@ -443,7 +488,13 @@ class Subspace:
 
     def reduce(self, vec):
         """Residue of vec after subtracting its projection onto the basis."""
-        return _eliminate(self.field, _echelon(self.basis), [self.field.coerce(x) for x in vec])
+        f = self.field
+        v = [f.coerce(x) for x in vec]
+        for row in self.basis:
+            c = v[next(i for i, x in enumerate(row) if x)]
+            if c:
+                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
+        return v
 
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
@@ -468,41 +519,31 @@ class Subspace:
         )
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Kernel-of-stacked-matrix construction."""
+        """Zassenhaus: the rows (u | u) for u in self and (v | 0) for v in
+        other reduce to rows (0 | w) whose w are the echelon basis of the
+        intersection."""
         self._check(other)
-        if not self.basis or not other.basis:
-            return Subspace.zero(self.field, self.ambient)
-        f = self.field
-        # columns: coefficients (x, y) with x·A = y·B
-        stacked = Mat.from_columns(
-            f, list(self.basis) + [[f.neg(x) for x in v] for v in other.basis], self.ambient
-        )
-        vecs = []
-        for coeff in stacked.kernel_basis():
-            v = [f.zero] * self.ambient
-            for i in range(self.dim):
-                if coeff[i]:
-                    v = [f.add(a, f.mul(coeff[i], b)) for a, b in zip(v, self.basis[i])]
-            vecs.append(v)
-        return Subspace.from_vectors(f, self.ambient, vecs)
+        n = self.ambient
+        rows = [{**u, **{n + c: x for c, x in u.items()}} for u in map(_sparse, self.basis)]
+        pivots, reduced, _ = _rref_rows(self.field, rows + list(map(_sparse, other.basis)))
+        basis = []
+        for pc, row in zip(pivots, reduced):
+            if pc >= n:
+                basis.append([0] * n)
+                for c, x in row.items():
+                    basis[-1][c - n] = x
+        return Subspace(self.field, n, basis)
 
     def quotient_basis(self, sub: "Subspace"):
-        """Vectors of self extending a basis of sub (coset representatives)."""
+        """Vectors of self extending a basis of sub (coset representatives):
+        the first of self's basis vectors that are independent modulo sub."""
         self._check(sub)
-        if not self.contains_subspace(sub):
+        k = sub.dim
+        rows = [_sparse(v) for v in sub.basis + self.basis]
+        pivots, _, raised = _rref_rows(self.field, rows)
+        if len(pivots) != self.dim:
             raise InputError("quotient-basis requires sub to be contained in self")
-        # one running echelon: the rows of sub, then each accepted residual
-        f = self.field
-        echelon = _echelon(sub.basis)
-        out = []
-        for v in self.basis:
-            w = _eliminate(f, echelon, list(v))
-            pc = next((i for i, x in enumerate(w) if x), None)
-            if pc is not None:
-                out.append(list(v))
-                inv = f.inv(w[pc])
-                echelon.append((pc, [f.mul(inv, x) for x in w]))
-        return out
+        return [list(self.basis[i - k]) for i in raised if i >= k]
 
     def _check(self, other):
         if self.ambient != other.ambient:

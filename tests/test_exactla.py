@@ -77,6 +77,16 @@ def test_rref_and_solve_return_integral_rationals_as_ints():
     assert half == [Fraction(1, 2), 0] and type(half[0]) is Fraction
 
 
+def test_products_return_integral_rationals_as_ints():
+    prod = Mat(QQ, [[Fraction(1, 2)]]) * Mat(QQ, [[2]])
+    assert prod.data == [[1]] and type(prod.data[0][0]) is int, prod.data
+    img = Mat(QQ, [[Fraction(1, 2)]]).apply([2])
+    assert img == [1] and type(img[0]) is int, img
+    mixed = Mat(QQ, [[Fraction(1, 3), 1], [1, 0]]) * Mat(QQ, [[3, 0], [0, Fraction(1, 2)]])
+    assert mixed.data == [[1, Fraction(1, 2)], [3, 0]]
+    assert [type(x) for row in mixed.data for x in row] == [int, Fraction, int, int]
+
+
 def test_prime_field_inverses_exhaustive():
     f7 = FieldSpec(7)
     for a in range(1, 7):
@@ -182,19 +192,21 @@ def test_lin_solver_returns_the_solution_zero_on_free_columns():
 
 def test_subspace_membership_and_sum_intersection_dims():
     rng = random.Random(3)
-    f5 = FieldSpec(5)
-    for _ in range(30):
+    for f in [FieldSpec(5)] * 30 + [FieldSpec(0)] * 30:
         n = rng.randint(1, 6)
         u = Subspace.from_vectors(
-            f5, n, [[f5.random(rng) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+            f, n, [[f.random(rng) for _ in range(n)] for _ in range(rng.randint(0, 3))]
         )
         v = Subspace.from_vectors(
-            f5, n, [[f5.random(rng) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+            f, n, [[f.random(rng) for _ in range(n)] for _ in range(rng.randint(0, 3))]
         )
         # modular law for dimensions
-        assert (u + v).dim + u.intersect(v).dim == u.dim + v.dim
+        meet = u.intersect(v)
+        assert (u + v).dim + meet.dim == u.dim + v.dim
         assert (u + v).contains_subspace(u)
-        assert u.contains_subspace(u.intersect(v))
+        assert u.contains_subspace(meet) and v.contains_subspace(meet)
+        # canonical: the echelon basis, whichever side the meet starts from
+        assert meet == v.intersect(u) == Subspace.from_vectors(f, n, meet.basis)
         for vec in u.basis:
             assert u.contains(vec)
 
@@ -231,3 +243,129 @@ def test_quotient_basis():
     reps = total.quotient_basis(sub)
     assert len(reps) == 2
     assert sub + Subspace.from_vectors(f3, 4, reps) == total
+    # the first basis vectors of total that are independent modulo sub
+    assert reps == [[1, 0, 0, 0], [0, 0, 1, 0]]
+    with pytest.raises(InputError):
+        total.quotient_basis(Subspace.from_vectors(f3, 4, [[0, 0, 0, 1]]))
+
+
+# -- the sparse elimination against dense Gauss-Jordan ---------------------
+
+
+def dense_rref(field, data, cols):
+    """Reference: textbook dense Gauss-Jordan, integral rationals as ints."""
+    f = field
+    rows = [list(row) for row in data]
+    pivots, r = [], 0
+    for c in range(cols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                q = rows[i][c]
+                rows[i] = [f.sub(x, f.mul(q, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return [[x.numerator if integral_fraction(x) else x for x in row] for row in rows], pivots
+
+
+def dense_solve(field, a, b):
+    """Reference: the solution of a·x = b that is zero on free columns, or None."""
+    red, pivots = dense_rref(field, [row + [x] for row, x in zip(a.data, b)], a.cols + 1)
+    if pivots and pivots[-1] == a.cols:
+        return None
+    x = [field.zero] * a.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][a.cols]
+    return x
+
+
+def dense_kernel(field, a):
+    red, pivots = dense_rref(field, a.data, a.cols)
+    basis = []
+    for fc in (c for c in range(a.cols) if c not in pivots):
+        vec = [field.zero] * a.cols
+        vec[fc] = field.one
+        for r, pc in enumerate(pivots):
+            vec[pc] = field.neg(red[r][fc])
+        basis.append(vec)
+    return basis
+
+
+def sparse_entry(field, rng, density):
+    if rng.random() >= density:
+        return field.zero
+    if field.char:
+        return rng.randrange(1, field.char)
+    if rng.random() < 0.2:
+        return field.coerce(Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([2, 3, 4])))
+    return rng.choice([-3, -2, -1, 1, 1, 1, 2, 4])
+
+
+def sparse_mat(field, rng, rows, cols, density):
+    data = [[sparse_entry(field, rng, density) for _ in range(cols)] for _ in range(rows)]
+    return Mat(field, data, rows, cols)
+
+
+def differential_cases(field, rng):
+    """Seeded matrices over `field`: every density from 0.02 to 1, the empty
+    shapes, all-zero, full rank, rank-deficient and real-Fraction entries."""
+    cases = [Mat(field, [], 0, 4), Mat(field, [[]] * 3, 3, 0), Mat.zeros(field, 4, 5)]
+    for density in (0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0):
+        for _ in range(6):
+            cases.append(sparse_mat(field, rng, rng.randint(1, 12), rng.randint(1, 12), density))
+    for n in (1, 4, 9):
+        # full rank: unit upper triangular, rows permuted
+        upper = sparse_mat(field, rng, n, n, 0.5).data
+        data = [
+            [field.one if i == j else x if j > i else field.zero for j, x in enumerate(row)]
+            for i, row in enumerate(upper)
+        ]
+        rng.shuffle(data)
+        cases.append(Mat(field, data, n, n))
+    for k in (0, 1, 3):
+        # rank at most k < 7
+        cases.append(sparse_mat(field, rng, 7, k, 0.6) * sparse_mat(field, rng, k, 8, 0.6))
+    if not field.char:
+        halves = [[Fraction(1, 2), Fraction(3, 4), 1], [Fraction(1, 3), 2, Fraction(-5, 2)]]
+        cases.append(Mat(field, halves))
+    return cases
+
+
+def integral_fraction(x):
+    return type(x) is Fraction and x.denominator == 1
+
+
+@pytest.mark.parametrize("p", [0, 2, 101, 65521])
+def test_sparse_elimination_matches_dense_gauss_jordan(p):
+    field = FieldSpec(p)
+    rng = random.Random(1400 + p)
+    seen = []
+    for a in differential_cases(field, rng):
+        ref_rows, ref_pivots = dense_rref(field, a.data, a.cols)
+        red, pivots = a.rref()
+        assert pivots == ref_pivots and red.data == ref_rows, a
+        assert red.shape == a.shape and a.rank() == len(ref_pivots)
+        ker = a.kernel_basis()
+        assert ker == dense_kernel(field, a)
+        solver = LinSolver(a)
+        assert solver.pivots == ref_pivots
+        rhs = [
+            a.apply([sparse_entry(field, rng, 0.7) for _ in range(a.cols)]),
+            [sparse_entry(field, rng, 0.7) for _ in range(a.rows)],
+            [field.one] + [field.zero] * (a.rows - 1) if a.rows else [],
+        ]
+        solves = [solver.solve(b) for b in rhs]
+        assert solves == [dense_solve(field, a, b) for b in rhs]
+        assert solves[0] is not None
+        outputs = [x for row in red.data for x in row] + [x for v in ker for x in v]
+        outputs += [x for v in solves if v is not None for x in v]
+        assert all(is_exact(field, x) and not integral_fraction(x) for x in outputs)
+        seen += [type(v) for v in solves] + [type(x) for x in outputs]
+    # the cases reach inconsistent systems, and over Q real Fractions
+    assert type(None) in seen and (Fraction in seen) == (p == 0)
+

@@ -3,6 +3,7 @@ name it never uses."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -45,3 +46,47 @@ def test_no_module_imports_a_name_it_never_uses(path):
             used |= set(ast.literal_eval(node.value))
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert unused == [], f"{path.name} imports names it never uses (line, name): {unused}"
+
+
+# a field inverse is what an elimination normalises its pivots with
+ELIMINATION_CALLS = {"rref", "inv", "div"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_only_exactla_eliminates(path):
+    # one elimination path: rref, LinSolver, kernel_basis and sparse_kernel
+    # all run exactla's sparse RREF, and no other module row-reduces
+    if path.name == "exactla.py":
+        return
+    tree = ast.parse(path.read_text())
+    calls = sorted(
+        (node.lineno, node.func.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ELIMINATION_CALLS
+    )
+    assert calls == [], f"{path.name} eliminates outside exactla (line, call): {calls}"
+
+
+def test_intertwiner_systems_reach_the_kernel_through_exactla():
+    from deqcert import algebra, exactla
+
+    tree = ast.parse(Path(algebra.__file__).read_text())
+    (fn,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "intertwiner_kernel"
+    ]
+    called = {
+        node.func.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    via_exactla = {
+        name
+        for name in called
+        if getattr(algebra, name, None) is getattr(exactla, name, object())
+        and inspect.isfunction(getattr(exactla, name))
+    }
+    assert via_exactla, f"intertwiner_kernel calls no exactla function: {sorted(called)}"
