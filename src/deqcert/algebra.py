@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .category import DirectSumData, FiniteCategory, HomSpace, Mor, fresh_key, sparse_add
+from .category import DirectSumData, FiniteCategory, HomSpace, Mor, fresh_key
 from .errors import InputError, NonFiniteDimensionalError
 from .exactla import FieldSpec, LinSolver, Mat, Subspace, kernel, sparse_kernel
 
@@ -107,7 +107,7 @@ def _contains_factor(word, factors):
 
 def path_algebra(quiver: Quiver, relations=(), field: FieldSpec | None = None) -> "Algebra":
     """The quotient of the path algebra by the given monomial relations."""
-    field = field or FieldSpec.rationals()
+    field = field or FieldSpec(0)
     rels = []
     for rel in relations:
         rel = tuple(str(a) for a in rel)
@@ -408,16 +408,6 @@ class ModuleCategory(FiniteCategory):
 
     def _p_compose(self, x, y, z, fp, gp):
         return {s: gp[s] * f for s, f in fp.items() if s in gp}
-
-    def _p_add(self, fp, gp):
-        return sparse_add(fp, gp)
-
-    def _p_scale(self, c, fp):
-        c = self.field.coerce(c)
-        return {s: m.scale(c) for s, m in fp.items()}
-
-    def _p_zero(self, x, y):
-        return {}
 
     def _p_identity(self, x):
         return {s: Mat.identity(self.field, x.dims[s]) for s in x.slots if x.dims[s]}

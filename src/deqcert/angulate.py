@@ -16,7 +16,7 @@ from .catideal import (
     is_right_approximation,
     minimal_right_approximation,
 )
-from .category import DirectSumData, MorphismEquations, Mor, QuotientCategory
+from .category import DirectSumData, MorphismEquations, Mor, QuotientCategory, StrictAuto
 from .complexes import Complex, HomotopyCategory, stalk
 from .derivedeq import EquivCertificate, _certify, augment
 from .errors import HypothesisError, InputError, InternalConsistencyError
@@ -25,7 +25,7 @@ from .exactla import Mat, kernel
 __all__ = [
     "NAngle",
     "KbProjCat",
-    "ShiftFunctor",
+    "ShiftAuto",
     "cone_triangle",
     "identity_angle",
     "rotate_angle",
@@ -41,7 +41,7 @@ class NAngle:
     """objects X_1..X_n, maps f_1..f_{n-1} between them, and the connecting
     map f_n: X_n -> Sigma(X_1)."""
 
-    def __init__(self, sigma: "ShiftFunctor", objects, maps, connecting: Mor):
+    def __init__(self, sigma: StrictAuto, objects, maps, connecting: Mor):
         self.sigma = sigma
         self.objects = list(objects)
         self.n = len(self.objects)
@@ -66,32 +66,19 @@ class NAngle:
         return seq[-1].then(self.sigma.mor(self.maps[0])).is_zero()
 
 
-class ShiftFunctor:
-    """A strict automorphism given by object and morphism actions.
-
-    obj(x, k) must be strictly functorial: obj(obj(x, a), b) is the same
-    object as obj(x, a+b).  Subclasses implement _obj and _mor.
-    """
-
-    def obj(self, x, k: int = 1):
-        raise NotImplementedError
-
-    def mor(self, f: Mor, k: int = 1) -> Mor:
-        raise NotImplementedError
-
-
-class KbShift(ShiftFunctor):
-    """The canonical shift on complexes, strictly composed via a root cache."""
+class ShiftAuto(StrictAuto):
+    """The shift Sigma of a KbProjCat.  Its power cache lives on the
+    category, so every ShiftAuto of one category returns the same objects."""
 
     def __init__(self, cat: "KbProjCat"):
+        super().__init__(cat._shift_cache)
         self.cat = cat
 
-    def obj(self, x, k: int = 1):
-        return self.cat.shift_obj(x, k)
+    def _power(self, x: Complex, k: int) -> Complex:
+        return x.shift(k)
 
     def mor(self, f: Mor, k: int = 1) -> Mor:
-        src = self.cat.shift_obj(f.src, k)
-        tgt = self.cat.shift_obj(f.tgt, k)
+        src, tgt = self.obj(f.src, k), self.obj(f.tgt, k)
         # (Sigma^k f)^i = f^{i+k}
         return Mor(self.cat, src, tgt, {i - k: m for i, m in f.payload.items()})
 
@@ -104,7 +91,7 @@ class KbProjCat(HomotopyCategory):
         super().__init__(algebra.modcat)
         self.algebra = algebra
         self._shift_cache = {}
-        self.sigma = KbShift(self)
+        self.sigma = ShiftAuto(self)
 
     def object(self, cx: Complex) -> Complex:
         for o in cx.objs:
@@ -114,20 +101,6 @@ class KbProjCat(HomotopyCategory):
 
     def stalk_obj(self, module: ModuleRep, degree: int = 0) -> Complex:
         return self.object(stalk(self.base, module, degree))
-
-    # -- shift with strict composition -------------------------------------
-
-    def shift_obj(self, x: Complex, k: int) -> Complex:
-        root = getattr(x, "_shift_root", x)
-        amount = getattr(x, "_shift_amount", 0) + k
-        key = (root.key, amount)
-        cached = self._shift_cache.get(key)
-        if cached is None:
-            cached = root.shift(amount) if amount else root
-            cached._shift_root = root
-            cached._shift_amount = amount
-            self._shift_cache[key] = cached
-        return cached
 
     def _direct_sum(self, objs) -> DirectSumData:
         lo = min(o.lo for o in objs)
@@ -142,19 +115,11 @@ class KbProjCat(HomotopyCategory):
         sums = [base.direct_sum([term(o, i) for o in objs]) for i in range(lo, hi + 1)]
         diffs = []
         for i in range(lo, hi):
-            blocks = []
+            # o.diff(i) on the diagonal; the other blocks are zero maps,
+            # which mor_from_blocks skips as None
+            blocks = [[None] * len(objs) for _ in objs]
             for a, o in enumerate(objs):
-                row = [None] * len(objs)
-                d = o.diff(i)
-                if d is None and o.obj(i) is not None and o.obj(i + 1) is not None:
-                    d = base.zero_mor(o.obj(i), o.obj(i + 1))
-                if d is not None:
-                    row[a] = d
-                elif term(o, i).total_dim or term(o, i + 1).total_dim:
-                    row[a] = base.zero_mor(term(o, i), term(o, i + 1))
-                else:
-                    row[a] = base.zero_mor(zero_mod, zero_mod)
-                blocks.append(row)
+                blocks[a][a] = o.diff(i)
             diffs.append(base.mor_from_blocks(sums[i - lo], sums[i + 1 - lo], blocks))
         total = Complex(base, lo, [s.obj for s in sums], diffs, check=False)
         injections, projections = [], []
@@ -208,7 +173,7 @@ def cone_triangle(cat: KbProjCat, f: Mor) -> NAngle:
     """X -> Y -> Cone(f) -> Sigma X with the standard cone differential."""
     base = cat.base
     x, y = f.src, f.tgt
-    sx = cat.shift_obj(x, 1)
+    sx = cat.sigma.obj(x)
     lo = min(sx.lo, y.lo)
     hi = max(sx.hi, y.hi)
     zero_mod = ModuleRep.zero(cat.algebra)
@@ -219,22 +184,11 @@ def cone_triangle(cat: KbProjCat, f: Mor) -> NAngle:
 
     sums = [base.direct_sum([part(sx, i), part(y, i)]) for i in range(lo, hi + 1)]
     diffs = []
-    one = cat.field.one
     for i in range(lo, hi):
         # blocks: sx-part maps by the (already negated) shifted differential,
-        # plus the off-diagonal chain-map component f^{i+1}: x^{i+1} -> y^{i+1}
-        b00 = sx.diff(i)
-        if b00 is None and (part(sx, i).total_dim or part(sx, i + 1).total_dim):
-            b00 = base.zero_mor(part(sx, i), part(sx, i + 1))
-        f_comp = f.payload.get(i + 1)
-        b01 = None
-        if f_comp is not None:
-            b01 = f_comp  # x^{i+1} -> y^{i+1}
-        b11 = y.diff(i)
-        if b11 is None and (part(y, i).total_dim or part(y, i + 1).total_dim):
-            b11 = base.zero_mor(part(y, i), part(y, i + 1))
-        blocks = [[b00 or base.zero_mor(part(sx, i), part(sx, i + 1)), b01],
-                  [None, b11 or base.zero_mor(part(y, i), part(y, i + 1))]]
+        # plus the off-diagonal chain-map component f^{i+1}: x^{i+1} -> y^{i+1};
+        # a zero block is None, which mor_from_blocks skips
+        blocks = [[sx.diff(i), f.payload.get(i + 1)], [None, y.diff(i)]]
         diffs.append(base.mor_from_blocks(sums[i - lo], sums[i + 1 - lo], blocks))
     cone = Complex(base, lo, [s.obj for s in sums], diffs)
     incl = Mor(cat, y, cone, {i: sums[i - lo].injections[1] for i in y.degrees()})
@@ -247,7 +201,7 @@ def cone_triangle(cat: KbProjCat, f: Mor) -> NAngle:
     return NAngle(cat.sigma, [x, y, cone], [f, incl], proj)
 
 
-def identity_angle(cat, sigma: ShiftFunctor, x) -> NAngle:
+def identity_angle(cat, sigma: StrictAuto, x) -> NAngle:
     zero = _zero_object(cat, x)
     return NAngle(
         sigma,
@@ -440,7 +394,7 @@ def _exact_pair(a: Mat, b: Mat) -> bool:
 # -- the angle-based equivalence engine ------------------------------------
 
 
-def verify_theorem2(cat, sigma: ShiftFunctor, angle: NAngle, m, spec: SubcatSpec | None = None) -> EquivCertificate:
+def verify_theorem2(cat, sigma: StrictAuto, angle: NAngle, m, spec: SubcatSpec | None = None) -> EquivCertificate:
     """Equivalence certificate from an n-angle with middle terms in add(m).
 
     angle: X -> M_1 -> ... -> M_{n-2} -> Y -> Sigma X.  The first map must

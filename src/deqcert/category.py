@@ -3,8 +3,10 @@
 Everything downstream (ideals, approximations, complexes, the theorem
 engines) is written against this interface.  A category provides, for any
 pair of objects, a finite-dimensional Hom space with a distinguished basis
-and exact coordinates; morphisms are opaque payloads manipulated through
-the owning category.
+and exact coordinates.  A morphism's payload is a dict whose absent keys
+are zero (slot blocks, degree or grade components); sums and scalar
+multiples are taken componentwise here, and composition, identities and
+coordinates go through the owning category.
 
 Composition is written left to right throughout: ``f.then(g)`` is "f
 followed by g".
@@ -59,9 +61,7 @@ class Mor:
 
     def __add__(self, other):
         self._same_homset(other)
-        return Mor(
-            self.cat, self.src, self.tgt, self.cat._p_add(self.payload, other.payload)
-        )
+        return Mor(self.cat, self.src, self.tgt, sparse_add(self.payload, other.payload))
 
     def __sub__(self, other):
         return self + (-other)
@@ -70,7 +70,8 @@ class Mor:
         return self.scale(self.cat.field.neg(self.cat.field.one))
 
     def scale(self, c):
-        return Mor(self.cat, self.src, self.tgt, self.cat._p_scale(c, self.payload))
+        payload = {k: m.scale(c) for k, m in self.payload.items()}
+        return Mor(self.cat, self.src, self.tgt, payload)
 
     def coords(self):
         return self.cat.hom(self.src, self.tgt).coords(self.payload)
@@ -133,7 +134,7 @@ class HomSpace:
         return out
 
     def zero(self) -> Mor:
-        return Mor(self.cat, self.src, self.tgt, self.cat._p_zero(self.src, self.tgt))
+        return Mor(self.cat, self.src, self.tgt, {})
 
     def __repr__(self):
         return f"HomSpace(dim {self.dim})"
@@ -218,7 +219,7 @@ class FiniteCategory:
         return Mor(self, x, x, self._p_identity(x))
 
     def zero_mor(self, x, y) -> Mor:
-        return Mor(self, x, y, self._p_zero(x, y))
+        return Mor(self, x, y, {})
 
     def direct_sum(self, objs) -> DirectSumData:
         objs = list(objs)
@@ -251,15 +252,6 @@ class FiniteCategory:
         raise NotImplementedError
 
     def _p_compose(self, x, y, z, fp, gp):
-        raise NotImplementedError
-
-    def _p_add(self, fp, gp):
-        raise NotImplementedError
-
-    def _p_scale(self, c, fp):
-        raise NotImplementedError
-
-    def _p_zero(self, x, y):
         raise NotImplementedError
 
     def _p_identity(self, x):
@@ -314,15 +306,6 @@ class QuotientCategory(FiniteCategory):
     def _p_compose(self, x, y, z, fp, gp):
         return self.base._p_compose(x, y, z, fp, gp)
 
-    def _p_add(self, fp, gp):
-        return self.base._p_add(fp, gp)
-
-    def _p_scale(self, c, fp):
-        return self.base._p_scale(c, fp)
-
-    def _p_zero(self, x, y):
-        return self.base._p_zero(x, y)
-
     def _p_identity(self, x):
         return self.base._p_identity(x)
 
@@ -332,3 +315,39 @@ class QuotientCategory(FiniteCategory):
     def lift(self, f: Mor) -> Mor:
         """View a base morphism in the quotient (or re-tag a quotient rep)."""
         return Mor(self, f.src, f.tgt, f.payload)
+
+
+class StrictAuto:
+    """A strict automorphism F: F^a(F^b(x)) is the object F^(a+b)(x) itself.
+
+    obj(x, k) reads x as F^j(root) and returns F^(j+k)(root) from one power
+    cache, a dict that maps (root key, power) to F^power(root) and the key
+    of each power to its (root, power).  Powers reduce modulo a finite
+    ``order``.  Subclasses supply mor(f, k) and _power(root, k), which is
+    called once per root and nonzero reduced power.  ``cache`` lets several
+    functor objects share one cache.
+    """
+
+    order = None  # finite order, or None
+
+    def __init__(self, cache=None):
+        self._cache = {} if cache is None else cache
+
+    def obj(self, x, k: int = 1):
+        root, power = self._cache.get(x.key, (x, 0))
+        power += k
+        if self.order:
+            power %= self.order
+        if not power:
+            return root
+        out = self._cache.get((root.key, power))
+        if out is None:
+            out = self._cache[(root.key, power)] = self._power(root, power)
+            self._cache[out.key] = (root, power)
+        return out
+
+    def mor(self, f: Mor, k: int = 1) -> Mor:
+        raise NotImplementedError
+
+    def _power(self, root, k: int):
+        raise NotImplementedError

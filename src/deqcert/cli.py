@@ -87,6 +87,7 @@ def parse_input(path, field_flag=None) -> dict:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}")
+    _shaped(raw, dict, "the document")
     if raw.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise InputError("unsupported schema version")
     field = parse_field(raw.get("field", field_flag))
@@ -97,46 +98,72 @@ def parse_input(path, field_flag=None) -> dict:
     quiver_spec = raw.get("quiver")
     if quiver_spec is None:
         raise InputError("document needs a quiver")
-    arrows = _required(quiver_spec, "arrows", "quiver")
+    arrows = _required(quiver_spec, "arrows", "quiver", list)
     if any(not isinstance(a, list) or len(a) != 3 for a in arrows):
         raise InputError("every arrow is [name, source, target]")
-    quiver = Quiver(_required(quiver_spec, "vertices", "quiver"), [tuple(a) for a in arrows])
-    relations = [list(r) for r in raw.get("relations", [])]
+    quiver = Quiver(_required(quiver_spec, "vertices", "quiver", list), [tuple(a) for a in arrows])
+    relations = [_shaped(r, list, "a relation") for r in _section(raw, "relations", list)]
     algebra = path_algebra(quiver, relations, field)
     doc = {"field": field, "algebra": algebra, "modules": {}, "complexes": {}, "functors": {}}
     cat = algebra.modcat
-    for name, spec in raw.get("modules", {}).items():
-        dims = {str(v): _integer(d, "dimension") for v, d in spec.get("dims", {}).items()}
-        mats = {}
-        for arrow, rows in spec.get("mats", {}).items():
-            mats[arrow] = Mat(field, [[field.coerce(v) for v in row] for row in rows])
+    for name, spec in _section(raw, "modules", dict).items():
+        where = f"module {name!r}"
+        dims = {
+            str(v): _integer(d, "dimension") for v, d in _section(spec, "dims", dict, where).items()
+        }
+        mats = {
+            arrow: _matrix(field, rows, f"{where}, arrow {arrow!r}")
+            for arrow, rows in _section(spec, "mats", dict, where).items()
+        }
         doc["modules"][name] = ModuleRep.quiver_rep(algebra, dims, mats, name=name)
-    for name, spec in raw.get("complexes", {}).items():
-        objs = [_resolve_module(doc, algebra, n) for n in _required(spec, "objects", name)]
+    for name, spec in _section(raw, "complexes", dict).items():
+        where = f"complex {name!r}"
+        objs = [_resolve_module(doc, algebra, n) for n in _required(spec, "objects", name, list)]
+        diff_specs = _section(spec, "diffs", list, where)
+        if len(diff_specs) >= max(len(objs), 1):
+            raise InputError(f"{where} has more differentials than pairs of objects")
         diffs = []
-        for i, blocks in enumerate(spec.get("diffs", [])):
+        for i, blocks in enumerate(diff_specs):
             blocks = {
-                str(v): Mat(field, [[field.coerce(x) for x in row] for row in rows])
-                for v, rows in blocks.items()
+                str(v): _matrix(field, rows, f"{where}, differential {i}, vertex {v!r}")
+                for v, rows in _shaped(blocks, dict, f"{where}, differential {i}").items()
             }
             diffs.append(cat.mor(objs[i], objs[i + 1], blocks))
         doc["complexes"][name] = Complex(cat, _integer(spec.get("lo", 0), "lo"), objs, diffs)
-    for name, spec in raw.get("functors", {}).items():
-        if spec.get("type") != "quiver-twist":
+    for name, spec in _section(raw, "functors", dict).items():
+        if _shaped(spec, dict, f"functor {name!r}").get("type") != "quiver-twist":
             raise InputError("only quiver-twist functors are accepted in documents")
         doc["functors"][name] = QuiverTwistAuto(
             algebra,
-            {str(k): str(v) for k, v in _required(spec, "vertices", name).items()},
-            {str(k): str(v) for k, v in _required(spec, "arrows", name).items()},
+            {str(k): str(v) for k, v in _required(spec, "vertices", name, dict).items()},
+            {str(k): str(v) for k, v in _required(spec, "arrows", name, dict).items()},
             _integer(_required(spec, "order", name), "order"),
         )
     return doc
 
 
-def _required(spec, key, where):
+def _shaped(value, kind, where):
+    """value, if it is a kind: dict for a JSON object, list for an array."""
+    if not isinstance(value, kind):
+        raise InputError(f"{where} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
+def _section(spec, key, kind, where="the document"):
+    """spec[key] of the given shape, empty when absent; spec must be an object."""
+    return _shaped(_shaped(spec, dict, where).get(key, kind()), kind, f"{key!r} in {where}")
+
+
+def _matrix(field, rows, where):
+    if not all(isinstance(row, list) for row in _shaped(rows, list, where)):
+        raise InputError(f"{where}: every matrix row must be a JSON array")
+    return Mat(field, rows)
+
+
+def _required(spec, key, where, kind=object):
     if not isinstance(spec, dict) or key not in spec:
         raise InputError(f"{where!r} in the document needs {key!r}")
-    return spec[key]
+    return _shaped(spec[key], kind, f"{key!r} of {where!r}")
 
 
 def _integer(value, what):
@@ -177,6 +204,8 @@ def _load_context(args):
 
 
 def _resolve_module(doc, algebra, name):
+    if not isinstance(name, str):
+        raise InputError(f"module name {name!r} is not a string")
     if name in doc["modules"]:
         return doc["modules"][name]
     if name.startswith("P") and name[1:] in algebra.vertices():

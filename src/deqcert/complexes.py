@@ -15,7 +15,7 @@ moves x^{i+1} into degree i and negates the differentials.
 
 from __future__ import annotations
 
-from .category import FiniteCategory, HomSpace, QuotientCategory, fresh_key, sparse_add
+from .category import FiniteCategory, HomSpace, QuotientCategory, fresh_key
 from .catideal import SubcatSpec, ideal_space
 from .errors import InputError
 from .exactla import Mat, Subspace
@@ -269,15 +269,6 @@ class ChainMapCategory(FiniteCategory):
 
     def _p_compose(self, x, y, z, fp, gp):
         return {i: f.then(gp[i]) for i, f in fp.items() if i in gp}
-
-    def _p_add(self, fp, gp):
-        return sparse_add(fp, gp)
-
-    def _p_scale(self, c, fp):
-        return {i: f.scale(c) for i, f in fp.items()}
-
-    def _p_zero(self, x, y):
-        return {}
 
     def _p_identity(self, x):
         return {i: self.base.identity(x.obj(i)) for i in x.degrees()}

@@ -52,14 +52,6 @@ class FieldSpec:
                 raise InputError(f"characteristic {characteristic} is not prime")
         self.char = characteristic
 
-    @classmethod
-    def rationals(cls) -> "FieldSpec":
-        return cls(0)
-
-    @classmethod
-    def prime(cls, p: int) -> "FieldSpec":
-        return cls(p)
-
     @property
     def kind(self) -> str:
         return "rationals" if self.char == 0 else "prime-field"
@@ -131,7 +123,7 @@ class FieldSpec:
         return "QQ" if self.char == 0 else f"GF({self.char})"
 
 
-QQ = FieldSpec.rationals()
+QQ = FieldSpec(0)
 
 
 class Mat:
@@ -183,10 +175,6 @@ class Mat:
         """The rows x len(cols) matrix whose j-th column is cols[j], a
         sequence of field elements (no coerce)."""
         return cls._of(field, [[col[i] for col in cols] for i in range(rows)], rows, len(cols))
-
-    @classmethod
-    def column(cls, field, vec):
-        return cls(field, [[x] for x in vec], len(vec), 1)
 
     def copy(self):
         return Mat._of(self.field, [row[:] for row in self.data], self.rows, self.cols)
@@ -293,9 +281,6 @@ class Mat:
             and self.field == other.field
             and self.data == other.data
         )
-
-    def __hash__(self):
-        return hash((self.field, self.rows, self.cols, tuple(map(tuple, self.data))))
 
     def _check_shape(self, other):
         if self.shape != other.shape:

@@ -8,7 +8,7 @@ automorphisms are supported, so all coherence maps are identities.
 from __future__ import annotations
 
 from .algebra import ModuleRep
-from .angulate import NAngle, ShiftFunctor, verify_theorem2
+from .angulate import NAngle, ShiftAuto, verify_theorem2
 from .catideal import (
     RingPresentation,
     SubcatSpec,
@@ -16,14 +16,13 @@ from .catideal import (
     end_ring,
     ideal_space,
 )
-from .category import DirectSumData, FiniteCategory, HomSpace, Mor, sparse_add
+from .category import DirectSumData, FiniteCategory, HomSpace, Mor, StrictAuto
 from .errors import HypothesisError, InputError, InternalConsistencyError
 from .exactla import Mat, Subspace
 
 __all__ = [
     "AdmissibleSet",
     "is_admissible",
-    "StrictAuto",
     "ShiftAuto",
     "QuiverTwistAuto",
     "OrbitCategory",
@@ -98,36 +97,6 @@ class AdmissibleSet:
         return AdmissibleSet([m * d for d in self.degrees])
 
 
-class StrictAuto:
-    """Strict automorphism: F^u F^v = F^{u+v} holds on the nose for objects.
-
-    Subclasses implement _obj(x, u) and _mor(f, u) on canonical amounts;
-    powers are routed through a root cache so repeated application returns
-    identical objects.
-    """
-
-    order = None  # finite order, or None
-
-    def obj_power(self, x, u: int):
-        raise NotImplementedError
-
-    def mor_power(self, f: Mor, u: int) -> Mor:
-        raise NotImplementedError
-
-
-class ShiftAuto(StrictAuto):
-    """The shift automorphism of a homotopy category of complexes."""
-
-    def __init__(self, cat):
-        self.cat = cat
-
-    def obj_power(self, x, u):
-        return self.cat.shift_obj(x, u)
-
-    def mor_power(self, f, u):
-        return self.cat.sigma.mor(f, u)
-
-
 class QuiverTwistAuto(StrictAuto):
     """Twist of quiver representations along a quiver automorphism.
 
@@ -137,6 +106,7 @@ class QuiverTwistAuto(StrictAuto):
     """
 
     def __init__(self, algebra, vertex_map: dict, arrow_map: dict, order: int):
+        super().__init__()
         self.algebra = algebra
         self.base = algebra.modcat
         quiver = algebra.presentation.quiver
@@ -156,7 +126,6 @@ class QuiverTwistAuto(StrictAuto):
         self.order = int(order)
         self._v_pows = self._perm_powers(self.vertex_map)
         self._a_pows = self._perm_powers(self.arrow_map)
-        self._obj_cache = {}
 
     def _perm_powers(self, perm):
         pows = [dict((k, k) for k in perm)]
@@ -167,35 +136,21 @@ class QuiverTwistAuto(StrictAuto):
             raise InputError("stated order is not the order of the permutation")
         return pows
 
-    def _twist_obj(self, m: ModuleRep, u: int) -> ModuleRep:
-        vinv = self._v_pows[(-u) % self.order]
-        ainv = self._a_pows[(-u) % self.order]
-        vfwd = self._v_pows[u % self.order]
+    def _power(self, m: ModuleRep, k: int) -> ModuleRep:
+        vinv = self._v_pows[-k % self.order]
+        ainv = self._a_pows[-k % self.order]
+        vfwd = self._v_pows[k]
         dims = {v: m.dims[vinv[v]] for v in m.slots}
         mats = {a: m.mats[ainv[a]] for a in m.mats}
         proj = (
             tuple(vfwd[p] for p in m.proj_summands) if m.proj_summands is not None else None
         )
-        return ModuleRep(m.algebra, dims, mats, name=f"F^{u}({m.name})", proj_summands=proj)
+        return ModuleRep(m.algebra, dims, mats, name=f"F^{k}({m.name})", proj_summands=proj)
 
-    def obj_power(self, x: ModuleRep, u: int):
-        root = getattr(x, "_twist_root", x)
-        amount = (getattr(x, "_twist_amount", 0) + u) % self.order
-        if amount == 0:
-            return root
-        key = (root.key, amount)
-        cached = self._obj_cache.get(key)
-        if cached is None:
-            cached = self._twist_obj(root, amount)
-            cached._twist_root = root
-            cached._twist_amount = amount
-            self._obj_cache[key] = cached
-        return cached
-
-    def mor_power(self, f: Mor, u: int) -> Mor:
-        src = self.obj_power(f.src, u)
-        tgt = self.obj_power(f.tgt, u)
-        vfwd = self._v_pows[u % self.order]
+    def mor(self, f: Mor, k: int = 1) -> Mor:
+        src = self.obj(f.src, k)
+        tgt = self.obj(f.tgt, k)
+        vfwd = self._v_pows[k % self.order]
         return Mor(self.base, src, tgt, {vfwd[s]: blk for s, blk in f.payload.items()})
 
 
@@ -211,7 +166,7 @@ class OrbitCategory(FiniteCategory):
             raise InputError("periodic degree set needs a functor of matching order")
 
     def _graded_spaces(self, x, y):
-        return [(u, self.base.hom(x, self.functor.obj_power(y, u))) for u in self.phi]
+        return [(u, self.base.hom(x, self.functor.obj(y, u))) for u in self.phi]
 
     def _hom_space(self, x, y) -> HomSpace:
         payloads = []
@@ -236,18 +191,9 @@ class OrbitCategory(FiniteCategory):
                 w = self.phi.norm(u + v)
                 if w not in self.phi.degrees:
                     continue  # grading truncation
-                term = f.then(self.functor.mor_power(g, u))
+                term = f.then(self.functor.mor(g, u))
                 out[w] = out[w] + term if w in out else term
         return out
-
-    def _p_add(self, fp, gp):
-        return sparse_add(fp, gp)
-
-    def _p_scale(self, c, fp):
-        return {u: f.scale(c) for u, f in fp.items()}
-
-    def _p_zero(self, x, y):
-        return {}
 
     def _p_identity(self, x):
         return {0: self.base.identity(x)}
@@ -287,12 +233,12 @@ def orbit_iso_to_power(ocat: OrbitCategory, x, i: int):
     """
     if i not in ocat.phi or -i not in ocat.phi:
         raise HypothesisError(f"degrees {i} and {-i} must both be admissible")
-    fx = ocat.functor.obj_power(x, i)
+    fx = ocat.functor.obj(x, i)
     fwd = Mor(
         ocat,
         x,
         fx,
-        {ocat.phi.norm(-i): ocat.base.identity(ocat.functor.obj_power(fx, -i))},
+        {ocat.phi.norm(-i): ocat.base.identity(ocat.functor.obj(fx, -i))},
     )
     bwd = Mor(ocat, fx, x, {ocat.phi.norm(i): ocat.base.identity(fx)})
     if not fwd.then(bwd).eq(ocat.identity(x)) or not bwd.then(fwd).eq(ocat.identity(fx)):
@@ -333,7 +279,7 @@ def _embed_degree_zero(ocat, x, sub: Subspace) -> Subspace:
 
 def ideals_IJ(
     ocat: OrbitCategory,
-    sigma: ShiftFunctor,
+    sigma: StrictAuto,
     angle: NAngle,
     m,
     check_hypotheses: bool = True,
@@ -363,10 +309,10 @@ def ideals_IJ(
     report["left_approximation"] = left_ok
     report["right_approximation"] = right_ok
     van_j = all(
-        base.hom(y_obj, functor.obj_power(m, i)).dim == 0 for i in ocat.phi if i != 0
+        base.hom(y_obj, functor.obj(m, i)).dim == 0 for i in ocat.phi if i != 0
     )
     van_i = all(
-        base.hom(m, functor.obj_power(x_obj, i)).dim == 0 for i in ocat.phi if i != 0
+        base.hom(m, functor.obj(x_obj, i)).dim == 0 for i in ocat.phi if i != 0
     )
     report["vanishing_Y_to_FM"] = van_j
     report["vanishing_M_to_FX"] = van_i
@@ -443,10 +389,11 @@ def _degree_zero_part(ocat, x, sub: Subspace) -> Subspace:
     return Subspace(field, hi - lo, [v[lo:hi] for v in sub.intersect(block).basis])
 
 
-class OrbitShift(ShiftFunctor):
-    """Sigma acting degreewise on an orbit category (strict case)."""
+class OrbitShift(StrictAuto):
+    """Sigma acting degreewise on an orbit category (strict case).  Its
+    objects are those of the base shift, read from the base shift's cache."""
 
-    def __init__(self, ocat: OrbitCategory, base_sigma: ShiftFunctor):
+    def __init__(self, ocat: OrbitCategory, base_sigma: StrictAuto):
         self.ocat = ocat
         self.base_sigma = base_sigma
         # strict commutation of Sigma with the orbit functor is required
@@ -462,7 +409,7 @@ class OrbitShift(ShiftFunctor):
         payload = {}
         for u, comp in f.payload.items():
             shifted = self.base_sigma.mor(comp, k)
-            expected = ocat.functor.obj_power(tgt, u)
+            expected = ocat.functor.obj(tgt, u)
             if shifted.tgt.key != expected.key:
                 raise InternalConsistencyError(
                     "shift and orbit functor do not commute strictly"
@@ -472,7 +419,7 @@ class OrbitShift(ShiftFunctor):
 
 
 def corollary_orbit_verify(
-    ocat: OrbitCategory, base_sigma: ShiftFunctor, angle: NAngle, m
+    ocat: OrbitCategory, base_sigma: StrictAuto, angle: NAngle, m
 ):
     """Run the angle-based equivalence engine inside the orbit category."""
     sigma = OrbitShift(ocat, base_sigma)

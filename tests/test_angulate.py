@@ -7,7 +7,6 @@ import pytest
 from deqcert import angulate
 from deqcert.angulate import (
     KbProjCat,
-    KbShift,
     cone_triangle,
     identity_angle,
     lemma_nangle_check,
@@ -38,7 +37,7 @@ def test_stalk_objects_and_hom():
     assert cat.hom(p2, p1).dim == 1
     assert cat.hom(p1, p2).dim == 0
     # no maps into a shifted copy: stalks have no higher self-extensions here
-    assert cat.hom(p1, cat.shift_obj(p1, 1)).dim == 0
+    assert cat.hom(p1, cat.sigma.obj(p1, 1)).dim == 0
 
 
 def test_object_requires_certified_projectives():
@@ -50,10 +49,10 @@ def test_object_requires_certified_projectives():
 def test_shift_is_strict_and_cached():
     fx, cat = a2_cat()
     p1 = cat.stalk_obj(fx.projectives["1"])
-    a = cat.shift_obj(cat.shift_obj(p1, 1), 2)
-    b = cat.shift_obj(p1, 3)
+    a = cat.sigma.obj(cat.sigma.obj(p1, 1), 2)
+    b = cat.sigma.obj(p1, 3)
     assert a is b
-    assert cat.shift_obj(a, -3) is p1
+    assert cat.sigma.obj(a, -3) is p1
 
 
 def test_shift_functor_on_morphisms():
@@ -63,7 +62,7 @@ def test_shift_functor_on_morphisms():
     p2 = cat.stalk_obj(fx.projectives["2"])
     f = cat.hom(p2, p1).basis[0]
     sf = sigma.mor(f, 2)
-    assert sf.src is cat.shift_obj(p2, 2) and sf.tgt is cat.shift_obj(p1, 2)
+    assert sf.src is cat.sigma.obj(p2, 2) and sf.tgt is cat.sigma.obj(p1, 2)
     assert sigma.mor(sf, -2).eq(f)
 
 

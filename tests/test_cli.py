@@ -295,6 +295,44 @@ def test_arrow_without_target_is_input_error(tmp_path, capsys):
     _assert_input_error(capsys, tmp_path, doc)
 
 
+def _malformed(**sections):
+    doc = _one_module_document(1)
+    doc.update(sections)
+    return doc
+
+
+MALFORMED = {
+    "document-array": [],
+    "modules-array": _malformed(modules=["x"]),
+    "module-number": _malformed(modules={"X": 5}),
+    "module-dims-array": _malformed(modules={"X": {"dims": [1]}}),
+    "module-matrix-number": _malformed(modules={"X": {"mats": {"a": 5}}}),
+    "module-matrix-row-number": _malformed(modules={"X": {"mats": {"a": [5]}}}),
+    "relations-number": _malformed(relations=5),
+    "relation-number": _malformed(relations=[5]),
+    "complexes-array": _malformed(complexes=["C"]),
+    "complex-objects-string": _malformed(complexes={"C": {"objects": "P1"}}),
+    "complex-object-array": _malformed(complexes={"C": {"objects": [["P1"]]}}),
+    "complex-extra-differential": _malformed(
+        complexes={"C": {"objects": ["P1"], "diffs": [{}]}}
+    ),
+    "complex-differential-number": _malformed(
+        complexes={"C": {"objects": ["P1", "P2"], "diffs": [5]}}
+    ),
+    "functor-number": _malformed(functors={"F": 5}),
+    "functor-vertices-array": _malformed(
+        functors={"F": {"type": "quiver-twist", "vertices": [], "arrows": {}, "order": 1}}
+    ),
+}
+
+
+@pytest.mark.parametrize("doc", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_document_is_input_error(tmp_path, capsys, doc):
+    # a section or entry of the wrong JSON shape is bad input (exit 2),
+    # not a failed check (exit 1) with a traceback
+    _assert_input_error(capsys, tmp_path, doc)
+
+
 def test_machine_report_is_deterministic(capsys):
     _, first = run(capsys, "verify-thm2", "--json")
     _, second = run(capsys, "verify-thm2", "--json")

@@ -20,7 +20,7 @@ from deqcert.orbit import (
     orbit_iso_to_power,
     yoneda_algebra,
 )
-from deqcert.presets import a2_triangle, nakayama4
+from deqcert.presets import a2_triangle, cyclic_nakayama, nakayama4
 
 
 def rotation_functor(algebra):
@@ -70,10 +70,25 @@ def test_quiver_twist_is_strict_of_finite_order():
     fx = nakayama4()
     rot = rotation_functor(fx.algebra)
     p1 = fx.projectives["1"]
-    once = rot.obj_power(p1, 1)
+    once = rot.obj(p1, 1)
     assert once.dims == fx.projectives["2"].dims
-    back = rot.obj_power(p1, 4)
+    back = rot.obj(p1, 4)
     assert back is p1  # strict: the order-4 power is the identity on objects
+
+
+def test_two_twists_keep_separate_power_caches():
+    # each functor knows only the powers it built itself: a second twist
+    # applied to the first twist's output twists that module, not its root
+    fx = cyclic_nakayama(4, 2)
+    rot = rotation_functor(fx.algebra)
+    vmap2 = {str(i + 1): str((i + 2) % 4 + 1) for i in range(4)}
+    amap2 = {f"a{i + 1}": f"a{(i + 2) % 4 + 1}" for i in range(4)}
+    rot2 = QuiverTwistAuto(fx.algebra, vmap2, amap2, order=2)
+    p1, p4 = fx.projectives["1"], fx.projectives["4"]
+    twisted = rot2.obj(rot.obj(p1, 1), 1)
+    assert twisted.proj_summands == ("4",)
+    assert twisted.dims == p4.dims
+    assert rot2.obj(twisted, 1) is rot.obj(p1, 1)
 
 
 def test_quiver_twist_functoriality_on_morphisms():
@@ -86,8 +101,8 @@ def test_quiver_twist_functoriality_on_morphisms():
         x, y, z = (rng.choice(objs) for _ in range(3))
         f = random_mor(cat, x, y, rng)
         g = random_mor(cat, y, z, rng)
-        lhs = rot.mor_power(f.then(g), 1)
-        rhs = rot.mor_power(f, 1).then(rot.mor_power(g, 1))
+        lhs = rot.mor(f.then(g), 1)
+        rhs = rot.mor(f, 1).then(rot.mor(g, 1))
         assert lhs.eq(rhs)
 
 
@@ -106,7 +121,7 @@ def test_orbit_hom_dims_nakayama_rotation():
     ocat = OrbitCategory(cat, rot, phi)
     p1 = fx.projectives["1"]
     # graded pieces: Hom(P1, F^u P1) = Hom(P1, P_{1+u})
-    expected = sum(cat.hom(p1, rot.obj_power(p1, u)).dim for u in (0, 1, 2, 3))
+    expected = sum(cat.hom(p1, rot.obj(p1, u)).dim for u in (0, 1, 2, 3))
     assert ocat.hom(p1, p1).dim == expected
 
 
@@ -155,10 +170,10 @@ def test_yoneda_algebra_dims():
 def test_shift_auto_on_homotopy_category():
     fx = a2_triangle()
     sh = ShiftAuto(fx.cat)
-    assert sh.obj_power(fx.m, 2) is fx.cat.shift_obj(fx.m, 2)
+    assert sh.obj(fx.m, 2) is fx.cat.sigma.obj(fx.m, 2)
     f = fx.triangle.maps[0]
-    sf = sh.mor_power(f, 1)
-    assert sf.src is fx.cat.shift_obj(f.src, 1)
+    sf = sh.mor(f, 1)
+    assert sf.src is fx.cat.sigma.obj(f.src, 1)
 
 
 def test_ideals_identification_shift_orbit():
@@ -199,5 +214,5 @@ def test_quiver_twist_of_a_map_with_absent_slots():
         assert len(f.payload) < len(p1.slots)
         dense = cat.mor(f.src, f.tgt, dict(f.payload))
         for u in range(4):
-            assert rot.mor_power(f, u).coords() == rot.mor_power(dense, u).coords()
-    assert rot.mor_power(cat.zero_mor(p1, p2), 1).is_zero()
+            assert rot.mor(f, u).coords() == rot.mor(dense, u).coords()
+    assert rot.mor(cat.zero_mor(p1, p2), 1).is_zero()

@@ -90,3 +90,22 @@ def test_intertwiner_systems_reach_the_kernel_through_exactla():
         and inspect.isfunction(getattr(exactla, name))
     }
     assert via_exactla, f"intertwiner_kernel calls no exactla function: {sorted(called)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_functor_is_a_strict_auto(path):
+    # one protocol for a strict automorphism: a class with object and
+    # morphism actions obj and mor subclasses category.StrictAuto
+    from deqcert.category import StrictAuto
+
+    tree = ast.parse(path.read_text())
+    functors = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and {"obj", "mor"}
+        <= {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+    ]
+    module = importlib.import_module(f"deqcert.{path.stem}") if functors else None
+    stray = [name for name in functors if not issubclass(getattr(module, name), StrictAuto)]
+    assert stray == [], f"{path.name} has functors outside StrictAuto: {stray}"
