@@ -354,9 +354,16 @@ def intertwiner_kernel(field, slots, src_dims, tgt_dims, arrows):
     return sparse_kernel(field, rows, total)
 
 
+def _meets(g: Mat, f: Mat) -> bool:
+    """Whether a nonzero column of g meets a nonzero row of f; if not, g·f is zero."""
+    rows = [k for k, row in enumerate(f.data) if any(row)]
+    return any(grow[k] for grow in g.data for k in rows)
+
+
 class ModuleCategory(FiniteCategory):
     """Module category of an algebra; payloads are per-slot matrices, an
-    absent slot being a zero block (a present block may still be zero)."""
+    absent slot being a zero block.  A composite holds only nonzero blocks;
+    a block given to ``mor`` or made by a sum may still be zero."""
 
     def __init__(self, algebra: Algebra):
         super().__init__(algebra.field)
@@ -407,7 +414,14 @@ class ModuleCategory(FiniteCategory):
         return out
 
     def _p_compose(self, x, y, z, fp, gp):
-        return {s: gp[s] * f for s, f in fp.items() if s in gp}
+        out = {}
+        for s, f in fp.items():
+            g = gp.get(s)
+            if g is not None and _meets(g, f):
+                h = g * f
+                if not h.is_zero():
+                    out[s] = h
+        return out
 
     def _p_identity(self, x):
         return {s: Mat.identity(self.field, x.dims[s]) for s in x.slots if x.dims[s]}

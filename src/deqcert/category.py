@@ -6,7 +6,8 @@ pair of objects, a finite-dimensional Hom space with a distinguished basis
 and exact coordinates.  A morphism's payload is a dict whose absent keys
 are zero (slot blocks, degree or grade components); sums and scalar
 multiples are taken componentwise here, and composition, identities and
-coordinates go through the owning category.
+coordinates go through the owning category.  A composite leaves out every
+part that vanishes, so a zero composite has the payload ``{}``.
 
 Composition is written left to right throughout: ``f.then(g)`` is "f
 followed by g".
@@ -252,6 +253,7 @@ class FiniteCategory:
         raise NotImplementedError
 
     def _p_compose(self, x, y, z, fp, gp):
+        """The payload of fp-then-gp, naming only the parts that are nonzero."""
         raise NotImplementedError
 
     def _p_identity(self, x):

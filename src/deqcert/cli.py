@@ -167,6 +167,9 @@ def _required(spec, key, where, kind=object):
 
 
 def _integer(value, what):
+    """An integer read from the document; a bool or a non-integral number is not one."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InputError(f"{what} {value!r} is not an integer")
     try:
         return int(value)
     except (TypeError, ValueError):

@@ -268,7 +268,13 @@ class ChainMapCategory(FiniteCategory):
         return self.hom_complex(x, y).vec_from_maps(0, fp)
 
     def _p_compose(self, x, y, z, fp, gp):
-        return {i: f.then(gp[i]) for i, f in fp.items() if i in gp}
+        out = {}
+        for i, f in fp.items():
+            if i in gp:
+                h = f.then(gp[i])
+                if h.payload:
+                    out[i] = h
+        return out
 
     def _p_identity(self, x):
         return {i: self.base.identity(x.obj(i)) for i in x.degrees()}

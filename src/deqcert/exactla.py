@@ -272,7 +272,7 @@ class Mat:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def __eq__(self, other):
         return (

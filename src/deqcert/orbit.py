@@ -192,7 +192,8 @@ class OrbitCategory(FiniteCategory):
                 if w not in self.phi.degrees:
                     continue  # grading truncation
                 term = f.then(self.functor.mor(g, u))
-                out[w] = out[w] + term if w in out else term
+                if term.payload:
+                    out[w] = out[w] + term if w in out else term
         return out
 
     def _p_identity(self, x):

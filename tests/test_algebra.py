@@ -299,11 +299,12 @@ def _dense(f):
 def test_sparse_and_dense_payloads_agree():
     # a Hom basis element or a zero map stores only the slots where it can
     # be nonzero; the same map with explicit zero blocks must compose, add,
-    # scale and take coordinates the same way
+    # scale and take coordinates the same way, and a composite keeps only
+    # the blocks that do not vanish
     fx = cyclic_nakayama(3, 2)
     cat = fx.algebra.modcat
     objs = list(fx.projectives.values()) + list(fx.simples.values())
-    absent = 0
+    absent = vanished = 0
     for x, y, z in itertools.product(objs, repeat=3):
         fs = cat.hom(x, y).basis + [cat.zero_mor(x, y)]
         gs = cat.hom(y, z).basis + [cat.zero_mor(y, z)]
@@ -315,10 +316,14 @@ def test_sparse_and_dense_payloads_agree():
             assert (f + df).coords() == (df + df).coords() == f.scale(2).coords()
             assert f.scale(3).coords() == df.scale(3).coords()
             for g in gs:
-                want = df.then(_dense(g)).coords()
+                dense = df.then(_dense(g))
+                want = dense.coords()
                 assert f.then(g).coords() == f.then(_dense(g)).coords() == want
                 assert df.then(g).coords() == want
-    assert absent
+                for h in (f.then(g), dense):
+                    vanished += len(h.payload) < len(x.slots)
+                    assert not any(blk.is_zero() for blk in h.payload.values())
+    assert absent and vanished
     assert cat.zero_mor(objs[0], objs[1]).payload == {}
 
 

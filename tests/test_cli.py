@@ -306,6 +306,8 @@ MALFORMED = {
     "modules-array": _malformed(modules=["x"]),
     "module-number": _malformed(modules={"X": 5}),
     "module-dims-array": _malformed(modules={"X": {"dims": [1]}}),
+    "module-dims-float": _malformed(modules={"X": {"dims": {"1": 1.9}}}),
+    "module-dims-bool": _malformed(modules={"X": {"dims": {"2": True}}}),
     "module-matrix-number": _malformed(modules={"X": {"mats": {"a": 5}}}),
     "module-matrix-row-number": _malformed(modules={"X": {"mats": {"a": [5]}}}),
     "relations-number": _malformed(relations=5),
@@ -319,6 +321,7 @@ MALFORMED = {
     "complex-differential-number": _malformed(
         complexes={"C": {"objects": ["P1", "P2"], "diffs": [5]}}
     ),
+    "complex-lo-float": _malformed(complexes={"C": {"objects": ["P1"], "lo": 2.7}}),
     "functor-number": _malformed(functors={"F": 5}),
     "functor-vertices-array": _malformed(
         functors={"F": {"type": "quiver-twist", "vertices": [], "arrows": {}, "order": 1}}

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from deqcert.catideal import SubcatSpec, ideal_space, random_mor
-from deqcert.category import QuotientCategory
+from deqcert.category import Mor, QuotientCategory
 from deqcert.complexes import (
     ChainMapCategory,
     Complex,
@@ -102,6 +102,24 @@ def test_chain_map_composition_and_homotopy_consistency():
         sq = cm.then(cm)
         assert is_chain_endomorphism(cx, sq.payload)
         assert hc.cycles(0).contains(hc.vec_from_maps(0, sq.payload))
+
+
+def test_chain_map_composites_leave_out_vanishing_degrees():
+    # a degree whose composite vanishes is absent from the composite's
+    # payload, and the composite keeps the coordinates of the degreewise one
+    fx = cyclic_nakayama(3, 2)
+    q, _ = d_split_sequence(fx.algebra, fx.simples["1"])
+    ccat = ChainMapCategory(q.cat)
+    basis = ccat.hom(q, q).basis
+    vanished = 0
+    for f in basis:
+        for g in basis:
+            h = f.then(g)
+            assert all(c.payload for c in h.payload.values())
+            full = {i: f.payload[i].then(g.payload[i]) for i in f.payload if i in g.payload}
+            vanished += len(h.payload) < len(full)
+            assert h.coords() == Mor(ccat, q, q, full).coords()
+    assert vanished
 
 
 def random_complex(cat, objs, rng):

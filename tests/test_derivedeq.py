@@ -381,6 +381,32 @@ def test_certify_solves_theta_per_basis_map_and_builds_each_basis_chain_map_once
     assert calls == {"theta": n, "maps_from_vec": n + m}
 
 
+def test_end_rings_solve_no_zero_right_hand_side(monkeypatch):
+    # a composite that vanishes is absent, so HomSpace.coords answers it
+    # without a solve: no end ring of a certificate solves for zeros
+    inside, zero_solves = [False], []
+    ring, solve = derivedeq.end_ring, LinSolver.solve
+
+    def tracking_end_ring(*args, **kwargs):
+        inside[0] = True
+        try:
+            return ring(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def counting_solve(self, b):
+        if inside[0] and not any(b):
+            zero_solves.append(len(b))
+        return solve(self, b)
+
+    monkeypatch.setattr(derivedeq, "end_ring", tracking_end_ring)
+    monkeypatch.setattr(LinSolver, "solve", counting_solve)
+    fx = cyclic_nakayama(4, 2)
+    cert = verify_theorem1(*d_split_sequence(fx.algebra, fx.simples["1"]), embedding_check=False)
+    assert cert.passed
+    assert zero_solves == []
+
+
 def test_kxx_loop_algebra_sequence():
     fx = kxx()
     q, m = d_split_sequence(fx.algebra, fx.simples["1"])

@@ -1,5 +1,6 @@
 """Admissible degree sets, orbit categories and graded endomorphism rings."""
 
+import itertools
 import random
 
 import pytest
@@ -174,6 +175,21 @@ def test_shift_auto_on_homotopy_category():
     f = fx.triangle.maps[0]
     sf = sh.mor(f, 1)
     assert sf.src is fx.cat.sigma.obj(f.src, 1)
+
+
+def test_orbit_composites_leave_out_vanishing_grades():
+    # a grade whose term vanishes is absent from the composite's payload
+    fx = a2_triangle()
+    ocat = OrbitCategory(fx.cat, ShiftAuto(fx.cat), AdmissibleSet([0, 1]))
+    objs = fx.triangle.objects
+    composites = 0
+    for x, y, z in itertools.product(objs, repeat=3):
+        for f in ocat.hom(x, y).basis:
+            for g in ocat.hom(y, z).basis:
+                h = f.then(g)
+                assert all(c.payload for c in h.payload.values())
+                composites += 1
+    assert composites
 
 
 def test_ideals_identification_shift_orbit():
