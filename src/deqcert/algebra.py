@@ -18,12 +18,10 @@ __all__ = [
     "Quiver",
     "Algebra",
     "ModuleRep",
-    "ModuleCategory",
     "path_algebra",
     "projective",
     "simple_module",
     "regular_module",
-    "hom_module",
     "kernel_module",
     "image_module",
     "radical",
@@ -176,7 +174,7 @@ def path_algebra(quiver: Quiver, relations=(), field: FieldSpec | None = None) -
 class Algebra:
     """A finite-dimensional algebra by basis and structure constants."""
 
-    def __init__(self, field, basis_names, table, unit, presentation=None, check=True):
+    def __init__(self, field, basis_names, table, unit, presentation=None):
         self.field = field
         self.basis_names = list(basis_names)
         self.dim = len(self.basis_names)
@@ -187,8 +185,7 @@ class Algebra:
         self.presentation = presentation
         self.key = fresh_key()
         self._modcat = None
-        if check:
-            self._check_axioms()
+        self._check_axioms()
 
     def mul_vec(self, u, v):
         f = self.field
@@ -513,11 +510,6 @@ def regular_module(algebra: Algebra) -> DirectSumData:
 
 
 # -- morphism calculus -----------------------------------------------------
-
-
-def hom_module(m: ModuleRep, n: ModuleRep):
-    """Basis of the Hom space as a list of Mors."""
-    return m.algebra.modcat.hom(m, n).basis
 
 
 def _block(f: Mor, s) -> Mat:

@@ -9,13 +9,7 @@ rotation of an angle carries the sign (-1)^n on the wrapped-around map.
 from __future__ import annotations
 
 from .algebra import ModuleRep, kernel_module, projective
-from .catideal import (
-    SubcatSpec,
-    ideal_space,
-    is_left_approximation,
-    is_right_approximation,
-    minimal_right_approximation,
-)
+from .catideal import SubcatSpec, approximation_witness, ideal_space, minimal_right_approximation
 from .category import DirectSumData, MorphismEquations, Mor, QuotientCategory, StrictAuto
 from .complexes import Complex, HomotopyCategory, stalk
 from .derivedeq import EquivCertificate, _certify, augment
@@ -146,7 +140,7 @@ def proj_resolution_complex(cat: KbProjCat, module: ModuleRep, max_len: int = 8)
     base = cat.base
     spec = SubcatSpec(base, [projective(algebra, v) for v in algebra.vertices()])
     if module.total_dim == 0:
-        return _zero_object(cat, None)
+        return _zero_object(cat)
 
     steps = []  # (cover object, map into the previous cover or the module)
     target, incl_prev = module, None
@@ -202,7 +196,7 @@ def cone_triangle(cat: KbProjCat, f: Mor) -> NAngle:
 
 
 def identity_angle(cat, sigma: StrictAuto, x) -> NAngle:
-    zero = _zero_object(cat, x)
+    zero = _zero_object(cat)
     return NAngle(
         sigma,
         [x, x, zero],
@@ -211,7 +205,7 @@ def identity_angle(cat, sigma: StrictAuto, x) -> NAngle:
     )
 
 
-def _zero_object(cat, sample):
+def _zero_object(cat):
     if isinstance(cat, KbProjCat):
         return cat.object(Complex(cat.base, 0, [ModuleRep.zero(cat.algebra)], [], check=False))
     raise InputError("no canonical zero object for this category")
@@ -405,21 +399,19 @@ def verify_theorem2(cat, sigma: StrictAuto, angle: NAngle, m, spec: SubcatSpec |
         spec = SubcatSpec(cat, [m])
         for mid in angle.objects[1:-1]:
             spec.member(mid)
-    if not is_left_approximation(cat, spec, angle.maps[0]):
-        raise HypothesisError("the first map is not a left approximation")
-    if not is_right_approximation(cat, spec, angle.maps[-1]):
-        raise HypothesisError("the last interior map is not a right approximation")
+    witness = approximation_witness(cat, spec, angle.maps[0], "left")
+    if witness is not None:
+        raise HypothesisError("the first map is not a left approximation", witness=witness)
+    witness = approximation_witness(cat, spec, angle.maps[-1], "right")
+    if witness is not None:
+        raise HypothesisError("the last interior map is not a right approximation", witness=witness)
 
     # augmented angle: ... -> M_{n-2}+M --diag(g,1)--> Y+M --(w,0)--> Sigma X
     _, t_complex, ym_sum, g_tilde = augment(cat, spec, m, angle.objects, angle.maps)
     ym = ym_sum.obj
     eta_tilde = ym_sum.projections[0].then(angle.connecting)
-    qcat_i = QuotientCategory(
-        cat, lambda a, b: ideal_space(cat, spec, a, b, "I"), label="proper-left"
-    )
-    qcat_j = QuotientCategory(
-        cat, lambda a, b: ideal_space(cat, spec, a, b, "J"), label="proper-right"
-    )
+    qcat_i = QuotientCategory(cat, lambda a, b: ideal_space(cat, spec, a, b, "I"))
+    qcat_j = QuotientCategory(cat, lambda a, b: ideal_space(cat, spec, a, b, "J"))
 
     # theta: joint solve  g~ . u = f_top . g~  and  u . eta~ = eta~ . Sigma(f0)
     eqs = MorphismEquations(

@@ -176,6 +176,8 @@ class MorphismEquations:
         vec = []
         for target, r in zip(self.targets, rhs):
             vec.extend(target.coords(r.payload) if r is not None else [self.field.zero] * target.dim)
+        if not any(vec):  # the zero maps, which a solve would return too
+            return [space.zero() for space in self.spaces]
         sol = self._solver.solve(vec)
         if sol is None:
             return None
@@ -271,11 +273,10 @@ class QuotientCategory(FiniteCategory):
     Payloads are base morphisms acting as coset representatives.
     """
 
-    def __init__(self, base: FiniteCategory, ideal_fn, label="quotient"):
+    def __init__(self, base: FiniteCategory, ideal_fn):
         super().__init__(base.field)
         self.base = base
         self.ideal_fn = ideal_fn
-        self.label = label
         self._ideals = {}
 
     def ideal(self, x, y) -> Subspace:

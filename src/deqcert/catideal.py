@@ -40,12 +40,11 @@ class SubcatSpec:
     isomorphism search is attempted here.
     """
 
-    def __init__(self, cat: FiniteCategory, generators, label="D"):
+    def __init__(self, cat: FiniteCategory, generators):
         if not generators:
             raise InputError("subcategory needs at least one generator")
         self.cat = cat
         self.generators = list(generators)
-        self.label = label
         self._members = {g.key for g in generators}
 
     def member(self, obj):
@@ -288,32 +287,24 @@ def lemma_ann_verify(cat, spec: SubcatSpec, a, b) -> dict:
 class RingPresentation:
     """A finite-dimensional ring by basis labels and structure constants."""
 
-    def __init__(self, field, labels, table, unit, provenance=""):
+    def __init__(self, field, labels, table, unit):
         self.field = field
         self.labels = list(labels)
         self.dim = len(self.labels)
         self.table = table  # table[i][j] = coords of basis_i * basis_j
         self.unit = list(unit)
-        self.provenance = provenance
 
-    def to_algebra(self, check=True) -> Algebra:
-        return Algebra(self.field, self.labels, self.table, self.unit, check=check)
+    def to_algebra(self) -> Algebra:
+        return Algebra(self.field, self.labels, self.table, self.unit)
 
     # the structure-constant product of Algebra, read off self.table
     mul = Algebra.mul_vec
 
-    def describe(self):
-        return {
-            "dim": self.dim,
-            "labels": self.labels,
-            "provenance": self.provenance,
-        }
-
     def __repr__(self):
-        return f"RingPresentation(dim {self.dim}, {self.provenance})"
+        return f"RingPresentation(dim {self.dim})"
 
 
-def end_ring(cat, obj, provenance="") -> RingPresentation:
+def end_ring(cat, obj) -> RingPresentation:
     """End(obj) in the given category (which may already be a quotient)."""
     space = cat.hom(obj, obj)
     n = space.dim
@@ -322,12 +313,10 @@ def end_ring(cat, obj, provenance="") -> RingPresentation:
         for i in range(n)
     ]
     unit = list(space.coords(cat.identity(obj).payload))
-    return RingPresentation(
-        cat.field, [f"e{i}" for i in range(n)], table, unit, provenance
-    )
+    return RingPresentation(cat.field, [f"e{i}" for i in range(n)], table, unit)
 
 
-def quotient_ring(cat, obj, ideal: Subspace, provenance="") -> RingPresentation:
+def quotient_ring(cat, obj, ideal: Subspace) -> RingPresentation:
     """End(obj)/ideal, with an internal two-sidedness check on the ideal."""
     space = cat.hom(obj, obj)
     if ideal.ambient != space.dim:
@@ -341,4 +330,4 @@ def quotient_ring(cat, obj, ideal: Subspace, provenance="") -> RingPresentation:
                 raise InternalConsistencyError(
                     "subspace is not a two-sided ideal of the endomorphism ring"
                 )
-    return end_ring(QuotientCategory(cat, lambda a, b: ideal), obj, provenance)
+    return end_ring(QuotientCategory(cat, lambda a, b: ideal), obj)

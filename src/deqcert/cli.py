@@ -35,9 +35,9 @@ from .orbit import (
     AdmissibleSet,
     OrbitCategory,
     ShiftAuto,
+    admissibility_witness,
     corollary_orbit_verify,
     ideals_IJ,
-    is_admissible,
     yoneda_algebra,
     QuiverTwistAuto,
 )
@@ -223,19 +223,8 @@ def _resolve_module(doc, algebra, name):
 
 def cmd_check_admissible(args):
     degrees = _parse_int_set(args.set)
-    ok = is_admissible(degrees)
-    witness = None
-    if not ok and 0 in degrees:
-        witness = next(
-            (
-                [i, j, k]
-                for i in degrees
-                for j in degrees
-                for k in degrees
-                if i + j + k in degrees and ((i + j in degrees) != (j + k in degrees))
-            ),
-            None,
-        )
+    witness = admissibility_witness(degrees) if 0 in degrees else None
+    ok = 0 in degrees and witness is None
     report = {
         "command": "check-admissible",
         "set": sorted(degrees),
@@ -309,9 +298,9 @@ def cmd_end_ring(args):
         gen = _resolve_module(doc, algebra, args.m)
         spec = SubcatSpec(cat, [gen])
         sub = ideal_space(cat, spec, obj, obj, args.quotient)
-        ring = quotient_ring(cat, obj, sub, provenance=f"mod {args.quotient}")
+        ring = quotient_ring(cat, obj, sub)
     else:
-        ring = end_ring(cat, obj, provenance="plain end ring")
+        ring = end_ring(cat, obj)
     report = {
         "command": "end-ring",
         "obj": args.obj,

@@ -23,10 +23,9 @@ from .exactla import Mat, Subspace
 __all__ = [
     "Complex",
     "stalk",
-    "VectComplex",
     "HomComplex",
-    "hom_total_complex",
     "homology_dims",
+    "nonzero_homology",
     "ChainMapCategory",
     "HomotopyCategory",
     "null_homotopic_space",
@@ -95,40 +94,6 @@ def stalk(cat: FiniteCategory, obj, degree: int = 0) -> Complex:
     return Complex(cat, degree, [obj], [], check=False)
 
 
-class VectComplex:
-    """Degree-indexed dimensions with matrices raising degree by one.
-
-    Consecutive matrices compose to zero; `HomComplex.diff` checks that
-    as it builds them, so this class checks only their shapes."""
-
-    def __init__(self, field, lo: int, dims, mats):
-        self.field = field
-        self.lo = int(lo)
-        self.dims = list(dims)
-        self.hi = self.lo + len(self.dims) - 1
-        self.mats = list(mats)  # mats[i]: dims[i+1] x dims[i]
-        for i, m in enumerate(self.mats):
-            if m.shape != (self.dims[i + 1], self.dims[i]):
-                raise InputError(f"matrix {i} has shape {m.shape}")
-
-    def dim(self, n):
-        if self.lo <= n <= self.hi:
-            return self.dims[n - self.lo]
-        return 0
-
-    def mat(self, n):
-        """The differential leaving degree n (zero-shaped when absent)."""
-        i = n - self.lo
-        if 0 <= i < len(self.mats):
-            return self.mats[i]
-        return Mat.zeros(self.field, self.dim(n + 1), self.dim(n))
-
-
-def homology_dims(v: VectComplex) -> dict:
-    rank = {n: v.mat(n).rank() for n in range(v.lo - 1, v.hi + 1)}  # each differential once
-    return {n: v.dim(n) - rank[n] - rank[n - 1] for n in range(v.lo, v.hi + 1)}
-
-
 class HomComplex:
     """The Hom-total complex of a pair of complexes, with block structure.
 
@@ -151,13 +116,6 @@ class HomComplex:
                 blocks.append((m, cat.hom(x.obj(m), y.obj(m + n))))
             self.blocks[n] = blocks
         self._diffs = {}  # degree -> differential leaving it, built on demand
-
-    @property
-    def vect(self) -> VectComplex:
-        """The whole complex of coordinate vectors: builds every differential."""
-        dims = [self.dim(n) for n in range(self.lo, self.hi + 1)]
-        mats = [self.diff(n) for n in range(self.lo, self.hi)]
-        return VectComplex(self.cat.field, self.lo, dims, mats)
 
     def dim(self, n):
         return sum(h.dim for (_, h) in self.blocks.get(n, []))
@@ -232,8 +190,18 @@ class HomComplex:
         return Subspace.from_vectors(self.cat.field, self.dim(n), d.transpose().data)
 
 
-def hom_total_complex(x: Complex, y: Complex) -> VectComplex:
-    return HomComplex(x.cat, x, y).vect
+def homology_dims(x: Complex, y: Complex) -> dict:
+    """{n: dim H^n} of the Hom-total complex of (x, y), over its degrees in
+    increasing order.  Builds every differential, lowest degree first."""
+    hc = HomComplex(x.cat, x, y)
+    rank = {n: hc.diff(n).rank() for n in range(hc.lo - 1, hc.hi + 1)}
+    return {n: hc.dim(n) - rank[n] - rank[n - 1] for n in range(hc.lo, hc.hi + 1)}
+
+
+def nonzero_homology(x: Complex, y: Complex, allowed=()) -> dict:
+    """{n: dim H^n} of the Hom-total complex of (x, y) at the degrees
+    outside allowed where the homology does not vanish."""
+    return {n: d for n, d in homology_dims(x, y).items() if d and n not in allowed}
 
 
 class ChainMapCategory(FiniteCategory):
@@ -316,29 +284,12 @@ def check_thm1_conditions(q: Complex, m) -> dict:
     x_stalk = stalk(cat, q.obj(0))
     y_stalk = stalk(cat, q.obj(n + 1))
 
-    h_m_q = homology_dims(hom_total_complex(m_stalk, q))
-    h_q_m = homology_dims(hom_total_complex(q, m_stalk))
-    h_x_q = homology_dims(hom_total_complex(x_stalk, q))
-    h_q_y = homology_dims(hom_total_complex(q, y_stalk))
-
-    failing = []
-    c1 = True
-    for i, d in h_m_q.items():
-        if i != 0 and d != 0:
-            c1 = False
-            failing.append(("c1", i, d))
-    c2 = True
-    for i, d in h_q_m.items():
-        if i != -n - 1 and d != 0:
-            c2 = False
-            failing.append(("c2", i, d))
-    c3 = True
-    if h_x_q.get(1, 0) != 0:
-        c3 = False
-        failing.append(("c3", 1, h_x_q.get(1, 0)))
-    if h_q_y.get(-n, 0) != 0:
-        c3 = False
-        failing.append(("c3", -n, h_q_y.get(-n, 0)))
+    failing = [("c1", i, d) for i, d in nonzero_homology(m_stalk, q, (0,)).items()]
+    failing += [("c2", i, d) for i, d in nonzero_homology(q, m_stalk, (-n - 1,)).items()]
+    failing += [("c3", 1, d) for i, d in nonzero_homology(x_stalk, q).items() if i == 1]
+    failing += [("c3", -n, d) for i, d in nonzero_homology(q, y_stalk).items() if i == -n]
+    kinds = {f[0] for f in failing}
+    c1, c2, c3 = ("c1" not in kinds, "c2" not in kinds, "c3" not in kinds)
     return {"n": n, "c1": c1, "c2": c2, "c3": c3, "failing": failing, "ok": c1 and c2 and c3}
 
 
@@ -358,26 +309,16 @@ def self_orthogonality_check(p: Complex, spec: SubcatSpec, variant: str) -> dict
         m_obj = spec.generators[0]
     m_stalk = stalk(cat, m_obj)
     n = p.hi - p.lo
-    h_m_p = homology_dims(hom_total_complex(m_stalk, p))
-    h_p_m = homology_dims(hom_total_complex(p, m_stalk))
-
-    if variant == "left":
-        hyp1 = all(d == 0 for i, d in h_m_p.items() if i not in (0, n))
-        hyp2 = all(d == 0 for i, d in h_p_m.items() if i != -n)
-        kinds = ("L", "I")
-    else:
-        hyp1 = all(d == 0 for i, d in h_m_p.items() if i != -n)
-        hyp2 = all(d == 0 for i, d in h_p_m.items() if i not in (0, n))
-        kinds = ("R", "J")
+    left = variant == "left"
+    hyp1 = not nonzero_homology(m_stalk, p, (0, n) if left else (-n,))
+    hyp2 = not nonzero_homology(p, m_stalk, (-n,) if left else (0, n))
+    kinds = ("L", "I") if left else ("R", "J")
 
     conclusion = {}
     for kind in kinds:
-        qcat = QuotientCategory(
-            cat, lambda a, b, k=kind: ideal_space(cat, spec, a, b, k), label=kind
-        )
+        qcat = QuotientCategory(cat, lambda a, b, k=kind: ideal_space(cat, spec, a, b, k))
         pq = complex_in_quotient(qcat, p)
-        h_self = homology_dims(hom_total_complex(pq, pq))
-        bad = {i: d for i, d in h_self.items() if i != 0 and d != 0}
+        bad = nonzero_homology(pq, pq, (0,))
         conclusion[kind] = {"self_orthogonal": not bad, "nonzero": bad}
     return {
         "hyp1": hyp1,

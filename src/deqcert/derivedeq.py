@@ -33,15 +33,13 @@ from .complexes import (
     HomotopyCategory,
     check_thm1_conditions,
     complex_in_quotient,
-    homology_dims,
-    hom_total_complex,
+    nonzero_homology,
     stalk,
 )
 from .errors import HypothesisError, InputError, InternalConsistencyError
 from .exactla import Mat, Subspace
 
 __all__ = [
-    "TiltingData",
     "EquivCertificate",
     "augment",
     "build_tilting",
@@ -65,12 +63,8 @@ class TiltingData:
         self.t_complex = t_complex
         self.ym_sum = ym_sum  # Y + M with injections/projections
         self.facts = facts
-        self.qcat_left = QuotientCategory(
-            cat, lambda a, b: ideal_space(cat, spec, a, b, "L"), label="left-ann"
-        )
-        self.qcat_right = QuotientCategory(
-            cat, lambda a, b: ideal_space(cat, spec, a, b, "R"), label="right-ann"
-        )
+        self.qcat_left = QuotientCategory(cat, lambda a, b: ideal_space(cat, spec, a, b, "L"))
+        self.qcat_right = QuotientCategory(cat, lambda a, b: ideal_space(cat, spec, a, b, "R"))
         # d~ . u = f^n . d~ for u in End(Y+M)
         d_tilde = p_complex.diff(n)
         ym = ym_sum.obj
@@ -116,22 +110,10 @@ def build_tilting(q: Complex, m) -> TiltingData:
 
     m_stalk = stalk(cat, m)
     facts = {
-        "a": all(
-            d == 0
-            for i, d in homology_dims(hom_total_complex(m_stalk, p_complex)).items()
-            if i != 0
-        ),
-        "b": all(
-            d == 0
-            for i, d in homology_dims(hom_total_complex(p_complex, m_stalk)).items()
-            if i != -n - 1
-        ),
-        "c": homology_dims(hom_total_complex(stalk(cat, q.obj(0)), p_complex)).get(1, 0)
-        == 0
-        and homology_dims(
-            hom_total_complex(p_complex, stalk(cat, ym_sum.obj))
-        ).get(-n, 0)
-        == 0,
+        "a": not nonzero_homology(m_stalk, p_complex, (0,)),
+        "b": not nonzero_homology(p_complex, m_stalk, (-n - 1,)),
+        "c": 1 not in nonzero_homology(stalk(cat, q.obj(0)), p_complex)
+        and -n not in nonzero_homology(p_complex, stalk(cat, ym_sum.obj)),
     }
     if not all(facts.values()):
         raise InternalConsistencyError(
@@ -190,13 +172,13 @@ def _certify(t_complex, qcat_left, qcat_right, ym, mx, theta_of) -> EquivCertifi
     cat = t_complex.cat
     field = cat.field
     ccat = ChainMapCategory(cat)
-    end_t = end_ring(ccat, t_complex, "chain maps T -> T")
+    end_t = end_ring(ccat, t_complex)
     basis = [f.payload for f in ccat.hom(t_complex, t_complex).basis]
-    ring_left = end_ring(qcat_left, mx, f"end over {qcat_left.label} quotient of M+X")
-    ring_right = end_ring(qcat_right, ym, f"end over {qcat_right.label} quotient of Y+M")
+    ring_left = end_ring(qcat_left, mx)
+    ring_right = end_ring(qcat_right, ym)
     hcat = HomotopyCategory(qcat_left)
     t_bar = complex_in_quotient(qcat_left, t_complex)
-    homotopy = end_ring(hcat, t_bar, f"homotopy classes T -> T over {qcat_left.label}")
+    homotopy = end_ring(hcat, t_bar)
 
     end_ym = qcat_right.hom(ym, ym)
     theta_cols = [end_ym.coords(theta_of(f).payload) for f in basis]
@@ -404,12 +386,10 @@ def nu_stable_sequence(p: ModuleRep, y: ModuleRep, steps=None, rng=None, max_ste
     # the construction makes Hom(p, -) exact along the sequence; check both
     # transported vanishing families outright
     p_stalk = stalk(cat, p)
-    h1 = homology_dims(hom_total_complex(p_stalk, q))
-    if any(d != 0 for d in h1.values()):
-        raise InternalConsistencyError(f"Hom(p, sequence) not exact: {h1}")
-    h2 = homology_dims(hom_total_complex(q, p_stalk))
-    if any(d != 0 for d in h2.values()):
-        raise InternalConsistencyError(f"Hom(sequence, p) not exact: {h2}")
+    if bad := nonzero_homology(p_stalk, q):
+        raise InternalConsistencyError(f"Hom(p, sequence) not exact: {bad}")
+    if bad := nonzero_homology(q, p_stalk):
+        raise InternalConsistencyError(f"Hom(sequence, p) not exact: {bad}")
     return q
 
 

@@ -165,12 +165,6 @@ class Mat:
         return m
 
     @classmethod
-    def from_rows(cls, field, rows, cols=None):
-        if rows:
-            return cls(field, rows)
-        return cls.zeros(field, 0, 0 if cols is None else cols)
-
-    @classmethod
     def from_columns(cls, field, cols, rows):
         """The rows x len(cols) matrix whose j-th column is cols[j], a
         sequence of field elements (no coerce)."""
@@ -184,28 +178,14 @@ class Mat:
     def __add__(self, other):
         self._check_shape(other)
         f = self.field
-        return Mat._of(
-            f,
-            [
-                [f.add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-            self.rows,
-            self.cols,
-        )
+        data = [[f.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
+        return Mat._of(f, _integral_rows(f, data), self.rows, self.cols)
 
     def __sub__(self, other):
         self._check_shape(other)
         f = self.field
-        return Mat._of(
-            f,
-            [
-                [f.sub(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-            self.rows,
-            self.cols,
-        )
+        data = [[f.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
+        return Mat._of(f, _integral_rows(f, data), self.rows, self.cols)
 
     def __neg__(self):
         f = self.field
@@ -214,7 +194,8 @@ class Mat:
     def scale(self, c):
         f = self.field
         c = f.coerce(c)
-        return Mat._of(f, [[f.mul(c, a) for a in row] for row in self.data], self.rows, self.cols)
+        data = [[f.mul(c, a) for a in row] for row in self.data]
+        return Mat._of(f, _integral_rows(f, data), self.rows, self.cols)
 
     def __mul__(self, other):
         if not isinstance(other, Mat):
@@ -237,10 +218,7 @@ class Mat:
                     b = brow[j]
                     if b:
                         orow[j] = f.add(orow[j], f.mul(a, b))
-        if not f.char:
-            for orow in out.data:
-                if Fraction in map(type, orow):
-                    orow[:] = map(_integral, orow)
+        _integral_rows(f, out.data)
         return out
 
     def apply(self, vec):
@@ -255,9 +233,7 @@ class Mat:
                 if a and x:
                     s = f.add(s, f.mul(a, x))
             out.append(s)
-        if not f.char and Fraction in map(type, out):
-            out = list(map(_integral, out))
-        return out
+        return _integral_rows(f, [out])[0]
 
     def transpose(self):
         return Mat._of(
@@ -317,6 +293,16 @@ def _sparse(row):
 def _integral(x):
     """An integral Fraction as its int; anything else unchanged."""
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def _integral_rows(field, rows):
+    """rows with every integral Fraction rewritten in place as its int, over
+    Q; a type scan at C speed skips the rows that hold no Fraction."""
+    if not field.char:
+        for row in rows:
+            if Fraction in map(type, row):
+                row[:] = map(_integral, row)
+    return rows
 
 
 def _sub_multiple(p, dst, q, src):
@@ -467,9 +453,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def matrix(self) -> Mat:
-        return Mat.from_rows(self.field, [list(v) for v in self.basis], self.ambient)
 
     def reduce(self, vec):
         """Residue of vec after subtracting its projection onto the basis."""

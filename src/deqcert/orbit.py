@@ -9,44 +9,44 @@ from __future__ import annotations
 
 from .algebra import ModuleRep
 from .angulate import NAngle, ShiftAuto, verify_theorem2
-from .catideal import (
-    RingPresentation,
-    SubcatSpec,
-    approximation_witness,
-    end_ring,
-    ideal_space,
-)
+from .catideal import RingPresentation, SubcatSpec, approximation_witness, end_ring, ideal_space
 from .category import DirectSumData, FiniteCategory, HomSpace, Mor, StrictAuto
 from .errors import HypothesisError, InputError, InternalConsistencyError
 from .exactla import Mat, Subspace
 
 __all__ = [
     "AdmissibleSet",
+    "admissibility_witness",
     "is_admissible",
     "ShiftAuto",
     "QuiverTwistAuto",
     "OrbitCategory",
-    "OrbitShift",
-    "orbit_compose",
     "orbit_iso_to_power",
     "yoneda_algebra",
-    "orbit_approximation_check",
     "ideals_IJ",
     "corollary_orbit_verify",
 ]
 
 
+def admissibility_witness(s: set):
+    """The first triple [i, j, k] of the set s, in its iteration order, with
+    i+j+k in s and exactly one of i+j and j+k in s; None when there is none."""
+    return next(
+        (
+            [i, j, k]
+            for i in s
+            for j in s
+            for k in s
+            if i + j + k in s and ((i + j in s) != (j + k in s))
+        ),
+        None,
+    )
+
+
 def is_admissible(s) -> bool:
     """0 in s, and i+j+k in s forces (i+j in s) iff (j+k in s)."""
     s = set(s)
-    if 0 not in s:
-        return False
-    for i in s:
-        for j in s:
-            for k in s:
-                if i + j + k in s and ((i + j in s) != (j + k in s)):
-                    return False
-    return True
+    return 0 in s and admissibility_witness(s) is None
 
 
 class AdmissibleSet:
@@ -219,13 +219,6 @@ class OrbitCategory(FiniteCategory):
         return Mor(self, x, y, {0: f} if not f.is_zero() else {})
 
 
-def orbit_compose(f: Mor, g: Mor) -> Mor:
-    """Graded composition in the orbit category (just `.then` on orbit Mors)."""
-    if not isinstance(f.cat, OrbitCategory) or f.cat is not g.cat:
-        raise InputError("orbit_compose expects morphisms of one orbit category")
-    return f.then(g)
-
-
 def orbit_iso_to_power(ocat: OrbitCategory, x, i: int):
     """Mutually inverse homogeneous morphisms X -> F^i X and back.
 
@@ -250,17 +243,7 @@ def orbit_iso_to_power(ocat: OrbitCategory, x, i: int):
 def yoneda_algebra(base: FiniteCategory, x, functor: StrictAuto, phi) -> RingPresentation:
     """End of x in the orbit category, as a structure-constant presentation."""
     ocat = OrbitCategory(base, functor, phi)
-    return end_ring(ocat, x, provenance=f"orbit End over degrees {list(ocat.phi)}")
-
-
-def orbit_approximation_check(ocat: OrbitCategory, spec: SubcatSpec, f: Mor, side: str):
-    """Is the degree-0 morphism f a left/right approximation in the orbit
-    category?  Returns (ok, witness) where the witness names an unfactorable
-    graded morphism when the check fails."""
-    if any(u != 0 and not comp.is_zero() for u, comp in f.payload.items()):
-        raise InputError("approximation candidate must be degree-0 homogeneous")
-    witness = approximation_witness(ocat, spec, f, side)
-    return witness is None, witness
+    return end_ring(ocat, x)
 
 
 # -- the ideals I and J ----------------------------------------------------
@@ -305,8 +288,9 @@ def ideals_IJ(
     spec = SubcatSpec(ocat, [m])
     f0 = ocat.from_degree_zero(x_obj, angle.objects[1], angle.maps[0])
     g = ocat.from_degree_zero(angle.objects[-2], y_obj, angle.maps[-1])
-    left_ok, left_wit = orbit_approximation_check(ocat, spec, f0, "left")
-    right_ok, right_wit = orbit_approximation_check(ocat, spec, g, "right")
+    left_wit = approximation_witness(ocat, spec, f0, "left")
+    right_wit = approximation_witness(ocat, spec, g, "right")
+    left_ok, right_ok = left_wit is None, right_wit is None
     report["left_approximation"] = left_ok
     report["right_approximation"] = right_ok
     van_j = all(

@@ -10,7 +10,6 @@ from deqcert.algebra import (
     ModuleRep,
     Quiver,
     find_isomorphism,
-    hom_module,
     image_module,
     invert,
     is_isomorphism,

@@ -19,7 +19,7 @@ from deqcert.angulate import (
 from deqcert.catideal import random_mor
 from deqcert.category import Mor
 from deqcert.complexes import Complex
-from deqcert.errors import InputError
+from deqcert.errors import HypothesisError, InputError
 from deqcert.exactla import FieldSpec, Subspace
 from deqcert.presets import a2, a2_triangle, a3, cyclic_nakayama
 
@@ -182,6 +182,20 @@ def test_verify_theorem2_a2_triangle():
     assert cert.flags["kernels_equal"]
     assert len(cert.ring_left.labels) == 3
     assert len(cert.ring_right.labels) == 3
+
+
+def test_theorem2_hypothesis_error_carries_a_map_that_does_not_factor():
+    # with m = X, the identity of X does not factor through X -> M
+    fx = a2_triangle()
+    cat, f = fx.cat, fx.triangle.maps[0]
+    with pytest.raises(HypothesisError, match="first map") as err:
+        verify_theorem2(cat, cat.sigma, fx.triangle, fx.x)
+    w = err.value.witness
+    assert w.src is fx.x and w.tgt is fx.x and not w.is_zero()
+    through = Subspace.from_vectors(
+        cat.field, cat.hom(fx.x, fx.x).dim, [f.then(u).coords() for u in cat.hom(f.tgt, fx.x).basis]
+    )
+    assert not through.contains(w.coords())
 
 
 def test_verify_theorem2_rings_are_rings():

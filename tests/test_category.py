@@ -4,7 +4,7 @@ import random
 
 from deqcert.catideal import random_mor
 from deqcert.category import MorphismEquations
-from deqcert.exactla import FieldSpec, Mat
+from deqcert.exactla import FieldSpec, LinSolver, Mat
 from deqcert.presets import cyclic_nakayama
 
 
@@ -55,7 +55,15 @@ def test_matrix_has_a_column_per_basis_element_and_stacks_the_targets():
     assert eqs.matrix.shape == (rows, sum(sp.dim for sp in spaces))
 
 
-def test_solvable_system_returns_maps_that_satisfy_every_equation():
+def test_solvable_system_returns_maps_that_satisfy_every_equation(monkeypatch):
+    solves = []
+    solve = LinSolver.solve
+
+    def counting(self, b):
+        solves.append(b)
+        return solve(self, b)
+
+    monkeypatch.setattr(LinSolver, "solve", counting)
     for char in (0, 2, 101):
         cat, p1, p2 = _projectives(char)
         spaces, equations = _system(cat, p1, p2)
@@ -68,8 +76,12 @@ def test_solvable_system_returns_maps_that_satisfy_every_equation():
             assert sol is not None
             assert [(h.src, h.tgt) for h in sol] == [(sp.src, sp.tgt) for sp in spaces]
             assert all(got.eq(want) for got, want in zip(_lhs(equations, sol), rhs))
-        # None stands for a zero right-hand side
-        assert all(h.is_zero() for h in eqs.solve([None, None]))
+        # None stands for a zero right-hand side, whose solution is the
+        # zero maps without a solve
+        del solves[:]
+        zero = eqs.solve([None, None])
+        assert [(h.src, h.tgt) for h in zero] == [(sp.src, sp.tgt) for sp in spaces]
+        assert all(h.is_zero() for h in zero) and solves == []
 
 
 def test_unsolvable_system_returns_none():

@@ -27,7 +27,7 @@ from deqcert.presets import a2, a3, cyclic_nakayama, kxx
 def a2_setup():
     fx = a2()
     cat = fx.algebra.modcat
-    return fx, cat, SubcatSpec(cat, [fx.projectives["1"]], label="add P1")
+    return fx, cat, SubcatSpec(cat, [fx.projectives["1"]])
 
 
 def test_annihilators_by_hand_a2():

@@ -57,6 +57,9 @@ def test_check_admissible_pass_and_fail(capsys):
     i, j, k = rep["witness"]
     degrees = set(rep["set"])
     assert i + j + k in degrees and ((i + j in degrees) != (j + k in degrees))
+    assert rep["witness"] == [1, 1, 2]  # the first failing triple in set order
+    code, rep = run_json(capsys, "check-admissible", "--set", "1,2")
+    assert code == 1 and rep["witness"] is None  # 0 is missing: no triple is named
 
 
 def test_check_admissible_bad_input(capsys):

@@ -13,8 +13,8 @@ from deqcert.complexes import (
     HomotopyCategory,
     check_thm1_conditions,
     complex_in_quotient,
-    hom_total_complex,
     homology_dims,
+    nonzero_homology,
     null_homotopic_space,
     self_orthogonality_check,
     stalk,
@@ -89,7 +89,7 @@ def test_hom_total_complex_endomorphisms_of_resolution():
     basis = ccat.hom(cx, cx).basis
     assert len(basis) == 1
     assert null_homotopic_space(ccat.hom_complex(cx, cx)).dim == 0
-    assert homology_dims(hom_total_complex(cx, cx)).get(0, 0) == 1
+    assert homology_dims(cx, cx).get(0, 0) == 1
     for cm in basis:
         assert is_chain_endomorphism(cx, cm.payload)
 
@@ -137,7 +137,7 @@ def assert_hom_dims_match_homology(x, y):
     shifted target modulo the null-homotopic ones, at every degree, both
     from the Hom complex and from the two categories of complexes."""
     ccat, hcat = ChainMapCategory(x.cat), HomotopyCategory(x.cat)
-    for n, d in homology_dims(hom_total_complex(x, y)).items():
+    for n, d in homology_dims(x, y).items():
         y_n = y.shift(n)
         hc = HomComplex(x.cat, x, y_n)
         indep = hc.cycles(0).dim - hc.boundaries(0).dim
@@ -157,6 +157,11 @@ def test_homology_dims_vs_chain_map_count_shifted():
         assert_hom_dims_match_homology(x, y)
 
 
+def total_hom_dim(cat, x, y):
+    hc = HomComplex(cat, x, y)
+    return sum(hc.dim(n) for n in range(hc.lo, hc.hi + 1))
+
+
 def test_homology_dims_vs_chain_map_count_over_a_quotient():
     # complexes over the quotient by the maps factoring through P2, the base
     # category that the certificate's homotopy classes live over
@@ -174,17 +179,16 @@ def test_homology_dims_vs_chain_map_count_over_a_quotient():
         )
         xq, yq = complex_in_quotient(qcat, x), complex_in_quotient(qcat, y)
         assert_hom_dims_match_homology(xq, yq)
-        quotient_dims = HomComplex(qcat, xq, yq).vect.dims
-        killed += sum(quotient_dims) < sum(HomComplex(cat, x, y).vect.dims)
+        killed += total_hom_dim(qcat, xq, yq) < total_hom_dim(cat, x, y)
     assert killed  # the ideal is nonzero on some sampled pair
 
 
 def test_hom_complex_diff_squares_to_zero():
     fx = a2()
     cx = s1_resolution(fx)
-    v = hom_total_complex(cx, cx.shift(1))
-    for n in range(v.lo, v.lo + len(v.dims) - 1):
-        a, b = v.mat(n), v.mat(n + 1)
+    hc = HomComplex(cx.cat, cx, cx.shift(1))
+    for n in range(hc.lo, hc.hi):
+        a, b = hc.diff(n), hc.diff(n + 1)
         if a.shape[1] and b.shape[0]:
             assert (b * a).is_zero()
 
@@ -223,7 +227,7 @@ def test_homotopy_classes_build_only_the_differentials_around_degree_zero(monkey
     hcat.hom(cx, cx)
     assert sorted(built) == [-1, 0]
     # the lazily built classes agree with the homology of the whole complex
-    assert hcat.hom(cx, cx).dim == homology_dims(hom_total_complex(cx, cx))[0]
+    assert hcat.hom(cx, cx).dim == homology_dims(cx, cx)[0]
 
 
 def test_lazy_hom_complex_still_rejects_a_nonzero_composite():
@@ -241,7 +245,17 @@ def test_lazy_hom_complex_still_rejects_a_nonzero_composite():
     with pytest.raises(InputError, match="do not compose to zero"):
         HomotopyCategory(cat).hom(cx, cx)
     with pytest.raises(InputError, match="do not compose to zero"):
-        hom_total_complex(cx, cx)
+        homology_dims(cx, cx)
+
+
+def test_homology_dims_builds_every_differential_lowest_first(monkeypatch):
+    cat, cx = length_four_complex()
+    built = count_diff_matrices(monkeypatch)
+    dims = homology_dims(cx, cx)
+    assert list(dims) == list(range(-3, 4))
+    assert built == list(range(-3, 3))
+    assert nonzero_homology(cx, cx) == {n: d for n, d in dims.items() if d}
+    assert nonzero_homology(cx, cx, dims) == {}
 
 
 def test_check_thm1_conditions_on_split_sequence():
@@ -260,6 +274,24 @@ def test_check_thm1_conditions_failure_detected():
     q = Complex(cat, 0, [cat.hom(p2, p2).basis[0].src, p2, p1], [cat.identity(p2), cat.zero_mor(p2, p1)])
     report = check_thm1_conditions(q, p1)
     assert not report["ok"] and report["failing"]
+
+
+def test_check_thm1_conditions_failing_entries_are_pinned():
+    # S2 -> P1 -> S1 with zero maps fails all three conditions; the report
+    # lists every nonvanishing (condition, degree, dim) in a fixed order
+    fx = cyclic_nakayama(2, 2)
+    cat = fx.algebra.modcat
+    s1, s2, p1 = fx.simples["1"], fx.simples["2"], fx.projectives["1"]
+    report = check_thm1_conditions(Complex(cat, 0, [s2, p1, s1], [None, None]), p1)
+    assert report["failing"] == [
+        ("c1", 1, 1),
+        ("c1", 2, 1),
+        ("c2", -1, 1),
+        ("c2", 0, 1),
+        ("c3", 1, 1),
+        ("c3", -1, 1),
+    ]
+    assert (report["c1"], report["c2"], report["c3"], report["ok"]) == (False,) * 4
 
 
 def test_check_thm1_conditions_rejects_bad_degrees():
@@ -286,9 +318,7 @@ def test_quotient_category_kills_ideal_maps():
     fx = a2()
     cat = fx.algebra.modcat
     spec = SubcatSpec(cat, [fx.projectives["1"]])
-    qcat = QuotientCategory(
-        cat, lambda a, b: ideal_space(cat, spec, a, b, "F"), label="mod F"
-    )
+    qcat = QuotientCategory(cat, lambda a, b: ideal_space(cat, spec, a, b, "F"))
     s2, p1 = fx.simples["2"], fx.projectives["1"]
     # the socle inclusion factors through add(P1), so it dies in the quotient
     assert cat.hom(s2, p1).dim == 1

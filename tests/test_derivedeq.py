@@ -116,9 +116,9 @@ def _dense_embedded_hom_dim(qcat, mx, u, v):
     def actions(w):
         space = qcat.hom(mx, w)
         return space.dim, [
-            Mat.from_rows(
+            Mat.from_columns(
                 field, [space.coords(e.then(h).payload) for h in space.basis], space.dim
-            ).transpose()
+            )
             for e in ends
         ]
 

@@ -85,6 +85,9 @@ def test_products_return_integral_rationals_as_ints():
     mixed = Mat(QQ, [[Fraction(1, 3), 1], [1, 0]]) * Mat(QQ, [[3, 0], [0, Fraction(1, 2)]])
     assert mixed.data == [[1, Fraction(1, 2)], [3, 0]]
     assert [type(x) for row in mixed.data for x in row] == [int, Fraction, int, int]
+    half = Mat(QQ, [[Fraction(1, 2)]])
+    for out in (half + half, Mat(QQ, [[Fraction(3, 2)]]) - half, half.scale(2)):
+        assert out.data == [[1]] and type(out.data[0][0]) is int, out.data
 
 
 def test_prime_field_inverses_exhaustive():

@@ -17,7 +17,6 @@ from deqcert.orbit import (
     corollary_orbit_verify,
     ideals_IJ,
     is_admissible,
-    orbit_compose,
     orbit_iso_to_power,
     yoneda_algebra,
 )
@@ -138,9 +137,7 @@ def test_orbit_composition_associative():
         f = random_mor(ocat, x, y, rng)
         g = random_mor(ocat, y, z, rng)
         h = random_mor(ocat, z, w, rng)
-        assert orbit_compose(orbit_compose(f, g), h).eq(
-            orbit_compose(f, orbit_compose(g, h))
-        )
+        assert f.then(g).then(h).eq(f.then(g.then(h)))
         assert ocat.identity(x).then(f).eq(f)
 
 
@@ -152,7 +149,7 @@ def test_orbit_iso_to_power_periodic():
     p1 = fx.projectives["1"]
     for i in (1, 2, 3):
         fwd, bwd = orbit_iso_to_power(ocat, p1, i)
-        assert orbit_compose(fwd, bwd).eq(ocat.identity(p1))
+        assert fwd.then(bwd).eq(ocat.identity(p1))
 
 
 def test_yoneda_algebra_dims():

@@ -2,6 +2,7 @@
 name it never uses."""
 
 import ast
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -109,3 +110,39 @@ def test_every_functor_is_a_strict_auto(path):
     module = importlib.import_module(f"deqcert.{path.stem}") if functors else None
     stray = [name for name in functors if not issubclass(getattr(module, name), StrictAuto)]
     assert stray == [], f"{path.name} has functors outside StrictAuto: {stray}"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+
+
+@functools.cache
+def _names_read(path):
+    """Names a file reads: bare names, attributes and names it imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_exported_name_is_read_elsewhere(path):
+    # an export that no other file of the package, its tests or its
+    # benchmark reads is dead surface
+    exported = next(
+        (
+            ast.literal_eval(node.value)
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        ),
+        [],
+    )
+    read = set().union(*(_names_read(p) for p in READERS if p != path))
+    unread = [name for name in exported if name not in read]
+    assert unread == [], f"{path.name} exports names no other file reads: {unread}"
