@@ -12,7 +12,7 @@ from itertools import product
 
 from .category import DirectSumData, FiniteCategory, HomSpace, Mor, fresh_key
 from .errors import InputError, NonFiniteDimensionalError
-from .exactla import FieldSpec, LinSolver, Mat, Subspace, kernel, sparse_kernel
+from .exactla import FieldSpec, LinSolver, Mat, Subspace, _sparse, kernel, sparse_kernel
 
 __all__ = [
     "Quiver",
@@ -266,7 +266,7 @@ class ModuleRep:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def quiver_rep(cls, algebra, dims, arrow_mats, name="", proj_summands=None, check=True):
+    def quiver_rep(cls, algebra, dims, arrow_mats, name=""):
         field = algebra.field
         full_dims = {v: int(dims.get(v, 0)) for v in algebra.vertices()}
         mats = {}
@@ -277,7 +277,7 @@ class ModuleRep:
             elif not isinstance(m, Mat):
                 m = Mat(field, m) if m else Mat.zeros(field, full_dims[t], full_dims[s])
             mats[arr_name] = m
-        return cls(algebra, full_dims, mats, name, proj_summands, check)
+        return cls(algebra, full_dims, mats, name)
 
     @classmethod
     def zero(cls, algebra):
@@ -335,12 +335,11 @@ def intertwiner_kernel(field, slots, src_dims, tgt_dims, arrows):
     for s_src, s_tgt, a_mat, b_mat in arrows:
         a_off, n_src = offsets[s_src], src_dims[s_src]
         b_off, n_tgt = offsets[s_tgt], src_dims[s_tgt]
-        b_cols = [[(l, x) for l, x in enumerate(col) if x] for col in b_mat.transpose().data]
-        for r, a_row in enumerate(a_mat.data):
-            a_nz = [(k, x) for k, x in enumerate(a_row) if x]
-            for c, b_nz in enumerate(b_cols):
-                row = {a_off + k * n_src + c: x for k, x in a_nz}
-                for l, x in b_nz:
+        b_cols = b_mat.transpose().sparse_rows
+        for r, a_row in enumerate(a_mat.sparse_rows):
+            for c, b_col in enumerate(b_cols):
+                row = {a_off + k * n_src + c: x for k, x in a_row.items()}
+                for l, x in b_col.items():
                     idx = b_off + r * n_tgt + l
                     y = field.sub(row.get(idx, 0), x)
                     if y:
@@ -349,12 +348,6 @@ def intertwiner_kernel(field, slots, src_dims, tgt_dims, arrows):
                         del row[idx]
                 rows.append(row)
     return sparse_kernel(field, rows, total)
-
-
-def _meets(g: Mat, f: Mat) -> bool:
-    """Whether a nonzero column of g meets a nonzero row of f; if not, g·f is zero."""
-    rows = [k for k, row in enumerate(f.data) if any(row)]
-    return any(grow[k] for grow in g.data for k in rows)
 
 
 class ModuleCategory(FiniteCategory):
@@ -396,25 +389,27 @@ class ModuleCategory(FiniteCategory):
         blocks, pos = {}, 0
         for s in x.slots:
             r, c = y.dims[s], x.dims[s]
-            if any(vec[pos : pos + r * c]):
-                blocks[s] = Mat._of(
-                    self.field, [[vec[pos + i * c + j] for j in range(c)] for i in range(r)], r, c
-                )
+            rows = [_sparse(vec[pos + i * c : pos + i * c + c]) for i in range(r)]
+            if any(rows):
+                blocks[s] = Mat._of(self.field, rows, r, c)
             pos += r * c
         return blocks
 
     def _p_flatten(self, x, y, fp):
-        out = []
+        out, pos = [0] * sum(y.dims[s] * x.dims[s] for s in x.slots), 0
         for s in x.slots:
-            for row in fp[s].data if s in fp else [[self.field.zero] * x.dims[s]] * y.dims[s]:
-                out.extend(row)
+            c = x.dims[s]
+            for i, row in enumerate(fp[s].sparse_rows if s in fp else ()):
+                for j, v in row.items():
+                    out[pos + i * c + j] = v
+            pos += y.dims[s] * c
         return out
 
     def _p_compose(self, x, y, z, fp, gp):
         out = {}
         for s, f in fp.items():
             g = gp.get(s)
-            if g is not None and _meets(g, f):
+            if g is not None:
                 h = g * f
                 if not h.is_zero():
                     out[s] = h
@@ -430,16 +425,11 @@ class ModuleCategory(FiniteCategory):
         dims = {s: sum(o.dims[s] for o in objs) for s in objs[0].slots}
         mats = {}
         for name, s, t in a.presentation.quiver.arrows:
-            big = Mat.zeros(self.field, dims[t], dims[s])
-            ro = co = 0
+            rows, co = [], 0
             for o in objs:
-                m = o.mats[name]
-                for i in range(m.rows):
-                    for j in range(m.cols):
-                        big.data[ro + i][co + j] = m.data[i][j]
-                ro += o.dims[t]
+                rows += [{co + j: x for j, x in row.items()} for row in o.mats[name].sparse_rows]
                 co += o.dims[s]
-            mats[name] = big
+            mats[name] = Mat._of(self.field, rows, dims[t], dims[s])
         prov = None
         if all(o.proj_summands is not None for o in objs):
             prov = [v for o in objs for v in o.proj_summands]
@@ -457,13 +447,9 @@ class ModuleCategory(FiniteCategory):
         for o in objs:
             inj_blocks, proj_blocks = {}, {}
             for s in total.slots:
-                inj = Mat.zeros(self.field, dims[s], o.dims[s])
-                proj = Mat.zeros(self.field, o.dims[s], dims[s])
-                for i in range(o.dims[s]):
-                    inj.data[offsets[s] + i][i] = self.field.one
-                    proj.data[i][offsets[s] + i] = self.field.one
-                inj_blocks[s] = inj
-                proj_blocks[s] = proj
+                units = [{offsets[s] + i: self.field.one} for i in range(o.dims[s])]
+                proj_blocks[s] = Mat._of(self.field, units, o.dims[s], dims[s])
+                inj_blocks[s] = proj_blocks[s].transpose()
                 offsets[s] += o.dims[s]
             injections.append(Mor(self, o, total, inj_blocks))
             projections.append(Mor(self, total, o, proj_blocks))
@@ -488,13 +474,12 @@ def projective(algebra: Algebra, vertex) -> ModuleRep:
     field = algebra.field
     mats = {}
     for name, s, t in pres.quiver.arrows:
-        m = Mat.zeros(field, dims[t], dims[s])
+        rows = [{} for _ in range(dims[t])]
         for p in by_slot[s]:
             word = p.arrows + (name,)
             if not _contains_factor(word, pres.relations):
-                q = Path(word, p.source, t)
-                m.data[pos[q]][pos[p]] = field.one
-        mats[name] = m
+                rows[pos[Path(word, p.source, t)]][pos[p]] = field.one
+        mats[name] = Mat._of(field, rows, dims[t], dims[s])
     return ModuleRep(algebra, dims, mats, name=f"P{vertex}", proj_summands=[vertex])
 
 
@@ -535,7 +520,7 @@ def invert(f: Mor) -> Mor:
     for s in f.src.slots:
         n = f.src.dims[s]
         solver = LinSolver(_block(f, s))
-        unit_cols = Mat.identity(cat.field, n).data
+        unit_cols = Mat.identity(cat.field, n).tolist()
         blocks[s] = Mat.from_columns(cat.field, [solver.solve(e) for e in unit_cols], n)
     return Mor(cat, f.tgt, f.src, blocks)
 
@@ -574,7 +559,7 @@ def quotient_module(m: ModuleRep, spaces) -> tuple[ModuleRep, Mor]:
         dims[s] = len(reps[s])
         # projection: reduce mod the subspace, then express in coset reps
         solver = LinSolver(Mat.from_columns(field, reps[s] + list(spaces[s].basis), m.dims[s]))
-        unit_cols = Mat.identity(field, m.dims[s]).data
+        unit_cols = Mat.identity(field, m.dims[s]).tolist()
         proj_cols = [solver.solve(e)[: dims[s]] for e in unit_cols]
         proj_mats[s] = Mat.from_columns(field, proj_cols, dims[s])
 
@@ -601,7 +586,7 @@ def image_module(f: Mor) -> tuple[ModuleRep, Mor]:
         s: Subspace.from_vectors(
             field,
             f.tgt.dims[s],
-            _block(f, s).transpose().data,
+            _block(f, s).transpose().tolist(),
         )
         for s in f.src.slots
     }
@@ -613,7 +598,7 @@ def radical(m: ModuleRep) -> tuple[ModuleRep, Mor]:
     field = m.algebra.field
     spaces = {s: Subspace.zero(field, m.dims[s]) for s in m.slots}
     for name, s, t in m.algebra.presentation.quiver.arrows:
-        cols = m.mats[name].transpose().data
+        cols = m.mats[name].transpose().tolist()
         spaces[t] = spaces[t] + Subspace.from_vectors(field, m.dims[t], cols)
     return submodule(m, spaces)
 
@@ -632,7 +617,7 @@ def top(m: ModuleRep) -> tuple[ModuleRep, Mor]:
     field = m.algebra.field
     spaces = {s: Subspace.zero(field, m.dims[s]) for s in m.slots}
     for name, s, t in m.algebra.presentation.quiver.arrows:
-        cols = m.mats[name].transpose().data
+        cols = m.mats[name].transpose().tolist()
         spaces[t] = spaces[t] + Subspace.from_vectors(field, m.dims[t], cols)
     return quotient_module(m, spaces)
 
@@ -648,10 +633,12 @@ def radical_layers(m: ModuleRep):
     return layers
 
 
-def find_isomorphism(m: ModuleRep, n: ModuleRep, rng=None, tries: int = 64):
+def find_isomorphism(m: ModuleRep, n: ModuleRep, rng=None):
     """('yes', f) / ('no', None) / ('undecided', None).
 
     Sound for yes; 'no' only when dimension counts already rule an iso out.
+    With rng, 64 random combinations of the Hom basis are tried before
+    'undecided'.
     """
     if any(m.dims[s] != n.dims[s] for s in m.slots):
         return "no", None
@@ -667,7 +654,7 @@ def find_isomorphism(m: ModuleRep, n: ModuleRep, rng=None, tries: int = 64):
         return "no", None
     if rng is not None:
         field = m.algebra.field
-        for _ in range(tries):
+        for _ in range(64):
             f = cat.zero_mor(m, n)
             for b in basis:
                 c = field.random(rng)
@@ -701,7 +688,7 @@ def nakayama_projective(algebra: Algebra, p: ModuleRep) -> ModuleRep:
             for v in algebra.vertices()
         }
         for v in algebra.vertices():
-            blk = Mat.zeros(algebra.field, len(tgt_paths[v]), len(src_paths[v]))
+            rows = [{} for _ in tgt_paths[v]]
             for j, q in enumerate(src_paths[v]):
                 word = (name,) + q.arrows
                 if not _contains_factor(word, pres.relations):
@@ -710,8 +697,8 @@ def nakayama_projective(algebra: Algebra, p: ModuleRep) -> ModuleRep:
                         i = tgt_paths[v].index(lifted)
                     except ValueError:
                         continue
-                    blk.data[i][j] = algebra.field.one
-            lmul_blocks[v] = blk
+                    rows[i][j] = algebra.field.one
+            lmul_blocks[v] = Mat._of(algebra.field, rows, len(tgt_paths[v]), len(src_paths[v]))
         lmul = cat.mor(projs[t], projs[s], lmul_blocks)
         # postcompose: Hom(p, P_t) -> Hom(p, P_s); the dual runs s -> t
         hom_s = cat.hom(p, projs[s])

@@ -93,8 +93,8 @@ class KbProjCat(HomotopyCategory):
                 raise InputError("complex has a non-certified-projective term")
         return cx
 
-    def stalk_obj(self, module: ModuleRep, degree: int = 0) -> Complex:
-        return self.object(stalk(self.base, module, degree))
+    def stalk_obj(self, module: ModuleRep) -> Complex:
+        return self.object(stalk(self.base, module))
 
     def _direct_sum(self, objs) -> DirectSumData:
         lo = min(o.lo for o in objs)
@@ -129,12 +129,12 @@ class KbProjCat(HomotopyCategory):
         return DirectSumData(total, list(objs), injections, projections)
 
 
-def proj_resolution_complex(cat: KbProjCat, module: ModuleRep, max_len: int = 8):
+def proj_resolution_complex(cat: KbProjCat, module: ModuleRep):
     """A bounded complex of projectives homotopy-representing the module.
 
     The resolution is placed in degrees <= 0 with the degree-0 cover of the
     module on the right; raises HypothesisError if projective dimension
-    exceeds the length bound.  Each syzygy cover is minimized.
+    exceeds 8.  Each syzygy cover is minimized.
     """
     algebra = cat.algebra
     base = cat.base
@@ -144,7 +144,7 @@ def proj_resolution_complex(cat: KbProjCat, module: ModuleRep, max_len: int = 8)
 
     steps = []  # (cover object, map into the previous cover or the module)
     target, incl_prev = module, None
-    for _ in range(max_len + 1):
+    for _ in range(9):
         if not any(base.hom(g, target).dim for g in spec.generators):
             raise InternalConsistencyError("no projective cover of a nonzero module")
         data, f = minimal_right_approximation(base, spec, target)
@@ -281,8 +281,9 @@ def _fill_angle_square(cat, sigma, src: NAngle, tgt: NAngle, h1: Mor, h2: Mor):
     return MorphismEquations(cat, spaces, equations).solve(rhs)
 
 
-def verify_weak_axioms(cat, sigma, angles, rng, filler_samples: int = 5) -> dict:
-    """Spot-check the three axioms on a finite sample of angles."""
+def verify_weak_axioms(cat, sigma, angles, rng) -> dict:
+    """Spot-check the three axioms on a finite sample of angles, with five
+    random squares per pair of angles for the fillers."""
     report = {"identity": True, "sums": True, "rotations": True, "fillers": []}
     for ang in angles:
         x = ang.objects[0]
@@ -300,7 +301,7 @@ def verify_weak_axioms(cat, sigma, angles, rng, filler_samples: int = 5) -> dict
     # axiom (3): commuting squares extend
     from .catideal import random_mor
 
-    for _ in range(filler_samples):
+    for _ in range(5):
         for src in angles:
             for tgt in angles:
                 h1 = random_mor(cat, src.objects[0], tgt.objects[0], rng)
@@ -388,17 +389,16 @@ def _exact_pair(a: Mat, b: Mat) -> bool:
 # -- the angle-based equivalence engine ------------------------------------
 
 
-def verify_theorem2(cat, sigma: StrictAuto, angle: NAngle, m, spec: SubcatSpec | None = None) -> EquivCertificate:
+def verify_theorem2(cat, sigma: StrictAuto, angle: NAngle, m) -> EquivCertificate:
     """Equivalence certificate from an n-angle with middle terms in add(m).
 
     angle: X -> M_1 -> ... -> M_{n-2} -> Y -> Sigma X.  The first map must
     be a left add(m)-approximation and the last interior map a right one.
     """
     x_obj = angle.objects[0]
-    if spec is None:
-        spec = SubcatSpec(cat, [m])
-        for mid in angle.objects[1:-1]:
-            spec.member(mid)
+    spec = SubcatSpec(cat, [m])
+    for mid in angle.objects[1:-1]:
+        spec.member(mid)
     witness = approximation_witness(cat, spec, angle.maps[0], "left")
     if witness is not None:
         raise HypothesisError("the first map is not a left approximation", witness=witness)

@@ -52,7 +52,7 @@ def jsonable(x):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, Mat):
-        return [[jsonable(v) for v in row] for row in x.data]
+        return [[jsonable(v) for v in row] for row in x.tolist()]
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

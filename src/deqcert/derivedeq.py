@@ -31,6 +31,7 @@ from .complexes import (
     ChainMapCategory,
     Complex,
     HomotopyCategory,
+    _homology_at,
     check_thm1_conditions,
     complex_in_quotient,
     nonzero_homology,
@@ -112,8 +113,8 @@ def build_tilting(q: Complex, m) -> TiltingData:
     facts = {
         "a": not nonzero_homology(m_stalk, p_complex, (0,)),
         "b": not nonzero_homology(p_complex, m_stalk, (-n - 1,)),
-        "c": 1 not in nonzero_homology(stalk(cat, q.obj(0)), p_complex)
-        and -n not in nonzero_homology(p_complex, stalk(cat, ym_sum.obj)),
+        "c": not _homology_at(stalk(cat, q.obj(0)), p_complex, 1)
+        and not _homology_at(p_complex, stalk(cat, ym_sum.obj), -n),
     }
     if not all(facts.values()):
         raise InternalConsistencyError(
@@ -226,7 +227,7 @@ def _ring_map_witness(src: RingPresentation, maps):
     where the vector is nonzero; a zero structure constant is still compared.
     """
     field = src.field
-    cols = [(name, tgt, mat.transpose().data) for name, mat, tgt in maps]
+    cols = [(name, tgt, mat.transpose().tolist()) for name, mat, tgt in maps]
 
     def image(c, vec, dim):
         out = [field.zero] * dim

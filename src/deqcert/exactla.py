@@ -11,6 +11,8 @@ Every rank, kernel, solve, span and intersection runs one elimination,
 `_rref_rows`: a row-at-a-time RREF of sparse {column: nonzero} rows after
 SymPy's `sdm_irref`, whose cost follows the nonzeros, not rows x columns.
 The RREF is unique, so it gives the entries a dense Gauss-Jordan would.
+A `Mat` stores its rows in that form, so an elimination starts from a copy
+of them; coordinates, flat charts and `Subspace` bases stay dense vectors.
 """
 
 from __future__ import annotations
@@ -127,75 +129,90 @@ QQ = FieldSpec(0)
 
 
 class Mat:
-    """Dense matrix over a FieldSpec, acting on column vectors."""
+    """Matrix over a FieldSpec, acting on column vectors, stored as one
+    {column: nonzero} dict per row: no zero is stored, a GF(p) value lies in
+    [0, p) and an integral rational is an int, so equal matrices have equal
+    rows and every operation costs the nonzeros it reads."""
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "sparse_rows")
 
     def __init__(self, field: FieldSpec, data, rows=None, cols=None):
-        self.field = field
+        """data: dense rows of anything field.coerce accepts."""
         if rows is None:
-            rows = len(data)
-            cols = len(data[0]) if data else 0
-        self.rows = rows
-        self.cols = cols
-        self.data = [[field.coerce(x) for x in row] for row in data]
-        for row in self.data:
-            if len(row) != cols:
-                raise InputError("ragged matrix rows")
+            rows, cols = len(data), len(data[0]) if data else 0
+        if any(len(row) != cols for row in data):
+            raise InputError("ragged matrix rows")
+        self.field, self.rows, self.cols = field, rows, cols
+        self.sparse_rows = [_sparse(list(map(field.coerce, row))) for row in data]
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _of(cls, field, data, rows, cols):
-        """Wrap rows whose entries are already field elements: no coerce, no copy."""
+    def _of(cls, field, sparse_rows, rows, cols):
+        """Wrap {column: nonzero} rows that already obey the value rules: no
+        coerce, no copy."""
         m = cls.__new__(cls)
-        m.field, m.data, m.rows, m.cols = field, data, rows, cols
+        m.field, m.sparse_rows, m.rows, m.cols = field, sparse_rows, rows, cols
         return m
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        z = field.zero
-        return cls._of(field, [[z] * cols for _ in range(rows)], rows, cols)
+        return cls._of(field, [{} for _ in range(rows)], rows, cols)
 
     @classmethod
     def identity(cls, field, n):
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.data[i][i] = field.one
-        return m
+        return cls._of(field, [{i: field.one} for i in range(n)], n, n)
 
     @classmethod
     def from_columns(cls, field, cols, rows):
-        """The rows x len(cols) matrix whose j-th column is cols[j], a
+        """The rows x len(cols) matrix whose j-th column is cols[j], a dense
         sequence of field elements (no coerce)."""
-        return cls._of(field, [[col[i] for col in cols] for i in range(rows)], rows, len(cols))
+        data = [{} for _ in range(rows)]
+        for j, col in enumerate(cols):
+            for i in compress(count(), col):
+                data[i][j] = col[i]
+        return cls._of(field, data, rows, len(cols))
 
     def copy(self):
-        return Mat._of(self.field, [row[:] for row in self.data], self.rows, self.cols)
+        return Mat._of(self.field, list(map(dict, self.sparse_rows)), self.rows, self.cols)
+
+    def tolist(self):
+        """The dense rows, zeros written out."""
+        out = []
+        for row in self.sparse_rows:
+            dense = [0] * self.cols
+            for c, x in row.items():
+                dense[c] = x
+            out.append(dense)
+        return out
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         self._check_shape(other)
-        f = self.field
-        data = [[f.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        return Mat._of(f, _integral_rows(f, data), self.rows, self.cols)
+        out = []
+        for a, b in zip(self.sparse_rows, other.sparse_rows):
+            row = dict(a)
+            for c, x in b.items():
+                row[c] = row[c] + x if c in row else x
+            out.append(_normal(self.field.char, row))
+        return Mat._of(self.field, out, self.rows, self.cols)
 
     def __sub__(self, other):
-        self._check_shape(other)
-        f = self.field
-        data = [[f.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        return Mat._of(f, _integral_rows(f, data), self.rows, self.cols)
+        return self + -other
 
     def __neg__(self):
-        f = self.field
-        return Mat._of(f, [[f.neg(a) for a in row] for row in self.data], self.rows, self.cols)
+        p = self.field.char
+        data = [{c: p - x if p else -x for c, x in row.items()} for row in self.sparse_rows]
+        return Mat._of(self.field, data, self.rows, self.cols)
 
     def scale(self, c):
-        f = self.field
-        c = f.coerce(c)
-        data = [[f.mul(c, a) for a in row] for row in self.data]
-        return Mat._of(f, _integral_rows(f, data), self.rows, self.cols)
+        c = self.field.coerce(c)
+        if not c:
+            return Mat.zeros(self.field, self.rows, self.cols)
+        p = self.field.char
+        data = [_normal(p, {k: c * x for k, x in row.items()}) for row in self.sparse_rows]
+        return Mat._of(self.field, data, self.rows, self.cols)
 
     def __mul__(self, other):
         if not isinstance(other, Mat):
@@ -204,58 +221,47 @@ class Mat:
             raise InputError(
                 f"matrix product shape mismatch: {self.shape} x {other.shape}"
             )
-        f = self.field
-        out = Mat.zeros(f, self.rows, other.cols)
-        for i in range(self.rows):
-            srow = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                a = srow[k]
-                if not a:
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b:
-                        orow[j] = f.add(orow[j], f.mul(a, b))
-        _integral_rows(f, out.data)
-        return out
+        p, b = self.field.char, other.sparse_rows
+        out = []
+        for row in self.sparse_rows:
+            acc = {}  # no int 0 start: 0 + Fraction is slow
+            for k, a in row.items():
+                for j, x in b[k].items():
+                    acc[j] = acc[j] + a * x if j in acc else a * x
+            out.append(_normal(p, acc) if acc else acc)
+        return Mat._of(self.field, out, self.rows, other.cols)
 
     def apply(self, vec):
-        """Matrix times column vector."""
+        """Matrix times a dense column vector, as a dense vector."""
         if len(vec) != self.cols:
             raise InputError("vector length mismatch")
-        f = self.field
+        p = self.field.char
         out = []
-        for row in self.data:
-            s = f.zero
-            for a, x in zip(row, vec):
-                if a and x:
-                    s = f.add(s, f.mul(a, x))
-            out.append(s)
-        return _integral_rows(f, [out])[0]
+        for row in self.sparse_rows:
+            s = sum(a * vec[c] for c, a in row.items() if vec[c])
+            out.append(s % p if p else _integral(s))
+        return out
 
     def transpose(self):
-        return Mat._of(
-            self.field,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.cols,
-            self.rows,
-        )
+        data = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse_rows):
+            for c, x in row.items():
+                data[c][i] = x
+        return Mat._of(self.field, data, self.cols, self.rows)
 
     @property
     def shape(self):
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.data))
+        return not any(self.sparse_rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
             and self.shape == other.shape
             and self.field == other.field
-            and self.data == other.data
+            and self.sparse_rows == other.sparse_rows
         )
 
     def _check_shape(self, other):
@@ -263,31 +269,28 @@ class Mat:
             raise InputError(f"shape mismatch: {self.shape} vs {other.shape}")
 
     def __repr__(self):
-        body = "; ".join(" ".join(self.field.fmt(x) for x in row) for row in self.data)
+        body = "; ".join(" ".join(self.field.fmt(x) for x in row) for row in self.tolist())
         return f"Mat({self.rows}x{self.cols}: {body})"
 
     # -- elimination -------------------------------------------------------
 
     def rref(self):
         """Reduced row echelon form; returns (rref_matrix, pivot_columns)."""
-        pivots, reduced, _ = _rref_rows(self.field, list(map(_sparse, self.data)))
-        data = [[0] * self.cols for _ in range(self.rows)]
-        for dense, row in zip(data, reduced):
-            for c, x in row.items():
-                dense[c] = x
-        return Mat._of(self.field, data, self.rows, self.cols), pivots
+        pivots, reduced, _ = _rref_rows(self.field, list(map(dict, self.sparse_rows)))
+        reduced += [{} for _ in range(self.rows - len(pivots))]
+        return Mat._of(self.field, reduced, self.rows, self.cols), pivots
 
     def rank(self) -> int:
-        return len(_rref_rows(self.field, list(map(_sparse, self.data)))[0])
+        return len(_rref_rows(self.field, list(map(dict, self.sparse_rows)))[0])
 
     def kernel_basis(self):
         """Basis of the right null space, one vector per free column."""
-        return sparse_kernel(self.field, list(map(_sparse, self.data)), self.cols)
+        return sparse_kernel(self.field, list(map(dict, self.sparse_rows)), self.cols)
 
 
-def _sparse(row):
-    """A dense row as its {column: nonzero} dict, built at C speed."""
-    return dict(zip(compress(count(), row), compress(row, row)))
+def _sparse(vec):
+    """A dense vector as its {column: nonzero} dict, built at C speed."""
+    return dict(zip(compress(count(), vec), compress(vec, vec)))
 
 
 def _integral(x):
@@ -295,14 +298,15 @@ def _integral(x):
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
-def _integral_rows(field, rows):
-    """rows with every integral Fraction rewritten in place as its int, over
-    Q; a type scan at C speed skips the rows that hold no Fraction."""
-    if not field.char:
-        for row in rows:
-            if Fraction in map(type, row):
-                row[:] = map(_integral, row)
-    return rows
+def _normal(p, row):
+    """A {column: value} row under the value rules: zeros dropped, values
+    reduced into [0, p) over GF(p), and integral Fractions as ints over Q (a
+    type scan at C speed skips the rows that hold no Fraction)."""
+    if p:
+        return {c: y for c, x in row.items() if (y := x % p)}
+    if Fraction in map(type, row.values()):
+        return {c: _integral(x) for c, x in row.items() if x}
+    return row if all(row.values()) else {c: x for c, x in row.items() if x}
 
 
 def _sub_multiple(p, dst, q, src):
@@ -348,13 +352,8 @@ def _rref_rows(field, rows):
         pivot_rows[j] = row
         raised.append(i)
     pivots = sorted(pivot_rows)
-    reduced = [pivot_rows[c] for c in pivots]
-    if not p:
-        # integral rationals as ints, once at the end; a type scan at C
-        # speed skips the rows that hold no Fraction
-        for row in reduced:
-            if Fraction in map(type, row.values()):
-                row.update(zip(row, map(_integral, row.values())))
+    # over Q, integral rationals become ints once, at the end
+    reduced = [pivot_rows[c] if p else _normal(p, pivot_rows[c]) for c in pivots]
     return pivots, reduced, raised
 
 
@@ -386,7 +385,7 @@ class LinSolver:
     def __init__(self, a: Mat):
         self.field = a.field
         n = self.cols = a.cols
-        rows = [{**_sparse(row), n + i: 1} for i, row in enumerate(a.data)]
+        rows = [{**row, n + i: 1} for i, row in enumerate(a.sparse_rows)]
         pivots, reduced, _ = _rref_rows(a.field, rows)
         self.pivots = [c for c in pivots if c < n]
         self.columns = [[] for _ in range(a.rows)]
@@ -440,7 +439,7 @@ class Subspace:
         if not vectors:
             return cls(field, ambient, [])
         red, pivots = Mat(field, vectors, len(vectors), ambient).rref()
-        return cls(field, ambient, red.data[: len(pivots)])
+        return cls(field, ambient, red.tolist()[: len(pivots)])
 
     @classmethod
     def zero(cls, field, ambient) -> "Subspace":
@@ -448,7 +447,7 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient) -> "Subspace":
-        return cls(field, ambient, Mat.identity(field, ambient).data)
+        return cls(field, ambient, Mat.identity(field, ambient).tolist())
 
     @property
     def dim(self) -> int:
@@ -494,13 +493,8 @@ class Subspace:
         n = self.ambient
         rows = [{**u, **{n + c: x for c, x in u.items()}} for u in map(_sparse, self.basis)]
         pivots, reduced, _ = _rref_rows(self.field, rows + list(map(_sparse, other.basis)))
-        basis = []
-        for pc, row in zip(pivots, reduced):
-            if pc >= n:
-                basis.append([0] * n)
-                for c, x in row.items():
-                    basis[-1][c - n] = x
-        return Subspace(self.field, n, basis)
+        basis = [{c - n: x for c, x in row.items()} for pc, row in zip(pivots, reduced) if pc >= n]
+        return Subspace(self.field, n, Mat._of(self.field, basis, len(basis), n).tolist())
 
     def quotient_basis(self, sub: "Subspace"):
         """Vectors of self extending a basis of sub (coset representatives):

@@ -266,7 +266,6 @@ def ideals_IJ(
     sigma: StrictAuto,
     angle: NAngle,
     m,
-    check_hypotheses: bool = True,
 ) -> dict:
     """The ideals I and J of the graded endomorphism rings, with the
     identification against the proper annihilators computed in the orbit
@@ -303,7 +302,7 @@ def ideals_IJ(
     report["vanishing_M_to_FX"] = van_i
     hypotheses_ok = left_ok and right_ok and van_j and van_i
     report["hypotheses_ok"] = hypotheses_ok
-    if check_hypotheses and not hypotheses_ok:
+    if not hypotheses_ok:
         report["witness"] = left_wit or right_wit
         report["I"] = report["J"] = None
         report["I_equal"] = report["J_equal"] = None
@@ -370,7 +369,7 @@ def _degree_zero_part(ocat, x, sub: Subspace) -> Subspace:
     Hom coordinates: sub meets the coordinate subspace of the degree-0 block."""
     field = ocat.field
     lo, hi = ocat.degree_zero_block(x, x)
-    block = Subspace(field, sub.ambient, Mat.identity(field, sub.ambient).data[lo:hi])
+    block = Subspace(field, sub.ambient, Mat.identity(field, sub.ambient).tolist()[lo:hi])
     return Subspace(field, hi - lo, [v[lo:hi] for v in sub.intersect(block).basis])
 
 

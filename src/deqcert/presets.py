@@ -147,11 +147,11 @@ def a2_triangle(field=None):
     return SimpleNamespace(algebra=fx.algebra, cat=cat, triangle=tri, m=m, x=x)
 
 
-def worked_example_scenario(field=None, steps=2, rng=None):
+def worked_example_scenario(field=None):
     """The worked example: build X by iterated approximations against
     P = P1 + P3 and return the full split-sequence complex ending in Y."""
     fx = nakayama4(field)
-    q = nu_stable_sequence(fx.p, fx.y, steps=steps, rng=rng)
+    q = nu_stable_sequence(fx.p, fx.y, steps=2)
     return SimpleNamespace(
         algebra=fx.algebra, p=fx.p, y=fx.y, q=q, x=q.obj(0), projectives=fx.projectives
     )

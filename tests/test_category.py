@@ -95,7 +95,7 @@ def test_unsolvable_system_returns_none():
             rhs[k] = b
             vec = _stacked(equations, rhs)
             augmented = Mat.from_columns(
-                cat.field, eqs.matrix.transpose().data + [vec], eqs.matrix.rows
+                cat.field, eqs.matrix.transpose().tolist() + [vec], eqs.matrix.rows
             )
             sol = eqs.solve(rhs)
             if augmented.rank() > eqs.matrix.rank():

@@ -19,8 +19,9 @@ from deqcert.complexes import (
     self_orthogonality_check,
     stalk,
 )
+from deqcert.derivedeq import nu_stable_sequence
 from deqcert.errors import InputError
-from deqcert.presets import a2, a3, cyclic_nakayama, d_split_sequence
+from deqcert.presets import a2, a3, cyclic_nakayama, d_split_sequence, nakayama4
 
 
 def s1_resolution(fx):
@@ -292,6 +293,22 @@ def test_check_thm1_conditions_failing_entries_are_pinned():
         ("c3", -1, 1),
     ]
     assert (report["c1"], report["c2"], report["c3"], report["ok"]) == (False,) * 4
+
+
+def test_condition_c3_builds_only_the_differentials_around_its_degrees(monkeypatch):
+    # the default nu-pipeline sequence (n = 17): c1 and c2 read every degree
+    # of Hom(M, q) and Hom(q, M), 18 differentials each, and c3 reads one
+    # degree each of Hom(X, q) and Hom(q, Y), two differentials each
+    fx = nakayama4()
+    q = nu_stable_sequence(fx.p, fx.y, rng=random.Random(0))
+    built = []
+    diff_matrix = HomComplex._diff_matrix
+    monkeypatch.setattr(
+        HomComplex, "_diff_matrix", lambda hc, n: built.append(n) or diff_matrix(hc, n)
+    )
+    report = check_thm1_conditions(q, fx.p)
+    assert report["ok"] and report["n"] == 17
+    assert len(built) == 40
 
 
 def test_check_thm1_conditions_rejects_bad_degrees():

@@ -128,15 +128,16 @@ def _dense_embedded_hom_dim(qcat, mx, u, v):
     kernel = Mat.identity(field, n)  # columns: a basis of the solutions so far
     for a, b in zip(acts_v, acts_u):
         # row r * du + c of this element's block: (A_v·F - F·A_u)[r][c]
-        block = Mat.zeros(field, n, n)
+        a, b = a.tolist(), b.tolist()
+        rows = [[field.zero] * n for _ in range(n)]
         for r in range(dv):
             for c in range(du):
-                row = block.data[r * du + c]
+                row = rows[r * du + c]
                 for k in range(dv):
-                    row[k * du + c] = field.add(row[k * du + c], a.data[r][k])
+                    row[k * du + c] = field.add(row[k * du + c], a[r][k])
                 for l in range(du):
-                    row[r * du + l] = field.sub(row[r * du + l], b.data[l][c])
-        cut = (block * kernel).kernel_basis()
+                    row[r * du + l] = field.sub(row[r * du + l], b[l][c])
+        cut = (Mat(field, rows, n, n) * kernel).kernel_basis()
         kernel = kernel * Mat.from_columns(field, cut, kernel.cols)
     return kernel.cols
 
@@ -499,7 +500,7 @@ def test_in_add_decides_membership_exactly():
 def _q_entries(x):
     """Every scalar held by x, through Mats, subspaces, rings, morphisms and containers."""
     if isinstance(x, Mat):
-        yield from (v for row in x.data for v in row)
+        yield from (v for row in x.tolist() for v in row)
     elif isinstance(x, Subspace):
         yield from (v for vec in x.basis for v in vec)
     elif isinstance(x, RingPresentation):
@@ -614,8 +615,8 @@ def _certificate_pin(verdict, char):
     witness = cert.data["multiplicative_witness"]
     return {
         "flags": cert.flags,
-        "theta": [[str(c) for c in row] for row in cert.data["theta_mat"].data],
-        "phi": [[str(c) for c in row] for row in cert.data["phi_mat"].data],
+        "theta": [[str(c) for c in row] for row in cert.data["theta_mat"].tolist()],
+        "phi": [[str(c) for c in row] for row in cert.data["phi_mat"].tolist()],
         "rings": {
             "end_t": _ring_pin(end_t),
             "left": _ring_pin(cert.ring_left),

@@ -70,7 +70,7 @@ def test_rref_and_solve_return_integral_rationals_as_ints():
     # a pivot of 2 makes every later entry a Fraction during elimination
     red, pivots = Mat(QQ, [[2, 4], [1, 1]]).rref()
     assert pivots == [0, 1]
-    assert all(type(x) is int for row in red.data for x in row), red.data
+    assert all(type(x) is int for row in red.tolist() for x in row), red.tolist()
     x = LinSolver(Mat(QQ, [[2, 0], [0, 1]])).solve([2, 0])
     assert x == [1, 0] and all(type(v) is int for v in x), x
     half = LinSolver(Mat(QQ, [[2, 0], [0, 1]])).solve([1, 0])
@@ -79,15 +79,15 @@ def test_rref_and_solve_return_integral_rationals_as_ints():
 
 def test_products_return_integral_rationals_as_ints():
     prod = Mat(QQ, [[Fraction(1, 2)]]) * Mat(QQ, [[2]])
-    assert prod.data == [[1]] and type(prod.data[0][0]) is int, prod.data
+    assert prod.tolist() == [[1]] and type(prod.tolist()[0][0]) is int, prod.tolist()
     img = Mat(QQ, [[Fraction(1, 2)]]).apply([2])
     assert img == [1] and type(img[0]) is int, img
     mixed = Mat(QQ, [[Fraction(1, 3), 1], [1, 0]]) * Mat(QQ, [[3, 0], [0, Fraction(1, 2)]])
-    assert mixed.data == [[1, Fraction(1, 2)], [3, 0]]
-    assert [type(x) for row in mixed.data for x in row] == [int, Fraction, int, int]
+    assert mixed.tolist() == [[1, Fraction(1, 2)], [3, 0]]
+    assert [type(x) for row in mixed.tolist() for x in row] == [int, Fraction, int, int]
     half = Mat(QQ, [[Fraction(1, 2)]])
     for out in (half + half, Mat(QQ, [[Fraction(3, 2)]]) - half, half.scale(2)):
-        assert out.data == [[1]] and type(out.data[0][0]) is int, out.data
+        assert out.tolist() == [[1]] and type(out.tolist()[0][0]) is int, out.tolist()
 
 
 def test_prime_field_inverses_exhaustive():
@@ -105,10 +105,10 @@ def test_mat_arithmetic():
     assert (-a + a).is_zero()
     assert a.scale(2) == Mat(q, [[2, 4], [6, 8]])
     assert a.transpose() == Mat(q, [[1, 3], [2, 4]])
-    assert Mat.from_columns(q, a.transpose().data, 2) == a
+    assert Mat.from_columns(q, a.transpose().tolist(), 2) == a
     # a matrix with no rows keeps its columns both ways
     empty = Mat.from_columns(q, [[], [], []], 0)
-    assert empty.shape == (0, 3) and empty.transpose().data == [[], [], []]
+    assert empty.shape == (0, 3) and empty.transpose().tolist() == [[], [], []]
     assert a.apply([1, 0]) == [Fraction(1), Fraction(3)]
 
 
@@ -179,7 +179,7 @@ def test_lin_solver_returns_the_solution_zero_on_free_columns():
             assert all(t for col in solver.columns for _, t in col)
             for b in rhs:
                 x = solver.solve(b)
-                if Mat.from_columns(field, a.transpose().data + [b], rows).rank() > len(pivots):
+                if Mat.from_columns(field, a.transpose().tolist() + [b], rows).rank() > len(pivots):
                     assert x is None
                     continue
                 assert x is not None and a.apply(x) == b
@@ -278,7 +278,7 @@ def dense_rref(field, data, cols):
 
 def dense_solve(field, a, b):
     """Reference: the solution of a·x = b that is zero on free columns, or None."""
-    red, pivots = dense_rref(field, [row + [x] for row, x in zip(a.data, b)], a.cols + 1)
+    red, pivots = dense_rref(field, [row + [x] for row, x in zip(a.tolist(), b)], a.cols + 1)
     if pivots and pivots[-1] == a.cols:
         return None
     x = [field.zero] * a.cols
@@ -288,7 +288,7 @@ def dense_solve(field, a, b):
 
 
 def dense_kernel(field, a):
-    red, pivots = dense_rref(field, a.data, a.cols)
+    red, pivots = dense_rref(field, a.tolist(), a.cols)
     basis = []
     for fc in (c for c in range(a.cols) if c not in pivots):
         vec = [field.zero] * a.cols
@@ -323,7 +323,7 @@ def differential_cases(field, rng):
             cases.append(sparse_mat(field, rng, rng.randint(1, 12), rng.randint(1, 12), density))
     for n in (1, 4, 9):
         # full rank: unit upper triangular, rows permuted
-        upper = sparse_mat(field, rng, n, n, 0.5).data
+        upper = sparse_mat(field, rng, n, n, 0.5).tolist()
         data = [
             [field.one if i == j else x if j > i else field.zero for j, x in enumerate(row)]
             for i, row in enumerate(upper)
@@ -349,9 +349,9 @@ def test_sparse_elimination_matches_dense_gauss_jordan(p):
     rng = random.Random(1400 + p)
     seen = []
     for a in differential_cases(field, rng):
-        ref_rows, ref_pivots = dense_rref(field, a.data, a.cols)
+        ref_rows, ref_pivots = dense_rref(field, a.tolist(), a.cols)
         red, pivots = a.rref()
-        assert pivots == ref_pivots and red.data == ref_rows, a
+        assert pivots == ref_pivots and red.tolist() == ref_rows, a
         assert red.shape == a.shape and a.rank() == len(ref_pivots)
         ker = a.kernel_basis()
         assert ker == dense_kernel(field, a)
@@ -365,10 +365,76 @@ def test_sparse_elimination_matches_dense_gauss_jordan(p):
         solves = [solver.solve(b) for b in rhs]
         assert solves == [dense_solve(field, a, b) for b in rhs]
         assert solves[0] is not None
-        outputs = [x for row in red.data for x in row] + [x for v in ker for x in v]
+        outputs = [x for row in red.tolist() for x in row] + [x for v in ker for x in v]
         outputs += [x for v in solves if v is not None for x in v]
         assert all(is_exact(field, x) and not integral_fraction(x) for x in outputs)
         seen += [type(v) for v in solves] + [type(x) for x in outputs]
     # the cases reach inconsistent systems, and over Q real Fractions
     assert type(None) in seen and (Fraction in seen) == (p == 0)
 
+
+
+# -- the sparse-row matrix against plain list arithmetic --------------------
+
+
+def assert_matches(m, shape, ref):
+    """m has the shape and the entries of ref and stores them under the
+    value rules: it equals the matrix built from ref's dense rows, which
+    stores no zero and no GF(p) value outside [0, p), and over Q no entry is
+    an integral Fraction."""
+    assert m.shape == shape and m.tolist() == ref, (m, ref)
+    assert m == Mat(m.field, ref, *shape), m
+    assert not any(integral_fraction(x) for row in m.tolist() for x in row), m
+
+
+@pytest.mark.parametrize("p", [0, 2, 101])
+def test_sparse_mat_matches_a_dense_reference(p):
+    f = FieldSpec(p)
+    rng = random.Random(1800 + p)
+
+    def dot(xs, ys):
+        out = f.zero
+        for x, y in zip(xs, ys):
+            out = f.add(out, f.mul(x, y))
+        return out
+
+    cancelled = 0
+    for density in (0, 0.1, 0.25, 0.5, 0.75, 1):
+        shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0)] + [
+            tuple(rng.randint(1, 5) for _ in range(3)) for _ in range(6)
+        ]
+        for r, k, c in shapes:
+            a, b = sparse_mat(f, rng, r, k, density), sparse_mat(f, rng, k, c, density)
+            da, db = a.tolist(), b.tolist()
+            cols_a = [[row[j] for row in da] for j in range(k)]
+            ab = [[dot(row, [brow[j] for brow in db]) for j in range(c)] for row in da]
+            assert_matches(a * b, (r, c), ab)
+            # the same product with every term cancelled: [a | a]·[b; -b]
+            twice = Mat(f, [row + row for row in da], r, 2 * k)
+            negated = Mat(f, db + [[f.neg(y) for y in row] for row in db], 2 * k, c)
+            assert_matches(twice * negated, (r, c), [[f.zero] * c for _ in range(r)])
+            cancelled += any(map(any, ab))
+            # a sum that cancels about half of a's entries
+            do = [[f.neg(x) if rng.random() < 0.5 else f.random(rng) for x in row] for row in da]
+            other = Mat(f, do, r, k)
+            assert_matches(a + other, (r, k), [list(map(f.add, x, y)) for x, y in zip(da, do)])
+            assert_matches(a - other, (r, k), [list(map(f.sub, x, y)) for x, y in zip(da, do)])
+            assert_matches(a - a, (r, k), [[f.zero] * k for _ in range(r)])
+            assert_matches(-a, (r, k), [list(map(f.neg, row)) for row in da])
+            for s in (0, 1, -1, 2, "1/2" if not p else 3):
+                scaled = [[f.mul(f.coerce(s), x) for x in row] for row in da]
+                assert_matches(a.scale(s), (r, k), scaled)
+            vec = [sparse_entry(f, rng, density) for _ in range(k)]
+            image = a.apply(vec)
+            assert image == [dot(row, vec) for row in da]
+            assert not any(map(integral_fraction, image))
+            assert_matches(a.transpose(), (k, r), cols_a)
+            assert_matches(Mat.from_columns(f, cols_a, r), (r, k), da)
+            red, pivots = a.rref()
+            ref_rows, ref_pivots = dense_rref(f, da, k)
+            assert_matches(red, (r, k), ref_rows)
+            assert pivots == ref_pivots
+    assert cancelled  # some product was nonzero before it cancelled
+    for n in (0, 1, 4):
+        unit = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
+        assert_matches(Mat.identity(f, n), (n, n), unit)

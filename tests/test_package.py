@@ -146,3 +146,53 @@ def test_every_exported_name_is_read_elsewhere(path):
     read = set().union(*(_names_read(p) for p in READERS if p != path))
     unread = [name for name in exported if name not in read]
     assert unread == [], f"{path.name} exports names no other file reads: {unread}"
+
+
+def _defaulted_params(fn, is_method):
+    """(name, position) of each defaulted parameter of fn, the position
+    counted as a caller passes it (no self or cls), None for keyword-only."""
+    args = fn.args.posonlyargs + fn.args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+    first = len(args) - len(fn.args.defaults)
+    skip = 1 if is_method and not static else 0
+    params = [(args[i].arg, i - skip) for i in range(first, len(args))]
+    params += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d]
+    return params
+
+
+@functools.cache
+def _calls(path):
+    """(callee, positional count, keyword names, *args, **kwargs) of every
+    call in a file; the callee is the bare or attribute name."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            out.append((name, len(node.args), keywords, starred, None in keywords))
+    return out
+
+
+def test_every_default_is_set_by_some_caller():
+    # a defaulted parameter that no caller sets has one value in use, so it
+    # is a constant: some call to the function (to its class or to
+    # super().__init__, for __init__) must pass it, by keyword or position
+    calls = [c for p in READERS for c in _calls(p)]
+    unset = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        defs = [(None, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            defs += [(cls.name, n) for n in cls.body if isinstance(n, ast.FunctionDef)]
+        for owner, fn in defs:
+            names = {owner, "__init__"} if fn.name == "__init__" else {fn.name}
+            for param, pos in _defaulted_params(fn, owner is not None):
+                if not any(
+                    name in names
+                    and (param in kw or double or (pos is not None and (n_pos > pos or star)))
+                    for name, n_pos, kw, star, double in calls
+                ):
+                    unset.append(f"{path.stem}.{owner + '.' if owner else ''}{fn.name}({param})")
+    assert unset == [], f"defaulted parameters that no caller sets: {unset}"
