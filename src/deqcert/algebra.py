@@ -12,7 +12,7 @@ from itertools import product
 
 from .category import DirectSumData, FiniteCategory, HomSpace, Mor, fresh_key
 from .errors import InputError, NonFiniteDimensionalError
-from .exactla import FieldSpec, LinSolver, Mat, Subspace, _sparse, kernel, sparse_kernel
+from .exactla import FieldSpec, LinSolver, Mat, Subspace, _integral, kernel, sparse_kernel
 
 __all__ = [
     "Quiver",
@@ -316,9 +316,9 @@ class ModuleRep:
         return f"ModuleRep({tag})"
 
 
-def intertwiner_kernel(field, slots, src_dims, tgt_dims, arrows):
-    """Basis of the slot maps F_s: src slot s -> tgt slot s that intertwine
-    every arrow, as flat vectors.
+def intertwiner_system(field, slots, src_dims, tgt_dims, arrows) -> Mat:
+    """The system whose null space is the slot maps F_s: src slot s -> tgt
+    slot s that intertwine every arrow.
 
     An arrow (s, t, a, b) acts from slot s to slot t by a on the target and
     by b on the source, and F must satisfy a·F_s - F_t·b = 0.  The unknowns
@@ -329,8 +329,6 @@ def intertwiner_kernel(field, slots, src_dims, tgt_dims, arrows):
     for s in slots:
         offsets[s] = total
         total += tgt_dims[s] * src_dims[s]
-    if total == 0:
-        return []
     rows = []
     for s_src, s_tgt, a_mat, b_mat in arrows:
         a_off, n_src = offsets[s_src], src_dims[s_src]
@@ -341,13 +339,20 @@ def intertwiner_kernel(field, slots, src_dims, tgt_dims, arrows):
                 row = {a_off + k * n_src + c: x for k, x in a_row.items()}
                 for l, x in b_col.items():
                     idx = b_off + r * n_tgt + l
-                    y = field.sub(row.get(idx, 0), x)
+                    y = _integral(field.sub(row.get(idx, 0), x))
                     if y:
                         row[idx] = y
                     else:
                         del row[idx]
                 rows.append(row)
-    return sparse_kernel(field, rows, total)
+    return Mat._of(field, rows, len(rows), total)
+
+
+def intertwiner_kernel(field, slots, src_dims, tgt_dims, arrows):
+    """Basis of the intertwining slot maps as {flat index: nonzero} dicts,
+    one per free column of the intertwiner system."""
+    system = intertwiner_system(field, slots, src_dims, tgt_dims, arrows)
+    return sparse_kernel(field, system.sparse_rows, system.cols)
 
 
 class ModuleCategory(FiniteCategory):
@@ -382,18 +387,17 @@ class ModuleCategory(FiniteCategory):
             for name, s, t in self.algebra.presentation.quiver.arrows
         ]
         vecs = intertwiner_kernel(self.field, x.slots, x.dims, y.dims, arrows)
-        total = sum(y.dims[s] * x.dims[s] for s in x.slots)
-        return HomSpace(self, x, y, [self._unflatten(x, y, vec) for vec in vecs], total)
-
-    def _unflatten(self, x, y, vec):
-        blocks, pos = {}, 0
-        for s in x.slots:
-            r, c = y.dims[s], x.dims[s]
-            rows = [_sparse(vec[pos + i * c : pos + i * c + c]) for i in range(r)]
-            if any(rows):
-                blocks[s] = Mat._of(self.field, rows, r, c)
-            pos += r * c
-        return blocks
+        cells = [(s, i, j) for s in x.slots for i in range(y.dims[s]) for j in range(x.dims[s])]
+        payloads = []
+        for vec in vecs:
+            rows = {s: [{} for _ in range(y.dims[s])] for s in x.slots}
+            for k, v in vec.items():
+                s, i, j = cells[k]
+                rows[s][i][j] = v
+            blocks = {s: Mat._of(self.field, r, y.dims[s], x.dims[s]) for s, r in rows.items()}
+            payloads.append({s: m for s, m in blocks.items() if not m.is_zero()})
+        chart = Mat._of(self.field, vecs, len(vecs), len(cells)).transpose()
+        return HomSpace(self, x, y, payloads, chart)
 
     def _p_flatten(self, x, y, fp):
         out, pos = [0] * sum(y.dims[s] * x.dims[s] for s in x.slots), 0

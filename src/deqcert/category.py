@@ -100,20 +100,19 @@ class Mor:
 class HomSpace:
     """A Hom space with basis, exact coordinates and a flat ambient chart.
 
-    ``extra_flats`` are flattened generators to be quotiented away when
-    taking coordinates (ideal elements, null-homotopic maps); coordinates
-    of a payload are those of its class in the span of basis + extra.
+    ``chart`` holds, as columns in the flat chart of ``cat._p_flatten``,
+    the basis and then any generators to be quotiented away when taking
+    coordinates (ideal elements, null-homotopic maps); coordinates of a
+    payload are those of its class in the span of basis + generators.
     """
 
-    def __init__(self, cat, src, tgt, basis_payloads, flat_dim, extra_flats=()):
+    def __init__(self, cat, src, tgt, basis_payloads, chart: Mat):
         self.cat = cat
         self.src = src
         self.tgt = tgt
-        self.flat_dim = flat_dim
         self.basis = [Mor(cat, src, tgt, p) for p in basis_payloads]
         self.dim = len(self.basis)
-        flats = [cat._p_flatten(src, tgt, p) for p in basis_payloads]
-        self._solver = LinSolver(Mat.from_columns(cat.field, flats + list(extra_flats), flat_dim))
+        self._solver = LinSolver(chart)
 
     def coords(self, payload):
         if not payload:  # the zero payload of every category is {}
@@ -293,9 +292,8 @@ class QuotientCategory(FiniteCategory):
         self._ideals[(x.key, y.key)] = ideal
         reps = full.quotient_basis(ideal)
         payloads = [base_hom.from_coords(v).payload for v in reps]
-        return HomSpace(
-            self, x, y, payloads, base_hom.dim, extra_flats=[list(v) for v in ideal.basis]
-        )
+        chart = Mat.from_columns(self.field, reps + list(ideal.basis), base_hom.dim)
+        return HomSpace(self, x, y, payloads, chart)
 
     def _direct_sum(self, objs):
         data = self.base.direct_sum(objs)

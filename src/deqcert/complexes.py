@@ -237,7 +237,8 @@ class ChainMapCategory(FiniteCategory):
 
     def _cycle_classes(self, x, y, hc, reps, extra) -> HomSpace:
         payloads = [hc.maps_from_vec(0, list(v)) for v in reps]
-        return HomSpace(self, x, y, payloads, hc.dim(0), extra_flats=[list(v) for v in extra])
+        chart = Mat.from_columns(self.field, [*reps, *extra], hc.dim(0))
+        return HomSpace(self, x, y, payloads, chart)
 
     def _p_flatten(self, x, y, fp):
         return self.hom_complex(x, y).vec_from_maps(0, fp)

@@ -12,7 +12,7 @@ from .algebra import (
     ModuleRep,
     find_isomorphism,
     image_module,
-    intertwiner_kernel,
+    intertwiner_system,
     kernel_module,
     nakayama_projective,
     projective,
@@ -319,8 +319,9 @@ def _embedded_hom_dims(qcat, summands, terms):
 
     def hom_dim(src, tgt):
         (src_dims, src_acts), (tgt_dims, tgt_acts) = src, tgt
-        system = [(l, k, a_v, a_u) for (l, k, _), a_v, a_u in zip(arrows, tgt_acts, src_acts)]
-        return len(intertwiner_kernel(field, slots, src_dims, tgt_dims, system))
+        pairs = [(l, k, a_v, a_u) for (l, k, _), a_v, a_u in zip(arrows, tgt_acts, src_acts)]
+        system = intertwiner_system(field, slots, src_dims, tgt_dims, pairs)
+        return system.cols - system.rank()
 
     return [[hom_dim(src, tgt) for tgt in mods] for src in mods]
 

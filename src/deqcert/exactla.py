@@ -284,8 +284,9 @@ class Mat:
         return len(_rref_rows(self.field, list(map(dict, self.sparse_rows)))[0])
 
     def kernel_basis(self):
-        """Basis of the right null space, one vector per free column."""
-        return sparse_kernel(self.field, list(map(dict, self.sparse_rows)), self.cols)
+        """Basis of the right null space as dense vectors, one per free column."""
+        vecs = sparse_kernel(self.field, list(map(dict, self.sparse_rows)), self.cols)
+        return Mat._of(self.field, vecs, len(vecs), self.cols).tolist()
 
 
 def _sparse(vec):
@@ -358,12 +359,12 @@ def _rref_rows(field, rows):
 
 
 def sparse_kernel(field, rows, cols):
-    """Basis of {v in F^cols : row·v = 0 for every row}, one vector per free
-    column in ascending order; `rows` are {column: nonzero} dicts (consumed)."""
+    """Basis of {v in F^cols : row·v = 0 for every row} as {column: nonzero}
+    dicts, one per free column in ascending order, each 1 there and 0 at the
+    other free columns; `rows` are {column: nonzero} dicts (consumed)."""
     p = field.char
     pivots, reduced, _ = _rref_rows(field, rows)
-    free = sorted(set(range(cols)) - set(pivots))
-    basis = {fc: [0] * fc + [1] + [0] * (cols - fc - 1) for fc in free}
+    basis = {fc: {fc: 1} for fc in sorted(set(range(cols)) - set(pivots))}
     for pc, row in zip(pivots, reduced):
         for c, x in row.items():
             if c != pc:
@@ -372,23 +373,41 @@ def sparse_kernel(field, rows, cols):
 
 
 class LinSolver:
-    """Repeated exact solves of A·x = b with A fixed.
+    """Repeated exact solves of A·x = b with A fixed, through a transform T
+    kept by column as nonzero (row, value) pairs, so a solve reads only the
+    columns where b is nonzero.  Row r < rank of T·b is the r-th pivot
+    coordinate of x, and the rows past the rank must vanish.
 
-    Precomputes the sparse RREF of [A | I] = T·[A | I], row i of A entering
-    as its nonzeros plus the entry n + i, and reads each column of T off the
-    reduced rows as its nonzero (row, value) pairs: the build costs the
-    nonzeros the elimination meets, and a solve reads only the columns where
-    b is nonzero.  Row r < rank of T·b is the r-th pivot coordinate of x,
-    and the rows past the rank must vanish for a solution to exist.
+    When A has a unit row e_j for every column j, as it does when its
+    columns are a kernel or echelon basis, T is written off A's rows: x_j is
+    b at the first such row, and each other row i checks b_i = A_i·x.
+    Otherwise T comes from the sparse RREF of [A | I] = T·[A | I], row i of
+    A entering as its nonzeros plus the entry n + i.  Either way the build
+    costs the nonzeros it meets.
     """
 
     def __init__(self, a: Mat):
         self.field = a.field
         n = self.cols = a.cols
+        self.columns = [[] for _ in range(a.rows)]
+        unit = {}  # column j -> the first row of A that is e_j
+        for i, row in enumerate(a.sparse_rows):
+            if len(row) == 1 and 1 in row.values():
+                unit.setdefault(min(row), i)
+        if len(unit) == n:
+            p, chosen = a.field.char, set(unit.values())
+            self.pivots = list(range(n))
+            for j, i in unit.items():
+                self.columns[i].append((j, 1))
+            checks = (i for i in range(a.rows) if i not in chosen)
+            for r, i in enumerate(checks, n):
+                self.columns[i].append((r, 1))
+                for j, x in a.sparse_rows[i].items():
+                    self.columns[unit[j]].append((r, p - x if p else -x))
+            return
         rows = [{**row, n + i: 1} for i, row in enumerate(a.sparse_rows)]
         pivots, reduced, _ = _rref_rows(a.field, rows)
         self.pivots = [c for c in pivots if c < n]
-        self.columns = [[] for _ in range(a.rows)]
         for r, row in enumerate(reduced):
             for c, t in row.items():
                 if c >= n:

@@ -169,13 +169,8 @@ class OrbitCategory(FiniteCategory):
         return [(u, self.base.hom(x, self.functor.obj(y, u))) for u in self.phi]
 
     def _hom_space(self, x, y) -> HomSpace:
-        payloads = []
-        flat_dim = 0
-        for u, space in self._graded_spaces(x, y):
-            for b in space.basis:
-                payloads.append({u: b})
-            flat_dim += space.dim
-        return HomSpace(self, x, y, payloads, flat_dim)
+        payloads = [{u: b} for u, space in self._graded_spaces(x, y) for b in space.basis]
+        return HomSpace(self, x, y, payloads, Mat.identity(self.field, len(payloads)))
 
     def _p_flatten(self, x, y, fp):
         out = []

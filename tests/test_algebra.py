@@ -7,6 +7,7 @@ import pytest
 
 from deqcert.algebra import (
     Algebra,
+    ModuleCategory,
     ModuleRep,
     Quiver,
     find_isomorphism,
@@ -26,6 +27,7 @@ from deqcert.algebra import (
     submodule,
     top,
 )
+from deqcert.complexes import ChainMapCategory, Complex
 from deqcert.errors import InputError, InternalConsistencyError, NonFiniteDimensionalError
 from deqcert.exactla import FieldSpec, Mat
 from deqcert.presets import a2, a3, cyclic_nakayama, kxx
@@ -219,6 +221,33 @@ def test_coords_rejects_blocks_that_do_not_intertwine_an_arrow():
     assert end.coords({"1": Mat(field, [[1]]), "2": Mat(field, [[1]])}) == (1,)
     with pytest.raises(InternalConsistencyError):
         end.coords({"1": Mat(field, [[1]]), "2": Mat(field, [[0]])})
+
+
+def test_chain_map_coords_reject_a_degreewise_map_that_is_not_a_chain_map():
+    # identity on P2 and zero on P1 break the square of d: P2 -> P1
+    fx = a2()
+    cat = fx.algebra.modcat
+    p1, p2 = fx.projectives["1"], fx.projectives["2"]
+    x = Complex(cat, -1, [p2, p1], [cat.hom(p2, p1).basis[0]])
+    end = ChainMapCategory(cat).hom(x, x)
+    assert end.coords({-1: cat.identity(p2), 0: cat.identity(p1)}) == (1,)
+    with pytest.raises(InternalConsistencyError):
+        end.coords({-1: cat.identity(p2)})
+
+
+def test_building_a_module_hom_space_eliminates_once(monkeypatch):
+    # the intertwiner RREF gives both the basis and the chart's solver
+    from deqcert import exactla
+
+    fx = cyclic_nakayama(2, 3)
+    cat = ModuleCategory(fx.algebra)
+    calls, rref_rows = [], exactla._rref_rows
+    monkeypatch.setattr(exactla, "_rref_rows", lambda *args: calls.append(1) or rref_rows(*args))
+    space = cat.hom(fx.projectives["1"], fx.projectives["1"])
+    assert len(calls) == 1 and space.dim == 2
+    for k, b in enumerate(space.basis):
+        assert space.coords(b.payload) == tuple(int(i == k) for i in range(space.dim))
+    assert len(calls) == 1
 
 
 def test_sub_quotient_radical_socle_top():

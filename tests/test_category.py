@@ -2,10 +2,12 @@
 
 import random
 
-from deqcert.catideal import random_mor
-from deqcert.category import MorphismEquations
+from deqcert.catideal import SubcatSpec, ideal_space, random_mor
+from deqcert.category import MorphismEquations, QuotientCategory
+from deqcert.complexes import ChainMapCategory, Complex, HomotopyCategory
 from deqcert.exactla import FieldSpec, LinSolver, Mat
-from deqcert.presets import cyclic_nakayama
+from deqcert.orbit import AdmissibleSet, OrbitCategory, ShiftAuto
+from deqcert.presets import a2_triangle, cyclic_nakayama
 
 
 def _projectives(char=0):
@@ -122,3 +124,21 @@ def test_empty_unknowns_and_empty_equations():
     assert free.matrix.shape == (0, space.dim + target.dim)
     sol = free.solve([])
     assert len(sol) == 2 and all(h.is_zero() for h in sol)
+
+
+def test_every_hom_space_chart_holds_its_basis():
+    # each category hands HomSpace the flat vectors of its basis as the
+    # chart, so the k-th basis element has the k-th unit vector as coordinates
+    cat, p1, p2 = _projectives()
+    a = cat.hom(p1, p2).basis[0]
+    x = Complex(cat, 0, [p1, p2], [a])
+    quotient = QuotientCategory(cat, lambda u, v: ideal_space(cat, SubcatSpec(cat, [p2]), u, v, "F"))
+    tri = a2_triangle()
+    orbit = OrbitCategory(tri.cat, ShiftAuto(tri.cat), AdmissibleSet([0, 1]))
+    spaces = [cat.hom(p1, p1), cat.hom(p2, p1), quotient.hom(p1, p1)]
+    spaces += [ChainMapCategory(cat).hom(x, x), HomotopyCategory(cat).hom(x, x)]
+    spaces += [orbit.hom(tri.m, tri.m), orbit.hom(tri.x, tri.m), tri.cat.hom(tri.m, tri.m)]
+    assert all(space.dim for space in spaces)
+    for space in spaces:
+        for k, b in enumerate(space.basis):
+            assert space.coords(b.payload) == tuple(int(i == k) for i in range(space.dim))

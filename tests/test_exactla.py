@@ -374,6 +374,59 @@ def test_sparse_elimination_matches_dense_gauss_jordan(p):
 
 
 
+def unit_row_cases(field, rng):
+    """Seeded (matrix, has a unit row for every column) pairs: the unit rows
+    e_j, some of them twice, shuffled among random sparse rows; and the same
+    rows with every copy of one e_j taken out."""
+    cases = []
+    for _ in range(40):
+        cols = rng.randint(0, 7)
+        units = [[field.one if c == j else field.zero for c in range(cols)] for j in range(cols)]
+        data = units + [e for e in units if rng.random() < 0.3]
+        data += sparse_mat(field, rng, rng.randint(0, 6), cols, rng.choice([0.2, 0.5, 0.9])).tolist()
+        rng.shuffle(data)
+        cases.append((Mat(field, data, len(data), cols), True))
+        if cols:
+            gone = units[rng.randrange(cols)]
+            lacking = [row for row in data if row != gone]
+            cases.append((Mat(field, lacking, len(lacking), cols), False))
+    return cases
+
+
+@pytest.mark.parametrize("p", [0, 2, 101])
+def test_unit_row_solver_matches_the_elimination_path(p, monkeypatch):
+    # with a unit row for every column the transform is written off the
+    # rows, with no elimination; a zero column appended takes the
+    # elimination path, whose solution is the same with a 0 at the end
+    from deqcert import exactla
+
+    field = FieldSpec(p)
+    rng = random.Random(1900 + p)
+    calls, rref_rows = [], exactla._rref_rows
+    monkeypatch.setattr(exactla, "_rref_rows", lambda *args: calls.append(1) or rref_rows(*args))
+    doubled = outside = 0
+    for a, has_units in unit_row_cases(field, rng):
+        calls.clear()
+        solver = LinSolver(a)
+        assert len(calls) == (0 if has_units else 1)
+        padded = LinSolver(Mat(field, [row + [0] for row in a.tolist()], a.rows, a.cols + 1))
+        rhs = [
+            a.apply([sparse_entry(field, rng, 0.7) for _ in range(a.cols)]),
+            [sparse_entry(field, rng, 0.5) for _ in range(a.rows)],
+            [field.zero] * a.rows,
+        ] + [[field.one if k == i else field.zero for k in range(a.rows)] for i in range(a.rows)]
+        for b in rhs:
+            x, ref = solver.solve(b), padded.solve(b)
+            assert x == (None if ref is None else ref[:-1]) == dense_solve(field, a, b)
+            assert x is None or all(is_exact(field, v) and not integral_fraction(v) for v in x)
+            outside += x is None
+        assert solver.pivots == a.rref()[1]
+        units = [tuple(row) for row in a.tolist() if sorted(row) == [0] * (a.cols - 1) + [1]]
+        doubled += has_units and len(units) > len(set(units))
+    # some right-hand sides lie outside the span, and some columns hold two unit rows
+    assert outside and doubled
+
+
 # -- the sparse-row matrix against plain list arithmetic --------------------
 
 
