@@ -12,7 +12,7 @@ from itertools import product
 
 from .category import DirectSumData, FiniteCategory, HomSpace, Mor, fresh_key
 from .errors import InputError, NonFiniteDimensionalError
-from .exactla import FieldSpec, LinSolver, Mat, Subspace, _integral, kernel, sparse_kernel
+from .exactla import FieldSpec, LinSolver, Mat, Subspace, _integral, _normal, kernel, sparse_kernel
 
 __all__ = [
     "Quiver",
@@ -418,6 +418,44 @@ class ModuleCategory(FiniteCategory):
                 if not h.is_zero():
                     out[s] = h
         return out
+
+    def _p_compose_table(self, x, y, z, fps, gps):
+        # The blocks of gps are indexed once by their middle coordinate:
+        # (slot s, column k) -> the entries (j, row r, value) of gps[j] at s.
+        # Row k of a block of fps[i] then meets only the entries it
+        # multiplies, so a pair whose composite vanishes costs nothing.
+        p = self.field.char
+        index = {}
+        for j, gp in enumerate(gps):
+            for s, g in gp.items():
+                for r, row in enumerate(g.sparse_rows):
+                    for k, b in row.items():
+                        index.setdefault((s, k), []).append((j, r, b))
+        table = []
+        for fp in fps:
+            acc = {}  # (j, s, r) -> row r of the block of fp-then-gps[j] at s
+            for s, f in fp.items():
+                for k, row in enumerate(f.sparse_rows):
+                    if not row:
+                        continue
+                    for j, r, b in index.get((s, k), ()):
+                        out = acc.get((j, s, r))
+                        if out is None:
+                            acc[(j, s, r)] = {c: b * a for c, a in row.items()}
+                        else:
+                            for c, a in row.items():
+                                out[c] = out[c] + b * a if c in out else b * a
+            payloads = [{} for _ in gps]
+            for (j, s, r), out in acc.items():
+                out = _normal(p, out)
+                if out:
+                    block = payloads[j].get(s)
+                    if block is None:
+                        g = gps[j][s]
+                        block = payloads[j][s] = Mat.zeros(self.field, g.rows, fp[s].cols)
+                    block.sparse_rows[r] = out
+            table.append(payloads)
+        return table
 
     def _p_identity(self, x):
         return {s: Mat.identity(self.field, x.dims[s]) for s in x.slots if x.dims[s]}

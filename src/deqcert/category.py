@@ -71,6 +71,8 @@ class Mor:
         return self.scale(self.cat.field.neg(self.cat.field.one))
 
     def scale(self, c):
+        if c == self.cat.field.one:  # payloads are never changed in place
+            return self
         payload = {k: m.scale(c) for k, m in self.payload.items()}
         return Mor(self.cat, self.src, self.tgt, payload)
 
@@ -223,6 +225,22 @@ class FiniteCategory:
     def zero_mor(self, x, y) -> Mor:
         return Mor(self, x, y, {})
 
+    def composite_coords(self, fs, gs):
+        """table[i][j] = the coordinates of fs[i].then(gs[j]), the fs maps
+        x -> y and the gs maps y -> z, from one ``_p_compose_table`` call; a
+        composite that vanishes is answered with zeros and no solve."""
+        if not fs or not gs:
+            return [[] for _ in fs]
+        x, y, z = fs[0].src, fs[0].tgt, gs[0].tgt
+        if any(f.cat is not self or f.src.key != x.key or f.tgt.key != y.key for f in fs) or any(
+            g.cat is not self or g.src.key != y.key or g.tgt.key != z.key for g in gs
+        ):
+            raise InputError("composite table operands do not share their endpoints")
+        space = self.hom(x, z)
+        zero = (self.field.zero,) * space.dim
+        table = self._p_compose_table(x, y, z, [f.payload for f in fs], [g.payload for g in gs])
+        return [[space.coords(p) if p else zero for p in row] for row in table]
+
     def direct_sum(self, objs) -> DirectSumData:
         objs = list(objs)
         key = tuple(o.key for o in objs)
@@ -256,6 +274,12 @@ class FiniteCategory:
     def _p_compose(self, x, y, z, fp, gp):
         """The payload of fp-then-gp, naming only the parts that are nonzero."""
         raise NotImplementedError
+
+    def _p_compose_table(self, x, y, z, fps, gps):
+        """table[i][j] = the payload of fps[i]-then-gps[j], by the rules of
+        ``_p_compose``; a category whose composites can share work across
+        the pairs overrides this."""
+        return [[self._p_compose(x, y, z, fp, gp) for gp in gps] for fp in fps]
 
     def _p_identity(self, x):
         raise NotImplementedError
@@ -306,6 +330,9 @@ class QuotientCategory(FiniteCategory):
 
     def _p_compose(self, x, y, z, fp, gp):
         return self.base._p_compose(x, y, z, fp, gp)
+
+    def _p_compose_table(self, x, y, z, fps, gps):
+        return self.base._p_compose_table(x, y, z, fps, gps)
 
     def _p_identity(self, x):
         return self.base._p_identity(x)

@@ -85,12 +85,11 @@ def _span_of_mors(cat, x, y, mors) -> Subspace:
 
 def factorization_through(cat, spec: SubcatSpec, x, y) -> Subspace:
     """Span of morphisms x -> y factoring through the subcategory."""
-    mors = []
+    vecs = []
     for g in spec.generators:
-        for u in cat.hom(x, g).basis:
-            for v in cat.hom(g, y).basis:
-                mors.append(u.then(v))
-    return _span_of_mors(cat, x, y, mors)
+        for row in cat.composite_coords(cat.hom(x, g).basis, cat.hom(g, y).basis):
+            vecs.extend(row)
+    return Subspace.from_vectors(cat.field, cat.hom(x, y).dim, vecs)
 
 
 def ideal_space(cat, spec: SubcatSpec, x, y, kind: str) -> Subspace:
@@ -119,13 +118,13 @@ def ideal_space(cat, spec: SubcatSpec, x, y, kind: str) -> Subspace:
         return Subspace.zero(cat.field, 0)
     cols = [[] for _ in space.basis]  # column j: the images of basis map j under every probe
     for g in spec.generators:
-        if kind == "R":
-            probes = cat.hom(g, x).basis  # h: g -> x;  f dies iff h.then(f)=0
-        else:
-            probes = cat.hom(y, g).basis  # h: y -> g;  f dies iff f.then(h)=0
-        for h in probes:
-            for col, f in zip(cols, space.basis):
-                col.extend((h.then(f) if kind == "R" else f.then(h)).coords())
+        if kind == "R":  # h: g -> x;  f dies iff h.then(f)=0
+            images = zip(*cat.composite_coords(cat.hom(g, x).basis, space.basis))
+        else:  # h: y -> g;  f dies iff f.then(h)=0
+            images = cat.composite_coords(space.basis, cat.hom(y, g).basis)
+        for col, per_probe in zip(cols, images):
+            for vec in per_probe:
+                col.extend(vec)
     return _kernel_space(cat, cols)
 
 
@@ -307,13 +306,9 @@ class RingPresentation:
 def end_ring(cat, obj) -> RingPresentation:
     """End(obj) in the given category (which may already be a quotient)."""
     space = cat.hom(obj, obj)
-    n = space.dim
-    table = [
-        [list(space.coords(space.basis[i].then(space.basis[j]).payload)) for j in range(n)]
-        for i in range(n)
-    ]
+    table = [list(map(list, row)) for row in cat.composite_coords(space.basis, space.basis)]
     unit = list(space.coords(cat.identity(obj).payload))
-    return RingPresentation(cat.field, [f"e{i}" for i in range(n)], table, unit)
+    return RingPresentation(cat.field, [f"e{i}" for i in range(space.dim)], table, unit)
 
 
 def quotient_ring(cat, obj, ideal: Subspace) -> RingPresentation:
@@ -321,13 +316,8 @@ def quotient_ring(cat, obj, ideal: Subspace) -> RingPresentation:
     space = cat.hom(obj, obj)
     if ideal.ambient != space.dim:
         raise InputError("ideal lives in the wrong endomorphism ring")
-    for v in ideal.basis:
-        u = space.from_coords(v)
-        for e in space.basis:
-            left = list(space.coords(e.then(u).payload))
-            right = list(space.coords(u.then(e).payload))
-            if not (ideal.contains(left) and ideal.contains(right)):
-                raise InternalConsistencyError(
-                    "subspace is not a two-sided ideal of the endomorphism ring"
-                )
+    us = [space.from_coords(v) for v in ideal.basis]
+    products = cat.composite_coords(space.basis, us) + cat.composite_coords(us, space.basis)
+    if not all(ideal.contains(vec) for row in products for vec in row):
+        raise InternalConsistencyError("subspace is not a two-sided ideal of the endomorphism ring")
     return end_ring(QuotientCategory(cat, lambda a, b: ideal), obj)

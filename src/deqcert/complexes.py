@@ -15,7 +15,9 @@ moves x^{i+1} into degree i and negates the differentials.
 
 from __future__ import annotations
 
-from .category import FiniteCategory, HomSpace, QuotientCategory, fresh_key
+from itertools import compress, count
+
+from .category import FiniteCategory, HomSpace, Mor, QuotientCategory, fresh_key
 from .catideal import SubcatSpec, ideal_space
 from .errors import InputError
 from .exactla import Mat, Subspace
@@ -154,31 +156,31 @@ class HomComplex:
             out.extend(h.coords(f.payload) if f is not None else [self.cat.field.zero] * h.dim)
         return out
 
-    def apply_diff(self, n, maps) -> dict:
-        """(df)^m = f^m.d_y - (-1)^n d_x.f^{m+1} from degree n to n+1, on
-        the blocks that maps reaches (absent blocks are zero)."""
-        field = self.cat.field
-        sign = field.neg(field.one) if n % 2 == 0 else field.one
-        out = {}
-        for m, _ in self.blocks.get(n + 1, []):
-            f_m, dy = maps.get(m), self.y.diff(m + n)
-            f_next, dx = maps.get(m + 1), self.x.diff(m)
-            terms = []
-            if f_m is not None and dy is not None:
-                terms.append(f_m.then(dy))
-            if f_next is not None and dx is not None:
-                terms.append(dx.then(f_next).scale(sign))
-            if terms:
-                out[m] = sum(terms[1:], terms[0])
-        return out
-
     def _diff_matrix(self, n) -> Mat:
-        cols = [
-            self.vec_from_maps(n + 1, self.apply_diff(n, {m: b}))
-            for m, h in self.blocks[n]
-            for b in h.basis
-        ]
-        return Mat.from_columns(self.cat.field, cols, self.dim(n + 1))
+        """(df)^m = f^m.d_y - (-1)^n d_x.f^{m+1}: a basis map f of block m
+        goes to f.d_y in block m and to -(-1)^n d_x.f in block m - 1 of
+        degree n + 1, each block read off one composite table."""
+        field, cat = self.cat.field, self.cat
+        sign = field.neg(field.one) if n % 2 == 0 else field.one
+        offsets, pos = {}, 0
+        for m, h in self.blocks[n + 1]:
+            offsets[m] = pos
+            pos += h.dim
+        rows = [{} for _ in range(pos)]
+        col = 0
+        for m, h in self.blocks[n]:
+            dy, dx = self.y.diff(m + n), self.x.diff(m - 1)
+            if m in offsets and dy is not None:
+                for k, (vec,) in enumerate(cat.composite_coords(h.basis, [dy])):
+                    for r in compress(count(), vec):
+                        rows[offsets[m] + r][col + k] = vec[r]
+            if m - 1 in offsets and dx is not None:
+                (images,) = cat.composite_coords([dx], h.basis)
+                for k, vec in enumerate(images):
+                    for r in compress(count(), vec):
+                        rows[offsets[m - 1] + r][col + k] = field.mul(sign, vec[r])
+            col += h.dim
+        return Mat._of(field, rows, pos, col)
 
     def cycles(self, n) -> Subspace:
         if self.dim(n) == 0:
@@ -251,6 +253,24 @@ class ChainMapCategory(FiniteCategory):
                 if h.payload:
                     out[i] = h
         return out
+
+    def _p_compose_table(self, x, y, z, fps, gps):
+        # one base table per degree, over the operands that reach it
+        table = [[{} for _ in gps] for _ in fps]
+        for i in dict.fromkeys(i for fp in fps for i in fp):
+            fs = [(a, fp[i]) for a, fp in enumerate(fps) if i in fp]
+            gs = [(b, gp[i]) for b, gp in enumerate(gps) if i in gp]
+            if not gs:
+                continue
+            f0, g0 = fs[0][1], gs[0][1]
+            sub = self.base._p_compose_table(
+                f0.src, f0.tgt, g0.tgt, [f.payload for _, f in fs], [g.payload for _, g in gs]
+            )
+            for (a, f), row in zip(fs, sub):
+                for (b, g), h in zip(gs, row):
+                    if h:
+                        table[a][b][i] = Mor(self.base, f.src, g.tgt, h)
+        return table
 
     def _p_identity(self, x):
         return {i: self.base.identity(x.obj(i)) for i in x.degrees()}

@@ -298,28 +298,26 @@ def _embedded_hom_dims(qcat, summands, terms):
     """
     field = qcat.field
     slots = range(len(summands))
-    arrows = [
-        (l, k, a)
+    blocks = [
+        (l, k, qcat.hom(s_k, s_l).basis)
         for k, s_k in enumerate(summands)
         for l, s_l in enumerate(summands)
-        for a in qcat.hom(s_k, s_l).basis
     ]
+    arrows = [(l, k) for l, k, basis in blocks for _ in basis]
     mods = []
     for u in terms:
         spaces = [qcat.hom(s, u) for s in summands]
+        # one composite table per pair of slots: row a holds the images a.then(h)
         acts = [
-            Mat.from_columns(
-                field,
-                [spaces[k].coords(a.then(h).payload) for h in spaces[l].basis],
-                spaces[k].dim,
-            )
-            for l, k, a in arrows
+            Mat.from_columns(field, images, spaces[k].dim)
+            for l, k, basis in blocks
+            for images in qcat.composite_coords(basis, spaces[l].basis)
         ]
         mods.append(([sp.dim for sp in spaces], acts))
 
     def hom_dim(src, tgt):
         (src_dims, src_acts), (tgt_dims, tgt_acts) = src, tgt
-        pairs = [(l, k, a_v, a_u) for (l, k, _), a_v, a_u in zip(arrows, tgt_acts, src_acts)]
+        pairs = [(l, k, a_v, a_u) for (l, k), a_v, a_u in zip(arrows, tgt_acts, src_acts)]
         system = intertwiner_system(field, slots, src_dims, tgt_dims, pairs)
         return system.cols - system.rank()
 

@@ -2,8 +2,10 @@
 
 import random
 
+import pytest
+
 from deqcert.catideal import SubcatSpec, ideal_space, random_mor
-from deqcert.category import MorphismEquations, QuotientCategory
+from deqcert.category import Mor, MorphismEquations, QuotientCategory
 from deqcert.complexes import ChainMapCategory, Complex, HomotopyCategory
 from deqcert.exactla import FieldSpec, LinSolver, Mat
 from deqcert.orbit import AdmissibleSet, OrbitCategory, ShiftAuto
@@ -142,3 +144,93 @@ def test_every_hom_space_chart_holds_its_basis():
     for space in spaces:
         for k, b in enumerate(space.basis):
             assert space.coords(b.payload) == tuple(int(i == k) for i in range(space.dim))
+
+
+def test_from_coords_of_a_unit_vector_is_that_basis_map():
+    # a coefficient 1 adds the basis map itself: its parts are not copied
+    cat, p1, p2 = _projectives()
+    x = Complex(cat, 0, [p1, p2], [cat.hom(p1, p2).basis[0]])
+    for space in (cat.hom(p1, p1), cat.hom(p2, p1), ChainMapCategory(cat).hom(x, x)):
+        for k, b in enumerate(space.basis):
+            got = space.from_coords([int(i == k) for i in range(space.dim)])
+            assert (got.src, got.tgt) == (b.src, b.tgt)
+            assert got.payload.keys() == b.payload.keys()
+            assert all(got.payload[i] is part for i, part in b.payload.items())
+            assert b.scale(cat.field.one) is b
+
+
+def _same_payload(p, q):
+    """Equal part by part, and no part that vanishes is kept."""
+    return p.keys() == q.keys() and all(_same_part(p[k], q[k]) for k in p)
+
+
+def _same_part(a, b):
+    if isinstance(a, Mat):
+        return isinstance(b, Mat) and a == b and not a.is_zero()
+    return (
+        isinstance(b, Mor)
+        and (a.cat, a.src.key, a.tgt.key) == (b.cat, b.src.key, b.tgt.key)
+        and a.payload != {}
+        and _same_payload(a.payload, b.payload)
+    )
+
+
+def _operands(cat, x, y, rng):
+    """A Hom basis, random combinations and basis differences, which make
+    composites whose contributions cancel."""
+    space = cat.hom(x, y)
+    out = list(space.basis) + [random_mor(cat, x, y, rng) for _ in range(3)]
+    out += [b - c for b, c in zip(space.basis, space.basis[1:])] + [space.zero()]
+    return out
+
+
+def _check_tables(cat, objs, rng):
+    checked = 0
+    for x in objs:
+        for y in objs:
+            for z in objs:
+                fs = [f.payload for f in _operands(cat, x, y, rng)]
+                gs = [g.payload for g in _operands(cat, y, z, rng)]
+                for fps, gps in ((fs, gs), ([], gs), (fs, [])):
+                    table = cat._p_compose_table(x, y, z, fps, gps)
+                    assert len(table) == len(fps)
+                    for fp, row in zip(fps, table):
+                        assert len(row) == len(gps)
+                        for gp, got in zip(gps, row):
+                            assert _same_payload(got, cat._p_compose(x, y, z, fp, gp))
+                            checked += bool(got)
+    assert checked  # some composites do not vanish
+
+
+@pytest.mark.parametrize("char", [0, 2, 101])
+def test_composite_tables_match_the_pairwise_composites(char):
+    rng = random.Random(char)
+    fx = cyclic_nakayama(2, 3, FieldSpec(char))
+    cat = fx.algebra.modcat
+    p1, p2, s1, s2 = fx.projectives["1"], fx.projectives["2"], fx.simples["1"], fx.simples["2"]
+    # Hom(S1, S2) is zero, and two copies of S1 give blocks that cancel
+    ss = cat.direct_sum([s1, s1]).obj
+    split = cat.mor(s1, ss, {"1": [[1], [1]]})
+    merge = cat.mor(ss, s1, {"1": [[1, -1]]})
+    assert cat._p_compose(s1, ss, s1, split.payload, merge.payload) == {}
+    assert cat._p_compose_table(s1, ss, s1, [split.payload], [merge.payload]) == [[{}]]
+    _check_tables(cat, [p1, p2, s1, s2, ss], rng)
+
+    quotient = QuotientCategory(cat, lambda u, v: ideal_space(cat, SubcatSpec(cat, [p2]), u, v, "F"))
+    assert any(quotient.ideal(u, v).dim for u in (p1, p2) for v in (p1, p2))
+    _check_tables(quotient, [p1, p2, s1], rng)
+
+    a = cat.hom(p1, p2).basis[0]
+    r = next(e for e in cat.hom(p1, p1).basis if e.then(e).is_zero() and e.payload)
+    cxs = [Complex(cat, 0, [p1, p2], [a]), Complex(cat, 0, [p1, p1], [r]), Complex(cat, 0, [p2], [])]
+    _check_tables(ChainMapCategory(cat), cxs, rng)
+    _check_tables(HomotopyCategory(cat), cxs, rng)
+    qcxs = [Complex(quotient, 0, [p1, p2], [quotient.lift(a)]), Complex(quotient, 0, [p1], [])]
+    _check_tables(ChainMapCategory(quotient), qcxs, rng)
+
+    tri = a2_triangle(FieldSpec(char))
+    kb = tri.cat
+    objs = list(tri.triangle.objects) + [kb.sigma.obj(tri.x)]
+    _check_tables(kb, objs, rng)
+    orbit = OrbitCategory(kb, ShiftAuto(kb), AdmissibleSet([0, 1]))
+    _check_tables(orbit, [tri.m, tri.x], rng)

@@ -1,6 +1,7 @@
 """The split-sequence equivalence engine for module categories."""
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -406,6 +407,41 @@ def test_end_rings_solve_no_zero_right_hand_side(monkeypatch):
     cert = verify_theorem1(*d_split_sequence(fx.algebra, fx.simples["1"]), embedding_check=False)
     assert cert.passed
     assert zero_solves == []
+
+
+def test_tables_and_differentials_compose_without_then(monkeypatch):
+    # end rings, ideals and Hom-complex differentials compose basis maps
+    # through one composite table per pair of Hom spaces, never pair by pair
+    from deqcert import catideal
+
+    tabled = {
+        fn.__code__: name
+        for name, fn in [
+            ("end_ring", catideal.end_ring),
+            ("ideal_space", catideal.ideal_space),
+            ("factorization_through", catideal.factorization_through),
+            ("_diff_matrix", HomComplex._diff_matrix),
+        ]
+    }
+    calls, then = [], Mor.then
+
+    def counting(self, other):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code in tabled:
+                calls.append(tabled[frame.f_code])
+                break
+            frame = frame.f_back
+        return then(self, other)
+
+    monkeypatch.setattr(Mor, "then", counting)
+    fx = cyclic_nakayama(5, 2)
+    q, m = d_split_sequence(fx.algebra, fx.simples["1"])
+    assert verify_theorem1(q, m).passed
+    # the certificate reads no ideal that factors through add(m)
+    spec = SubcatSpec(q.cat, [m])
+    assert catideal.factorization_through(q.cat, spec, q.obj(1), q.obj(2)).dim
+    assert calls == []
 
 
 def test_kxx_loop_algebra_sequence():

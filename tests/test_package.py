@@ -70,6 +70,88 @@ def test_only_exactla_eliminates(path):
     assert calls == [], f"{path.name} eliminates outside exactla (line, call): {calls}"
 
 
+def _callee(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _composing(tree):
+    """Names that compose: then, and every function of the module whose body
+    calls one of them."""
+    callees = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            calls = {_callee(c) for c in ast.walk(fn) if isinstance(c, ast.Call)}
+            callees.setdefault(fn.name, set()).update(calls)
+    names = {"then"}
+    while new := {name for name, calls in callees.items() if calls & names} - names:
+        names |= new
+    return names
+
+
+def _reads_basis(node):
+    return any(isinstance(n, ast.Attribute) and n.attr == "basis" for n in ast.walk(node))
+
+
+def _stored(nodes):
+    return {
+        n.id
+        for node in nodes
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+    }
+
+
+def _pair_composites(tree):
+    """(line, callee) of each composing call whose operands come from two
+    nested loops or comprehensions, one of them over a .basis (or the call
+    reading a .basis).  A loop binds its targets and the names assigned in
+    its body; a name belongs to the innermost loop that binds it."""
+    composing, found = _composing(tree), []
+
+    def visit(node, loops):
+        if isinstance(node, ast.For):
+            visit(node.iter, loops)
+            inner = loops + [(_stored([node.target, *node.body]), _reads_basis(node.iter))]
+            for child in node.body:
+                visit(child, inner)
+            for child in node.orelse:
+                visit(child, loops)
+            return
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            inner = loops
+            for gen in node.generators:
+                visit(gen.iter, inner)
+                inner = inner + [(_stored([gen.target]), _reads_basis(gen.iter))]
+                for cond in gen.ifs:
+                    visit(cond, inner)
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, ast.comprehension):
+                    visit(child, inner)
+            return
+        if isinstance(node, ast.Call) and _callee(node) in composing:
+            read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            binders = {
+                max((k for k, (bound, _) in enumerate(loops) if name in bound), default=None)
+                for name in read
+            } - {None}
+            if len(binders) >= 2 and (_reads_basis(node) or any(b for _, b in loops)):
+                found.append((node.lineno, _callee(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, loops)
+
+    visit(tree, [])
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_basis_pairs_compose_through_the_table(path):
+    # composites of every pair from two Hom bases come from one
+    # FiniteCategory.composite_coords table, not from then pair by pair
+    pairs = _pair_composites(ast.parse(path.read_text()))
+    assert pairs == [], f"{path.name} composes basis pairs one by one (line, call): {pairs}"
+
+
 def test_intertwiner_systems_reach_the_kernel_through_exactla():
     from deqcert import algebra, exactla
 
