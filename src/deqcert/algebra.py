@@ -8,15 +8,16 @@ vectors, and the action of a path is the reverse-order matrix product.
 
 from __future__ import annotations
 
-from itertools import product
+from collections import defaultdict
 
 from .category import DirectSumData, FiniteCategory, HomSpace, Mor, fresh_key
 from .errors import InputError, NonFiniteDimensionalError
-from .exactla import FieldSpec, LinSolver, Mat, Subspace, _integral, _normal, kernel, sparse_kernel
+from .exactla import FieldSpec, LinSolver, Mat, Subspace, _integral, _normal, _sparse, kernel, sparse_kernel
 
 __all__ = [
     "Quiver",
     "Algebra",
+    "dense_table",
     "ModuleRep",
     "path_algebra",
     "projective",
@@ -147,23 +148,13 @@ def path_algebra(quiver: Quiver, relations=(), field: FieldSpec | None = None) -
 
     paths.sort(key=lambda p: (p.length, quiver.vertices.index(p.source), p.arrows))
     pres = QuiverPresentation(quiver, rels, paths)
-    n = len(paths)
-    zero_vec = [field.zero] * n
-    table = []
-    for p in paths:
-        row = []
-        for q in paths:
-            vec = list(zero_vec)
-            if p.target == q.source:
-                word = p.arrows + q.arrows
-                if not _contains_factor(word, pres.relations):
-                    pq = Path(word, p.source, q.target)
-                    idx = pres.index.get(pq)
-                    if idx is not None:
-                        vec[idx] = field.one
-            row.append(vec)
-        table.append(row)
-    unit = list(zero_vec)
+    table = {}  # a composable word is a basis path exactly when it avoids the relations
+    for i, p in enumerate(paths):
+        for j, q in enumerate(paths):
+            k = pres.index.get(Path(p.arrows + q.arrows, p.source, q.target))
+            if p.target == q.source and k is not None:
+                table[i, j] = {k: field.one}
+    unit = [field.zero] * len(paths)
     for v in quiver.vertices:
         unit[pres.index[Path((), v, v)]] = field.one
     return Algebra(
@@ -171,35 +162,49 @@ def path_algebra(quiver: Quiver, relations=(), field: FieldSpec | None = None) -
     )
 
 
+def dense_table(ring):
+    """dense[i][j] = the coordinates of e_i·e_j in an Algebra or a
+    RingPresentation, zeros written out: the JSON report's form, stored by nothing."""
+    n = ring.dim
+    dense = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), vec in ring.table.items():
+        for k, c in vec.items():
+            dense[i][j][k] = c
+    return dense
+
+
 class Algebra:
-    """A finite-dimensional algebra by basis and structure constants."""
+    """A finite-dimensional algebra by basis and structure constants: table
+    maps (i, j) to e_i·e_j as {k: nonzero}, and a pair whose product is zero
+    is absent.  The values are field elements (an integral rational is an
+    int, a GF(p) value lies in [0, p)) and are not coerced again."""
 
     def __init__(self, field, basis_names, table, unit, presentation=None):
         self.field = field
         self.basis_names = list(basis_names)
         self.dim = len(self.basis_names)
-        self.table = [
-            [[field.coerce(x) for x in vec] for vec in row] for row in table
-        ]
+        self.table = table
         self.unit = [field.coerce(x) for x in unit]
         self.presentation = presentation
         self.key = fresh_key()
         self._modcat = None
         self._check_axioms()
 
+    def mul(self, u, v):
+        """u·v for {index: value} vectors, as {index: nonzero}: one lookup
+        per pair of nonzeros, and a product that is not stored is zero."""
+        acc = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                for k, s in self.table.get((i, j), {}).items():
+                    acc[k] = acc[k] + a * b * s if k in acc else a * b * s
+        return _normal(self.field.char, acc) if acc else acc
+
     def mul_vec(self, u, v):
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                c = f.mul(a, b)
-                for k, s in enumerate(self.table[i][j]):
-                    if s:
-                        out[k] = f.add(out[k], f.mul(c, s))
+        """u·v for dense coordinate vectors."""
+        out = [self.field.zero] * self.dim
+        for k, x in self.mul(_sparse(u), _sparse(v)).items():
+            out[k] = x
         return out
 
     def basis_vec(self, i):
@@ -208,29 +213,25 @@ class Algebra:
         return v
 
     def _check_axioms(self):
-        f = self.field
-        for i in range(self.dim):
-            e = self.basis_vec(i)
-            if self.mul_vec(self.unit, e) != e or self.mul_vec(e, self.unit) != e:
-                raise InputError("unit is not a two-sided identity")
-        # (e_i e_j) e_k and e_i (e_j e_k) on every triple, each summed over the
-        # nonzero structure constants only and compared as {index: nonzero value}
-        nz = [[[(a, c) for a, c in enumerate(vec) if c] for vec in row] for row in self.table]
-
-        def combine(terms):
-            out = {}
-            for c, entries in terms:
-                for b, s in entries:
-                    out[b] = f.add(out[b], f.mul(c, s)) if b in out else f.mul(c, s)
-            return {b: v for b, v in out.items() if v}
-
-        for i, j, k in product(range(self.dim), repeat=3):
-            ij, jk = nz[i][j], nz[j][k]
-            if not ij and not jk:
-                continue  # both sides are zero
-            left = combine((c, nz[a][k]) for a, c in ij)
-            right = combine((c, nz[i][a]) for a, c in jk)
-            if left != right:
+        basis, table = set(range(self.dim)), self.table
+        if len(self.unit) != self.dim:
+            raise InputError(f"unit has {len(self.unit)} entries for a basis of {self.dim}")
+        if any(not {i, j, *vec} <= basis for (i, j), vec in table.items()):
+            raise InputError(f"structure constants outside a basis of {self.dim}")
+        unit, one = _sparse(self.unit), self.field.one
+        if not all(self.mul(unit, e) == e == self.mul(e, unit) for e in ({i: one} for i in basis)):
+            raise InputError("unit is not a two-sided identity")
+        # (e_i e_j) e_k is nonzero only if e_i e_j holds an e_a with e_a e_k
+        # stored, e_i (e_j e_k) likewise: compare those triples in row-major order
+        rows, cols = defaultdict(set), defaultdict(set)
+        for i, j in table:
+            rows[i].add(j)
+            cols[j].add(i)
+        triples = {(i, j, k) for (i, j), vec in table.items() for a in vec for k in rows[a]}
+        triples |= {(h, j, k) for (j, k), vec in table.items() for a in vec for h in cols[a]}
+        for i, j, k in sorted(triples):
+            left = self.mul(table.get((i, j), {}), {k: one})
+            if left != self.mul({i: one}, table.get((j, k), {})):
                 raise InputError(f"structure constants not associative at ({i},{j},{k})")
 
     @property
@@ -732,14 +733,9 @@ def nakayama_projective(algebra: Algebra, p: ModuleRep) -> ModuleRep:
         for v in algebra.vertices():
             rows = [{} for _ in tgt_paths[v]]
             for j, q in enumerate(src_paths[v]):
-                word = (name,) + q.arrows
-                if not _contains_factor(word, pres.relations):
-                    lifted = Path(word, s, v)
-                    try:
-                        i = tgt_paths[v].index(lifted)
-                    except ValueError:
-                        continue
-                    rows[i][j] = algebra.field.one
+                lifted = Path((name,) + q.arrows, s, v)  # a basis path unless it meets a relation
+                if lifted in tgt_paths[v]:
+                    rows[tgt_paths[v].index(lifted)][j] = algebra.field.one
             lmul_blocks[v] = Mat._of(algebra.field, rows, len(tgt_paths[v]), len(src_paths[v]))
         lmul = cat.mor(projs[t], projs[s], lmul_blocks)
         # postcompose: Hom(p, P_t) -> Hom(p, P_s); the dual runs s -> t

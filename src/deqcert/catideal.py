@@ -12,7 +12,7 @@ from __future__ import annotations
 from .algebra import Algebra
 from .category import FiniteCategory, Mor, QuotientCategory
 from .errors import InputError, InternalConsistencyError
-from .exactla import Mat, Subspace, kernel
+from .exactla import Mat, Subspace, _sparse, kernel
 
 __all__ = [
     "SubcatSpec",
@@ -284,20 +284,21 @@ def lemma_ann_verify(cat, spec: SubcatSpec, a, b) -> dict:
 
 
 class RingPresentation:
-    """A finite-dimensional ring by basis labels and structure constants."""
+    """A finite-dimensional ring by basis labels and structure constants,
+    stored as in ``Algebra``, with no axiom check."""
 
     def __init__(self, field, labels, table, unit):
         self.field = field
         self.labels = list(labels)
         self.dim = len(self.labels)
-        self.table = table  # table[i][j] = coords of basis_i * basis_j
+        self.table = table  # (i, j) -> {k: nonzero} of basis_i * basis_j
         self.unit = list(unit)
 
     def to_algebra(self) -> Algebra:
         return Algebra(self.field, self.labels, self.table, self.unit)
 
-    # the structure-constant product of Algebra, read off self.table
-    mul = Algebra.mul_vec
+    # the structure-constant product of Algebra, on {index: value} vectors
+    mul = Algebra.mul
 
     def __repr__(self):
         return f"RingPresentation(dim {self.dim})"
@@ -306,7 +307,9 @@ class RingPresentation:
 def end_ring(cat, obj) -> RingPresentation:
     """End(obj) in the given category (which may already be a quotient)."""
     space = cat.hom(obj, obj)
-    table = [list(map(list, row)) for row in cat.composite_coords(space.basis, space.basis)]
+    table = {}
+    for i, row in enumerate(cat.composite_coords(space.basis, space.basis)):
+        table.update(((i, j), _sparse(vec)) for j, vec in enumerate(row) if any(vec))
     unit = list(space.coords(cat.identity(obj).payload))
     return RingPresentation(cat.field, [f"e{i}" for i in range(space.dim)], table, unit)
 

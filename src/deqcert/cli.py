@@ -19,6 +19,7 @@ from . import presets
 from .algebra import (
     ModuleRep,
     Quiver,
+    dense_table,
     path_algebra,
     projective,
     radical_layers,
@@ -306,7 +307,7 @@ def cmd_end_ring(args):
         "obj": args.obj,
         "quotient": args.quotient,
         "dim": ring.dim,
-        "table": jsonable(ring.table),
+        "table": jsonable(dense_table(ring)),
     }
     return report, 0
 
@@ -378,7 +379,7 @@ def cmd_orbit_yoneda(args):
         "x": args.x,
         "phi": list(phi),
         "dim": ring.dim,
-        "table": jsonable(ring.table),
+        "table": jsonable(dense_table(ring)),
     }, 0
 
 
@@ -457,8 +458,8 @@ def _certificate_report(command, cert):
         "passed": cert.passed,
         "ring_left_dim": cert.ring_left.dim,
         "ring_right_dim": cert.ring_right.dim,
-        "ring_left_table": jsonable(cert.ring_left.table),
-        "ring_right_table": jsonable(cert.ring_right.table),
+        "ring_left_table": jsonable(dense_table(cert.ring_left)),
+        "ring_right_table": jsonable(dense_table(cert.ring_right)),
         "end_cb_dim": cert.data.get("end_cb_dim"),
         "kernel_dim": cert.data.get("kernel_dim"),
     }

@@ -38,7 +38,7 @@ from .complexes import (
     stalk,
 )
 from .errors import HypothesisError, InputError, InternalConsistencyError
-from .exactla import Mat, Subspace
+from .exactla import Mat, Subspace, _normal, _sparse
 
 __all__ = [
     "EquivCertificate",
@@ -223,31 +223,31 @@ def _ring_map_witness(src: RingPresentation, maps):
     whole claim.  Returns (witness, unital): the first failing (i, j, name),
     pairs row-major and maps in list order within a pair, or None; and
     whether every mat sends src's unit to tgt's, which is a two-sided
-    identity on every column of mat.  An image sums only the columns of mat
-    where the vector is nonzero; a zero structure constant is still compared.
+    identity on every column of mat.  An image sums the columns of mat at
+    the nonzeros of a vector; a pair whose product is zero is still compared.
     """
-    field = src.field
-    cols = [(name, tgt, mat.transpose().tolist()) for name, mat, tgt in maps]
+    p = src.field.char
+    cols = [(name, tgt, mat.transpose().sparse_rows) for name, mat, tgt in maps]
 
-    def image(c, vec, dim):
-        out = [field.zero] * dim
-        for a, col in zip(vec, c):
-            if a:
-                out = [field.add(o, field.mul(a, t)) if t else o for o, t in zip(out, col)]
-        return out
+    def image(c, vec):
+        acc = {}
+        for a, x in vec.items():
+            for k, t in c[a].items():
+                acc[k] = acc[k] + x * t if k in acc else x * t
+        return _normal(p, acc) if acc else acc
 
     witness = next(
         (
             (i, j, name)
             for i, j in product(range(src.dim), repeat=2)
             for name, tgt, c in cols
-            if image(c, src.table[i][j], tgt.dim) != tgt.mul(c[i], c[j])
+            if image(c, src.table.get((i, j), {})) != tgt.mul(c[i], c[j])
         ),
         None,
     )
     unital = all(
-        image(c, src.unit, tgt.dim) == tgt.unit
-        and all(tgt.mul(tgt.unit, col) == col == tgt.mul(col, tgt.unit) for col in c)
+        image(c, _sparse(src.unit)) == (unit := _sparse(tgt.unit))
+        and all(tgt.mul(unit, col) == col == tgt.mul(col, unit) for col in c)
         for _, tgt, c in cols
     )
     return witness, unital

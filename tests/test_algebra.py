@@ -27,6 +27,7 @@ from deqcert.algebra import (
     submodule,
     top,
 )
+from deqcert.catideal import RingPresentation
 from deqcert.complexes import ChainMapCategory, Complex
 from deqcert.errors import InputError, InternalConsistencyError, NonFiniteDimensionalError
 from deqcert.exactla import FieldSpec, Mat
@@ -106,6 +107,15 @@ def test_algebra_axioms_hold_on_presets():
             assert alg.mul_vec(v, alg.unit) == v
 
 
+def _dense_constants(n, table):
+    """table[i][j][k] for every triple, zeros written out."""
+    dense = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), vec in table.items():
+        for k, c in vec.items():
+            dense[i][j][k] = c
+    return dense
+
+
 def _first_nonassociative_triple(field, table):
     """The first (i, j, k) in row-major order with (e_i e_j) e_k != e_i (e_j e_k),
     from dense sums over every structure constant."""
@@ -118,19 +128,30 @@ def _first_nonassociative_triple(field, table):
     return None
 
 
-@pytest.mark.parametrize("char", [0, 3])
+# (fixture, x, y, z, ij_zero): e_x·e_y gains the term e_z, the unit
+# untouched; with ij_zero the first failing triple (i, j, k) has e_i·e_j = 0
+# and e_j·e_k != 0, so a walk over the stored pairs (i, j) alone misses it
+PERTURBATIONS = [
+    (a3, "a", "b", "a", False),  # a·b = a + ab
+    (lambda field: cyclic_nakayama(3, 2, field), "a3", "a1", "a2", True),  # fails at (e2, a3, a1)
+]
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
 def test_algebra_rejects_a_nonassociative_table_at_the_first_triple(char):
-    alg = a3(FieldSpec(char)).algebra
-    names = alg.basis_names
-    table = [[list(vec) for vec in row] for row in alg.table]
-    assert _first_nonassociative_triple(alg.field, table) is None
-    # a.b = a + ab instead of ab, with the unit untouched
-    a, b = names.index("a"), names.index("b")
-    table[a][b][a] = alg.field.one
-    first = _first_nonassociative_triple(alg.field, table)
-    assert first is not None
-    with pytest.raises(InputError, match=r"not associative at \(%d,%d,%d\)" % first):
-        Algebra(alg.field, names, table, alg.unit)
+    for make, x, y, z, ij_zero in PERTURBATIONS:
+        alg = make(FieldSpec(char)).algebra
+        names = alg.basis_names
+        assert _first_nonassociative_triple(alg.field, _dense_constants(alg.dim, alg.table)) is None
+        x, y, z = (names.index(t) for t in (x, y, z))
+        table = dict(alg.table)
+        table[x, y] = {**table.get((x, y), {}), z: alg.field.one}
+        first = _first_nonassociative_triple(alg.field, _dense_constants(alg.dim, table))
+        assert first is not None
+        i, j, k = first
+        assert ((i, j) not in table and (j, k) in table) == ij_zero
+        with pytest.raises(InputError, match=r"not associative at \(%d,%d,%d\)" % first):
+            Algebra(alg.field, names, table, alg.unit)
 
 
 def test_algebra_rejects_a_wrong_unit():
@@ -140,6 +161,24 @@ def test_algebra_rejects_a_wrong_unit():
         with pytest.raises(InputError, match="unit is not a two-sided identity"):
             Algebra(alg.field, alg.basis_names, alg.table, unit)
     Algebra(alg.field, alg.basis_names, alg.table, alg.unit)  # the true unit passes
+
+
+def test_algebra_rejects_a_table_or_unit_that_does_not_match_the_basis():
+    one = {(0, 0): {0: 1}}
+    Algebra(FieldSpec(0), ["a"], one, [1])  # k[a] with a·a = a passes
+    cases = [
+        (["a", "b"], {(0, 0): {0: 1}, (1, 1): {1: 1}}, [1, 0, 0], "unit has 3 entries"),
+        (["a"], one, [], "unit has 0 entries"),
+        (["a"], {**one, (0, 1): {0: 1}}, [1], "outside a basis of 1"),  # j out of range
+        (["a"], {**one, (-1, 0): {0: 1}}, [1], "outside a basis of 1"),  # i out of range
+        (["a"], {(0, 0): {0: 1, 1: 1}}, [1], "outside a basis of 1"),  # k out of range
+    ]
+    for names, table, unit, message in cases:
+        with pytest.raises(InputError, match=message):
+            Algebra(FieldSpec(0), names, table, unit)
+    # so does a ring presentation that does not match its labels
+    with pytest.raises(InputError, match="outside"):
+        RingPresentation(FieldSpec(0), ["a"], {**one, (0, 0): {2: 1}}, [1]).to_algebra()
 
 
 def test_projective_and_simple_dimensions_a3():

@@ -1,6 +1,7 @@
 """The split-sequence equivalence engine for module categories."""
 
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from deqcert import angulate, complexes, derivedeq
-from deqcert.algebra import ModuleRep
+from deqcert.algebra import Algebra, ModuleRep, dense_table
 from deqcert.angulate import verify_theorem2
 from deqcert.category import Mor
 from deqcert.catideal import (
@@ -28,6 +29,7 @@ from deqcert.orbit import AdmissibleSet, OrbitCategory, ShiftAuto, corollary_orb
 from deqcert.presets import (
     a2,
     a2_triangle,
+    a3,
     cyclic_nakayama,
     d_split_sequence,
     kxx,
@@ -103,6 +105,11 @@ def test_embedding_check_fails_when_graded_by_x_alone(name, char):
     ring = end_ring(t.qcat_left, t.cat.direct_sum([t.m, x]).obj)
     broken = RingPresentation(ring.field, ring.labels, ring.table, [0] * ring.dim)
     assert flag([t.m, x], broken) is False
+    # ... and so does one whose unit or table does not match its basis
+    short = RingPresentation(ring.field, ring.labels, ring.table, ring.unit[:-1])
+    assert flag([t.m, x], short) is False
+    wide = {**ring.table, (0, ring.dim): {0: ring.field.one}}
+    assert flag([t.m, x], RingPresentation(ring.field, ring.labels, wide, ring.unit)) is False
 
 
 def _dense_embedded_hom_dim(qcat, mx, u, v):
@@ -577,14 +584,12 @@ def test_q_certificates_hold_no_float_bool_or_integral_fraction():
 
 def test_ring_map_witness_checks_pairs_whose_source_product_is_zero():
     # x·x = 0 in k[x]/(x^2), but theta(x)·theta(x) = y^2 in k[y]/(y^3): the
-    # pair (1, 1) fails although its structure constant is the zero vector
-    src = RingPresentation(
-        QQ, ["1", "x"], [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0]
-    )
+    # pair (1, 1) fails although its product is zero and so not stored
+    src = RingPresentation(QQ, ["1", "x"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, [1, 0])
     tgt = RingPresentation(
         QQ,
         ["1", "y", "y2"],
-        [[[int(i + j == k) for k in range(3)] for j in range(3)] for i in range(3)],
+        {(i, j): {i + j: 1} for i in range(3) for j in range(3) if i + j < 3},
         [1, 0, 0],
     )
     theta_mat = Mat(QQ, [[1, 0], [0, 1], [0, 0]])
@@ -627,7 +632,7 @@ def _ring_pin(ring):
     """Structure constants as sparse [i, j, k, value] entries, and the unit."""
     table = [
         [i, j, k, str(c)]
-        for i, row in enumerate(ring.table)
+        for i, row in enumerate(dense_table(ring))
         for j, vec in enumerate(row)
         for k, c in enumerate(vec)
         if c
@@ -672,3 +677,78 @@ def certificate_pins():
 
 def test_pinned_certificates_are_unchanged():
     assert certificate_pins() == json.loads(PINS.read_text())
+
+
+# -- sparse structure constants -----------------------------------------------
+
+
+def _scalar(f, rng, density):
+    """A random field element, zero with probability 1 - density; over Q a
+    fraction with denominator up to 3."""
+    if rng.random() >= density:
+        return f.zero
+    return f.random(rng) if f.char else f.coerce(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+
+def _assert_sparse_table_matches(ring, dense, rng):
+    """ring stores exactly the nonzero products of the dense reference
+    dense[i][j][k], as normalised field elements, and its dense view and
+    product agree with dense sums over every constant."""
+    f, n = ring.field, ring.dim
+    assert dense_table(ring) == dense
+    nonzero = {(i, j) for i in range(n) for j in range(n) if any(dense[i][j])}
+    assert set(ring.table) == nonzero
+    for (i, j), vec in ring.table.items():
+        assert vec == {k: c for k, c in enumerate(dense[i][j]) if c}
+        for c in vec.values():
+            assert 0 < c < f.char if f.char else type(c) is int or c.denominator != 1
+    for density in (0.25, 1):
+        u = [_scalar(f, rng, density) for _ in range(n)]
+        v = [_scalar(f, rng, density) for _ in range(n)]
+        ref = [f.zero] * n
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    ref[k] = f.add(ref[k], f.mul(f.mul(u[i], v[j]), dense[i][j][k]))
+        uv = Algebra.mul_vec(ring, u, v)
+        assert uv == ref
+        assert not any(type(x) is Fraction and x.denominator == 1 for x in uv)
+
+
+PRESETS = [a2, a3, kxx, nakayama4, lambda f: cyclic_nakayama(3, 2, f), lambda f: cyclic_nakayama(2, 3, f)]
+
+
+@pytest.mark.parametrize("char", [0, 2, 101])
+def test_sparse_structure_constants_match_a_dense_reference(char, monkeypatch):
+    field, rng = FieldSpec(char), random.Random(2100 + char)
+    # path algebras: e_p·e_q is the concatenated path when it is a basis path
+    for preset in PRESETS:
+        alg = preset(field).algebra
+        paths = alg.presentation.paths
+        index = {(p.source, p.arrows): k for k, p in enumerate(paths)}
+        dense = [[[0] * alg.dim for _ in paths] for _ in paths]
+        for i, p in enumerate(paths):
+            for j, q in enumerate(paths):
+                k = index.get((p.source, p.arrows + q.arrows))
+                if p.target == q.source and k is not None:
+                    dense[i][j][k] = 1
+        _assert_sparse_table_matches(alg, dense, rng)
+    # the four rings of every pinned certificate: each product from Mor.then
+    # and one coordinate solve per pair
+    seen = []
+
+    def recording_end_ring(cat, obj):
+        ring = end_ring(cat, obj)
+        space = cat.hom(obj, obj)
+        seen.append(
+            (ring, [[list(space.coords(a.then(b).payload)) for b in space.basis] for a in space.basis])
+        )
+        return ring
+
+    monkeypatch.setattr(derivedeq, "end_ring", recording_end_ring)
+    for verdict in dict.fromkeys(verdict for verdict, _ in PINNED.values()):
+        seen.clear()
+        assert verdict(field).passed
+        assert len(seen) == 4
+        for ring, dense in seen:
+            _assert_sparse_table_matches(ring, dense, rng)

@@ -70,6 +70,29 @@ def test_only_exactla_eliminates(path):
     assert calls == [], f"{path.name} eliminates outside exactla (line, call): {calls}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_only_cli_reads_structure_constants_densely(path):
+    # a ring's or an algebra's table holds only its nonzero products, keyed
+    # by the pair (i, j); the dense view dense_table is built for the JSON
+    # report alone, and no module indexes a table by one basis index
+    tree = ast.parse(path.read_text())
+    dense = sorted(
+        (node.lineno, "dense_table")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _callee(node) == "dense_table"
+    ) + sorted(
+        (node.lineno, ".table[...]")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "table"
+        and not isinstance(node.slice, ast.Tuple)
+    )
+    if path.name == "cli.py":
+        dense = [(line, call) for line, call in dense if call != "dense_table"]
+    assert dense == [], f"{path.name} reads structure constants densely (line, read): {dense}"
+
+
 def _callee(call):
     func = call.func
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
