@@ -208,6 +208,7 @@ class FiniteCategory:
         self.field = field
         self._hom_cache = {}
         self._sum_cache = {}
+        self.summands_by_key = {}  # the key of each sum built by direct_sum -> its summands
 
     # -- public API --------------------------------------------------------
 
@@ -248,6 +249,7 @@ class FiniteCategory:
         if data is None:
             data = self._direct_sum(objs)
             self._sum_cache[key] = data
+            self.summands_by_key[data.obj.key] = objs
         return data
 
     def mor_from_blocks(self, src_sum: DirectSumData, tgt_sum: DirectSumData, blocks) -> Mor:
@@ -309,12 +311,14 @@ class QuotientCategory(FiniteCategory):
 
     def _hom_space(self, x, y):
         base_hom = self.base.hom(x, y)
-        full = Subspace.full(self.field, base_hom.dim)
         ideal = self.ideal_fn(x, y)
         if ideal.ambient != base_hom.dim:
             raise InternalConsistencyError("ideal subspace has wrong ambient dimension")
         self._ideals[(x.key, y.key)] = ideal
-        reps = full.quotient_basis(ideal)
+        if not ideal.dim:  # the base basis and the identity chart, as the general path gives
+            payloads = [b.payload for b in base_hom.basis]
+            return HomSpace(self, x, y, payloads, Mat.identity(self.field, base_hom.dim))
+        reps = Subspace.full(self.field, base_hom.dim).quotient_basis(ideal)
         payloads = [base_hom.from_coords(v).payload for v in reps]
         chart = Mat.from_columns(self.field, reps + list(ideal.basis), base_hom.dim)
         return HomSpace(self, x, y, payloads, chart)

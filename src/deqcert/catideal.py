@@ -99,23 +99,25 @@ def ideal_space(cat, spec: SubcatSpec, x, y, kind: str) -> Subspace:
     followed by f, is zero), "L" (left annihilator: f followed by every
     map from y into the subcategory is zero), "F" (factors through it),
     "I" = L & F, "J" = R & F.
-    """
-    if kind == "F":
-        return factorization_through(cat, spec, x, y)
-    if kind == "I":
-        return ideal_space(cat, spec, x, y, "L").intersect(
-            factorization_through(cat, spec, x, y)
-        )
-    if kind == "J":
-        return ideal_space(cat, spec, x, y, "R").intersect(
-            factorization_through(cat, spec, x, y)
-        )
-    if kind not in ("L", "R"):
-        raise InputError(f"unknown ideal kind {kind!r}")
 
+    Structure settles some answers before any composite is taken.  An
+    object built from generators (see ``_from_generators``) has an
+    identity that factors through the generators, so L(x, y) = 0 when y is
+    one, R(x, y) = 0 when x is one, and F(x, y) is all of Hom(x, y) when
+    either is.  I and J stop at a zero L or R, since I ⊆ L and J ⊆ R.
+    """
+    if kind in ("I", "J"):
+        ann = ideal_space(cat, spec, x, y, "L" if kind == "I" else "R")
+        return ann.intersect(ideal_space(cat, spec, x, y, "F")) if ann.dim else ann
+    if kind not in ("L", "R", "F"):
+        raise InputError(f"unknown ideal kind {kind!r}")
     space = cat.hom(x, y)
-    if space.dim == 0:  # nothing to annihilate: skip building the probe Hom spaces
-        return Subspace.zero(cat.field, 0)
+    if kind == "F":
+        if _from_generators(cat, spec, x) or _from_generators(cat, spec, y):
+            return Subspace.full(cat.field, space.dim)
+        return factorization_through(cat, spec, x, y)
+    if not space.dim or _from_generators(cat, spec, y if kind == "L" else x):
+        return Subspace.zero(cat.field, space.dim)
     cols = [[] for _ in space.basis]  # column j: the images of basis map j under every probe
     for g in spec.generators:
         if kind == "R":  # h: g -> x;  f dies iff h.then(f)=0
@@ -126,6 +128,16 @@ def ideal_space(cat, spec: SubcatSpec, x, y, kind: str) -> Subspace:
             for vec in per_probe:
                 col.extend(vec)
     return _kernel_space(cat, cols)
+
+
+def _from_generators(cat, spec: SubcatSpec, obj) -> bool:
+    """Is obj a generator, or a sum made by ``cat.direct_sum`` of objects
+    built from generators?  What ``spec.member`` records rests on a
+    theorem's hypothesis, not on structure, and is not read here."""
+    if any(obj.key == g.key for g in spec.generators):
+        return True
+    parts = cat.summands_by_key.get(obj.key)
+    return parts is not None and all(_from_generators(cat, spec, o) for o in parts)
 
 
 def _kernel_space(cat, cols) -> Subspace:

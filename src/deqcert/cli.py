@@ -427,8 +427,8 @@ def _example_nakayama(args):
     x = q.obj(0)
     cert = verify_theorem1(q, fx.p)
     spec = SubcatSpec(cat, [fx.p])
-    px = spec.sum_of([fx.p, spec.member(x)]).obj
-    py = spec.sum_of([fx.p, spec.member(fx.y)]).obj
+    px = cat.direct_sum([fx.p, x]).obj
+    py = cat.direct_sum([fx.p, fx.y]).obj
     l_dim = ideal_space(cat, spec, px, px, "L").dim
     r_dim = ideal_space(cat, spec, py, py, "R").dim
     report = _certificate_report("example", cert)

@@ -305,8 +305,6 @@ def ideals_IJ(
 
     xm = ocat.direct_sum([x_obj, m])
     ym = ocat.direct_sum([y_obj, m])
-    spec.member(xm.obj)
-    spec.member(ym.obj)
 
     # w-tilde: Y -> Sigma(X + M), components (w, 0); w-bar: Y + M -> Sigma X
     base_xm = base.direct_sum([x_obj, m])

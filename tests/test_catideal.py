@@ -1,9 +1,13 @@
 """Annihilator and factorization ideals, approximations, quotient rings."""
 
+import itertools
 import random
 
 import pytest
 
+from deqcert import catideal
+from deqcert.angulate import KbProjCat, cone_triangle, verify_theorem2
+from deqcert.category import HomSpace, Mor, QuotientCategory
 from deqcert.catideal import (
     RingPresentation,
     SubcatSpec,
@@ -20,8 +24,9 @@ from deqcert.catideal import (
     right_approximation,
 )
 from deqcert.errors import InputError
-from deqcert.exactla import FieldSpec, Subspace
-from deqcert.presets import a2, a3, cyclic_nakayama, kxx
+from deqcert.exactla import FieldSpec, Mat, Subspace, kernel
+from deqcert.orbit import AdmissibleSet, OrbitCategory, ShiftAuto
+from deqcert.presets import a2, a2_triangle, a3, cyclic_nakayama, kxx
 
 
 def a2_setup():
@@ -197,3 +202,161 @@ def test_ring_quotient_dimension_drop():
     q = quotient_ring(cat, p1, ideal_space(cat, spec, p1, p1, "I"))
     # End(P1) = k and P1 is in add(P1), so I(P1,P1) = L = 0
     assert len(full.labels) == len(q.labels) == 1
+
+
+# -- ideals decided by structure ---------------------------------------------
+
+
+def _brute_ideal(cat, gens, x, y, kind):
+    """The ideal from pairwise composites alone: L and R as the kernel of
+    the composites with every probe map, F as the span of the composites
+    through a generator, I and J as intersections."""
+    field, space = cat.field, cat.hom(x, y)
+    if kind in ("I", "J"):
+        ann = _brute_ideal(cat, gens, x, y, "L" if kind == "I" else "R")
+        return ann.intersect(_brute_ideal(cat, gens, x, y, "F"))
+    if kind == "F":
+        vecs = [
+            list(a.then(b).coords())
+            for g in gens
+            for a in cat.hom(x, g).basis
+            for b in cat.hom(g, y).basis
+        ]
+        return Subspace.from_vectors(field, space.dim, vecs)
+    rows = []  # one equation per probe and coordinate of the composite
+    for g in gens:
+        if kind == "L":
+            images = [[f.then(h).coords() for f in space.basis] for h in cat.hom(y, g).basis]
+        else:
+            images = [[h.then(f).coords() for f in space.basis] for h in cat.hom(g, x).basis]
+        for per_probe in images:
+            rows.extend(map(list, zip(*per_probe)))
+    if not rows:
+        return Subspace.full(field, space.dim)
+    return kernel(Mat(field, rows, len(rows), space.dim))
+
+
+def _module_objects(fx):
+    """A generator, sums of generators (one nested), a non-member and a sum
+    with one non-member summand, all made by direct_sum."""
+    cat = fx.algebra.modcat
+    g = fx.projectives["1"]
+    pair = cat.direct_sum([g, g]).obj
+    return cat, [g], {
+        "generator": g,
+        "sum": pair,
+        "nested sum": cat.direct_sum([pair, g]).obj,
+        "non-member": fx.simples["2"],
+        "mixed sum": cat.direct_sum([g, fx.simples["2"]]).obj,
+    }
+
+
+def _cone_objects(field):
+    """The cone triangle of P1 -> P2 over cyclic_nakayama(2, 2), where
+    I(X+M, X+M) is not zero."""
+    fx = cyclic_nakayama(2, 2, field)
+    cat = KbProjCat(fx.algebra)
+    ps = fx.projectives
+    f = fx.algebra.modcat.hom(ps["1"], ps["2"]).basis[0]
+    x, m = cat.stalk_obj(ps["1"]), cat.stalk_obj(ps["2"])
+    tri = cone_triangle(cat, Mor(cat, x, m, {0: f}))
+    y = tri.objects[-1]
+    return cat, [m], {
+        "generator": m,
+        "sum": cat.direct_sum([m, m]).obj,
+        "non-member X": x,
+        "non-member Y": y,
+        "X+M": cat.direct_sum([x, m]).obj,
+        "M+Y": cat.direct_sum([m, y]).obj,
+    }
+
+
+def _orbit_objects(field):
+    fx = a2_triangle(field)
+    ocat = OrbitCategory(fx.cat, ShiftAuto(fx.cat), AdmissibleSet([0, 1]))
+    m, x, y = fx.m, fx.x, fx.triangle.objects[-1]
+    return ocat, [m], {
+        "generator": m,
+        "sum": ocat.direct_sum([m, m]).obj,
+        "non-member X": x,
+        "non-member Y": y,
+        "X+M": ocat.direct_sum([x, m]).obj,
+    }
+
+
+@pytest.mark.parametrize("p", [0, 2, 101])
+def test_ideal_space_matches_brute_force_on_every_kind(p):
+    field = FieldSpec(p)
+    setups = [
+        ("a3", _module_objects(a3(field))),
+        ("cyclic_nakayama(3,2)", _module_objects(cyclic_nakayama(3, 2, field))),
+        ("cone triangle", _cone_objects(field)),
+        ("orbit", _orbit_objects(field)),
+    ]
+    nonzero_i = 0
+    for name, (cat, gens, objs) in setups:
+        spec = SubcatSpec(cat, gens)
+        for (xn, x), (yn, y) in itertools.product(objs.items(), repeat=2):
+            for kind in "LRFIJ":
+                want = _brute_ideal(cat, gens, x, y, kind)
+                assert ideal_space(cat, spec, x, y, kind) == want, (name, xn, yn, kind)
+                nonzero_i += kind == "I" and want.dim > 0
+    assert nonzero_i  # the pairs include proper annihilators that are not zero
+
+
+def test_structure_rules_read_the_sums_not_the_member_registry():
+    field = FieldSpec(0)
+    cat, gens, objs = _cone_objects(field)
+    spec = SubcatSpec(cat, gens)
+    xm = objs["X+M"]
+    want = _brute_ideal(cat, gens, xm, xm, "L")
+    assert want.dim > 0
+    # registering X+M as a member does not make its left annihilator zero
+    spec.member(xm)
+    assert ideal_space(cat, spec, xm, xm, "L") == want
+    assert ideal_space(cat, spec, xm, xm, "I") == _brute_ideal(cat, gens, xm, xm, "I")
+    # a sum made by direct_sum with one summand outside add(M) is not built
+    # from generators, even when its other summands are
+    mx = cat.direct_sum([gens[0], gens[0], objs["non-member X"]]).obj
+    assert not catideal._from_generators(cat, spec, mx)
+    assert catideal._from_generators(cat, spec, objs["sum"])
+    assert ideal_space(cat, spec, mx, mx, "L") == _brute_ideal(cat, gens, mx, mx, "L")
+    assert ideal_space(cat, spec, mx, mx, "L").dim > 0
+
+
+def test_theorem2_with_zero_annihilators_builds_no_factorization_span(monkeypatch):
+    # the cone triangle of P2 -> P1 over a3 has L = 0 and R = 0 on every pair
+    # its certificate reads, so I and J are zero without F
+    fx = a3()
+    cat = KbProjCat(fx.algebra)
+    ps = fx.projectives
+    f = fx.algebra.modcat.hom(ps["2"], ps["1"]).basis[0]
+    x, m = cat.stalk_obj(ps["2"]), cat.stalk_obj(ps["1"])
+    tri = cone_triangle(cat, Mor(cat, x, m, {0: f}))
+    calls = []
+    real = catideal.factorization_through
+    monkeypatch.setattr(catideal, "factorization_through", lambda *a: calls.append(a) or real(*a))
+    cert = verify_theorem2(cat, cat.sigma, tri, m)
+    assert cert.passed
+    assert calls == []
+
+
+def test_quotient_by_zero_keeps_the_base_basis(monkeypatch):
+    fx = a3()
+    cat = fx.algebra.modcat
+    x = cat.direct_sum([fx.projectives["1"], fx.simples["1"]]).obj
+    base = cat.hom(x, x)
+    calls = []
+    for owner, name in ((Subspace, "quotient_basis"), (HomSpace, "from_coords")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *a, _n=name, _r=real: calls.append(_n) or _r(*a)
+        )
+    qcat = QuotientCategory(cat, lambda a, b: Subspace.zero(cat.field, cat.hom(a, b).dim))
+    space = qcat.hom(x, x)
+    assert calls == []
+    assert [b.payload for b in space.basis] == [b.payload for b in base.basis]
+    rng = random.Random(3)
+    for _ in range(5):
+        f = random_mor(cat, x, x, rng)
+        assert space.coords(f.payload) == base.coords(f.payload)
