@@ -390,18 +390,18 @@ class ModuleCategory(FiniteCategory):
         vecs = intertwiner_kernel(self.field, x.slots, x.dims, y.dims, arrows)
         cells = [(s, i, j) for s in x.slots for i in range(y.dims[s]) for j in range(x.dims[s])]
         payloads = []
-        for vec in vecs:
-            rows = {s: [{} for _ in range(y.dims[s])] for s in x.slots}
+        for vec in vecs:  # a block for each slot the vector touches, in slot order
+            touched = {cells[k][0] for k in vec}
+            blocks = {s: Mat.zeros(self.field, y.dims[s], x.dims[s]) for s in x.slots if s in touched}
             for k, v in vec.items():
                 s, i, j = cells[k]
-                rows[s][i][j] = v
-            blocks = {s: Mat._of(self.field, r, y.dims[s], x.dims[s]) for s, r in rows.items()}
-            payloads.append({s: m for s, m in blocks.items() if not m.is_zero()})
+                blocks[s].sparse_rows[i][j] = v
+            payloads.append(blocks)
         chart = Mat._of(self.field, vecs, len(vecs), len(cells)).transpose()
         return HomSpace(self, x, y, payloads, chart)
 
     def _p_flatten(self, x, y, fp):
-        out, pos = [0] * sum(y.dims[s] * x.dims[s] for s in x.slots), 0
+        out, pos = {}, 0
         for s in x.slots:
             c = x.dims[s]
             for i, row in enumerate(fp[s].sparse_rows if s in fp else ()):
@@ -563,8 +563,8 @@ def invert(f: Mor) -> Mor:
     for s in f.src.slots:
         n = f.src.dims[s]
         solver = LinSolver(_block(f, s))
-        unit_cols = Mat.identity(cat.field, n).tolist()
-        blocks[s] = Mat.from_columns(cat.field, [solver.solve(e) for e in unit_cols], n)
+        units = Mat.identity(cat.field, n).sparse_rows
+        blocks[s] = Mat.from_columns(cat.field, [solver.solve(e) for e in units], n)
     return Mor(cat, f.tgt, f.src, blocks)
 
 
@@ -578,7 +578,7 @@ def submodule(m: ModuleRep, spaces) -> tuple[ModuleRep, Mor]:
     solvers = {s: LinSolver(incl_blocks[s]) for s in m.slots}
 
     def induced(mat, s_src, s_tgt):
-        coeffs = [solvers[s_tgt].solve(mat.apply(vec)) for vec in bases[s_src]]
+        coeffs = [solvers[s_tgt].solve(_sparse(mat.apply(vec))) for vec in bases[s_src]]
         if None in coeffs:
             raise InputError("subspaces are not closed under the action")
         return Mat.from_columns(field, coeffs, dims[s_tgt])
@@ -602,8 +602,8 @@ def quotient_module(m: ModuleRep, spaces) -> tuple[ModuleRep, Mor]:
         dims[s] = len(reps[s])
         # projection: reduce mod the subspace, then express in coset reps
         solver = LinSolver(Mat.from_columns(field, reps[s] + list(spaces[s].basis), m.dims[s]))
-        unit_cols = Mat.identity(field, m.dims[s]).tolist()
-        proj_cols = [solver.solve(e)[: dims[s]] for e in unit_cols]
+        units = Mat.identity(field, m.dims[s]).sparse_rows
+        proj_cols = [solver.solve(e)[: dims[s]] for e in units]
         proj_mats[s] = Mat.from_columns(field, proj_cols, dims[s])
 
     def induced(mat, s_src, s_tgt):

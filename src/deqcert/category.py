@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import InputError, InternalConsistencyError
-from .exactla import LinSolver, Mat, Subspace
+from .exactla import LinSolver, Mat, Subspace, _sparse
 
 _KEYS = itertools.count()
 
@@ -105,7 +105,8 @@ class HomSpace:
     ``chart`` holds, as columns in the flat chart of ``cat._p_flatten``,
     the basis and then any generators to be quotiented away when taking
     coordinates (ideal elements, null-homotopic maps); coordinates of a
-    payload are those of its class in the span of basis + generators.
+    payload are those of its class in the span of basis + generators,
+    solved from its flat {index: nonzero} dict.
     """
 
     def __init__(self, cat, src, tgt, basis_payloads, chart: Mat):
@@ -174,10 +175,12 @@ class MorphismEquations:
         """The maps h_i solving the equations, one right-hand side per
         equation (a Mor, or None for zero), zero on every free column of the
         matrix; None when there is no solution."""
-        vec = []
+        vec, pos = {}, 0
         for target, r in zip(self.targets, rhs):
-            vec.extend(target.coords(r.payload) if r is not None else [self.field.zero] * target.dim)
-        if not any(vec):  # the zero maps, which a solve would return too
+            if r is not None:
+                vec.update(_sparse(target.coords(r.payload), pos))
+            pos += target.dim
+        if not vec:  # the zero maps, which a solve would return too
             return [space.zero() for space in self.spaces]
         sol = self._solver.solve(vec)
         if sol is None:
@@ -287,6 +290,7 @@ class FiniteCategory:
         raise NotImplementedError
 
     def _p_flatten(self, x, y, fp):
+        """The nonzero payload fp as a {flat index: nonzero} dict."""
         raise NotImplementedError
 
 
@@ -342,7 +346,7 @@ class QuotientCategory(FiniteCategory):
         return self.base._p_identity(x)
 
     def _p_flatten(self, x, y, fp):
-        return list(self.base.hom(x, y).coords(fp))
+        return _sparse(self.base.hom(x, y).coords(fp))
 
     def lift(self, f: Mor) -> Mor:
         """View a base morphism in the quotient (or re-tag a quotient rep)."""

@@ -8,6 +8,7 @@ sorted and no timing information is included.
 """
 
 import argparse
+import functools
 import gc
 import json
 import random
@@ -475,7 +476,10 @@ def _parse_int_set(text):
 # -- entry point -----------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once; main runs the command ``name`` by looking up
+    ``cmd_<name>`` in this module when it is called."""
     parser = argparse.ArgumentParser(prog="deqcert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -491,65 +495,53 @@ def build_parser():
     p = sub.add_parser("check-admissible")
     common(p, scenario=False)
     p.add_argument("--set", required=True, help="comma-separated degrees")
-    p.set_defaults(fn=cmd_check_admissible)
 
     p = common(sub.add_parser("hom"))
     p.add_argument("--m", required=True)
     p.add_argument("--n", required=True)
-    p.set_defaults(fn=cmd_hom)
 
     p = common(sub.add_parser("ideal"))
     p.add_argument("--m", required=True, help="subcategory generator")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--kind", default="L", choices=["L", "R", "F", "I", "J"])
-    p.set_defaults(fn=cmd_ideal)
 
     p = common(sub.add_parser("approx"))
     p.add_argument("--m", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--side", default="right", choices=["left", "right"])
-    p.set_defaults(fn=cmd_approx)
 
     p = common(sub.add_parser("end-ring"))
     p.add_argument("--obj", required=True)
     p.add_argument("--quotient", choices=["L", "R", "I", "J"])
     p.add_argument("--m", help="generator for the quotient ideal")
-    p.set_defaults(fn=cmd_end_ring)
 
     p = common(sub.add_parser("check-thm1"))
     p.add_argument("--complex", required=True)
     p.add_argument("--m", required=True)
-    p.set_defaults(fn=cmd_check_thm1)
 
     p = common(sub.add_parser("verify-thm1"))
     p.add_argument("--complex", required=True)
     p.add_argument("--m", required=True)
-    p.set_defaults(fn=cmd_verify_thm1)
 
     p = common(sub.add_parser("nu-pipeline"))
     p.add_argument("--p", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--max-steps", type=int, default=16)
-    p.set_defaults(fn=cmd_nu_pipeline)
 
     p = common(sub.add_parser("verify-thm2"), scenario=False)
-    p.set_defaults(fn=cmd_verify_thm2)
 
     p = common(sub.add_parser("orbit-yoneda"))
     p.add_argument("--x", required=True)
     p.add_argument("--functor", required=True)
     p.add_argument("--phi", required=True)
-    p.set_defaults(fn=cmd_orbit_yoneda)
 
     p = common(sub.add_parser("orbit-verify"), scenario=False)
     p.add_argument("--phi", default="0,1")
-    p.set_defaults(fn=cmd_orbit_verify)
 
     p = common(sub.add_parser("example"), scenario=False)
     p.add_argument("name")
-    p.set_defaults(fn=cmd_example)
 
     return parser
 
@@ -560,11 +552,10 @@ def main(argv=None):
     A command's categories, Hom spaces and basis morphisms form reference
     cycles that only a full garbage collection frees, so main runs one
     before it returns instead of leaving them to the next automatic one."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
-        report, code = args.fn(args)
+        report, code = globals()["cmd_" + args.command.replace("-", "_")](args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from itertools import compress, count
 from .category import FiniteCategory, HomSpace, Mor, QuotientCategory, fresh_key
 from .catideal import SubcatSpec, ideal_space
 from .errors import InputError
-from .exactla import Mat, Subspace
+from .exactla import Mat, Subspace, _sparse
 
 __all__ = [
     "Complex",
@@ -148,12 +148,14 @@ class HomComplex:
             pos += h.dim
         return out
 
-    def vec_from_maps(self, n, maps) -> list:
-        """{m: Mor} -> coordinate vector of degree n (absent maps are zero)."""
-        out = []
+    def vec_from_maps(self, n, maps) -> dict:
+        """{m: Mor} -> coordinate vector of degree n as a {index: nonzero}
+        dict (absent maps are zero)."""
+        out, pos = {}, 0
         for m, h in self.blocks.get(n, []):
-            f = maps.get(m)
-            out.extend(h.coords(f.payload) if f is not None else [self.cat.field.zero] * h.dim)
+            if m in maps:
+                out.update(_sparse(h.coords(maps[m].payload), pos))
+            pos += h.dim
         return out
 
     def _diff_matrix(self, n) -> Mat:

@@ -12,7 +12,8 @@ Every rank, kernel, solve, span and intersection runs one elimination,
 SymPy's `sdm_irref`, whose cost follows the nonzeros, not rows x columns.
 The RREF is unique, so it gives the entries a dense Gauss-Jordan would.
 A `Mat` stores its rows in that form, so an elimination starts from a copy
-of them; coordinates, flat charts and `Subspace` bases stay dense vectors.
+of them, and a solve's right-hand side is a {row: nonzero} dict too;
+coordinates and `Subspace` bases stay dense vectors.
 """
 
 from __future__ import annotations
@@ -289,9 +290,10 @@ class Mat:
         return Mat._of(self.field, vecs, len(vecs), self.cols).tolist()
 
 
-def _sparse(vec):
-    """A dense vector as its {column: nonzero} dict, built at C speed."""
-    return dict(zip(compress(count(), vec), compress(vec, vec)))
+def _sparse(vec, start=0):
+    """A dense vector as its {column: nonzero} dict, built at C speed; its
+    columns are numbered from start."""
+    return dict(zip(compress(count(start), vec), compress(vec, vec)))
 
 
 def _integral(x):
@@ -414,12 +416,12 @@ class LinSolver:
                     self.columns[c - n].append((r, t))
 
     def solve(self, b):
-        """The solution of A·x = b that is zero on every free column, or None."""
+        """The solution of A·x = b that is zero on every free column, or None;
+        b is a {row: nonzero} dict."""
         acc = {}  # row r -> (T·b)_r; no int 0 start: 0 + Fraction is slow
-        for bj, col in zip(b, self.columns):
-            if bj:
-                for r, t in col:
-                    acc[r] = acc[r] + t * bj if r in acc else t * bj
+        for j, bj in b.items():
+            for r, t in self.columns[j]:
+                acc[r] = acc[r] + t * bj if r in acc else t * bj
         p, pivots = self.field.char, self.pivots
         x = [self.field.zero] * self.cols
         for r, s in acc.items():

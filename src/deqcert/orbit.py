@@ -12,7 +12,7 @@ from .angulate import NAngle, ShiftAuto, verify_theorem2
 from .catideal import RingPresentation, SubcatSpec, approximation_witness, end_ring, ideal_space
 from .category import DirectSumData, FiniteCategory, HomSpace, Mor, StrictAuto
 from .errors import HypothesisError, InputError, InternalConsistencyError
-from .exactla import Mat, Subspace
+from .exactla import Mat, Subspace, _sparse
 
 __all__ = [
     "AdmissibleSet",
@@ -173,10 +173,11 @@ class OrbitCategory(FiniteCategory):
         return HomSpace(self, x, y, payloads, Mat.identity(self.field, len(payloads)))
 
     def _p_flatten(self, x, y, fp):
-        out = []
+        out, pos = {}, 0
         for u, space in self._graded_spaces(x, y):
-            comp = fp.get(u)
-            out.extend(space.coords(comp.payload) if comp is not None else [self.field.zero] * space.dim)
+            if u in fp:
+                out.update(_sparse(space.coords(fp[u].payload), pos))
+            pos += space.dim
         return out
 
     def _p_compose(self, x, y, z, fp, gp):

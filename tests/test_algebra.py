@@ -12,6 +12,7 @@ from deqcert.algebra import (
     Quiver,
     find_isomorphism,
     image_module,
+    intertwiner_kernel,
     invert,
     is_isomorphism,
     kernel_module,
@@ -31,7 +32,7 @@ from deqcert.catideal import RingPresentation
 from deqcert.complexes import ChainMapCategory, Complex
 from deqcert.errors import InputError, InternalConsistencyError, NonFiniteDimensionalError
 from deqcert.exactla import FieldSpec, Mat
-from deqcert.presets import a2, a3, cyclic_nakayama, kxx
+from deqcert.presets import a2, a3, cyclic_nakayama, kxx, nakayama4
 
 
 def count_paths(quiver, relations, max_len=30):
@@ -287,6 +288,42 @@ def test_building_a_module_hom_space_eliminates_once(monkeypatch):
     for k, b in enumerate(space.basis):
         assert space.coords(b.payload) == tuple(int(i == k) for i in range(space.dim))
     assert len(calls) == 1
+
+
+def _payloads_from_every_slot(cat, x, y):
+    """The Hom basis payloads as they were built before blocks were made
+    only for the slots a kernel vector touches: a row dict for every row of
+    every slot, then the zero blocks dropped."""
+    arrows = [(s, t, y.mats[a], x.mats[a]) for a, s, t in cat.algebra.presentation.quiver.arrows]
+    cells = [(s, i, j) for s in x.slots for i in range(y.dims[s]) for j in range(x.dims[s])]
+    payloads = []
+    for vec in intertwiner_kernel(cat.field, x.slots, x.dims, y.dims, arrows):
+        rows = {s: [{} for _ in range(y.dims[s])] for s in x.slots}
+        for k, v in vec.items():
+            s, i, j = cells[k]
+            rows[s][i][j] = v
+        blocks = {s: Mat._of(cat.field, r, y.dims[s], x.dims[s]) for s, r in rows.items()}
+        payloads.append({s: m for s, m in blocks.items() if not m.is_zero()})
+    return payloads
+
+
+def test_hom_basis_payloads_from_kernel_nonzeros_match_every_slot_construction():
+    # the same blocks, in slot order, and no zero block, on every ordered
+    # pair of the named modules (projectives, simples, the regular module,
+    # and nakayama4's P and Y)
+    partial = 0
+    for fx in (a2(), a3(), kxx(), nakayama4(), cyclic_nakayama(3, 2)):
+        cat = fx.algebra.modcat
+        named = [*fx.projectives.values(), *fx.simples.values(), regular_module(fx.algebra).obj]
+        named += [getattr(fx, name) for name in ("p", "y") if hasattr(fx, name)]
+        for x, y in itertools.product(named, repeat=2):
+            got = [b.payload for b in cat.hom(x, y).basis]
+            want = _payloads_from_every_slot(cat, x, y)
+            assert got == want, (x, y)
+            for g, w in zip(got, want):
+                assert list(g) == list(w) and not any(m.is_zero() for m in g.values())
+                partial += len(g) < len(x.slots)
+    assert partial  # some basis maps leave out a slot
 
 
 def test_sub_quotient_radical_socle_top():

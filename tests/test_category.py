@@ -1,5 +1,7 @@
-"""The morphism-equation solver shared by theta and the angle fillers."""
+"""The morphism-equation solver shared by theta and the angle fillers, and
+the flat vectors every Hom space's coordinates are solved from."""
 
+import itertools
 import random
 
 import pytest
@@ -7,9 +9,10 @@ import pytest
 from deqcert.catideal import SubcatSpec, ideal_space, random_mor
 from deqcert.category import Mor, MorphismEquations, QuotientCategory
 from deqcert.complexes import ChainMapCategory, Complex, HomotopyCategory
-from deqcert.exactla import FieldSpec, LinSolver, Mat
-from deqcert.orbit import AdmissibleSet, OrbitCategory, ShiftAuto
-from deqcert.presets import a2_triangle, cyclic_nakayama
+from deqcert.errors import InternalConsistencyError
+from deqcert.exactla import FieldSpec, LinSolver, Mat, Subspace
+from deqcert.orbit import AdmissibleSet, OrbitCategory, QuiverTwistAuto, ShiftAuto
+from deqcert.presets import a2_triangle, cyclic_nakayama, kxx
 
 
 def _projectives(char=0):
@@ -234,3 +237,114 @@ def test_composite_tables_match_the_pairwise_composites(char):
     _check_tables(kb, objs, rng)
     orbit = OrbitCategory(kb, ShiftAuto(kb), AdmissibleSet([0, 1]))
     _check_tables(orbit, [tri.m, tri.x], rng)
+
+
+# -- flat vectors ------------------------------------------------------------
+
+
+def _dense_flat(kind, cat, x, y, fp):
+    """The flat vector of the payload fp with its zeros written out, by the
+    layout each category's chart uses: slot blocks row by row, base
+    coordinates, or the coordinates of the parts in order."""
+    zero = cat.field.zero
+
+    def parts(spaces):
+        return [c for key, h in spaces for c in (h.coords(fp[key].payload) if key in fp else [zero] * h.dim)]
+
+    if kind == "module":
+        out = []
+        for s in x.slots:
+            blk = fp.get(s, Mat.zeros(cat.field, y.dims[s], x.dims[s]))
+            out += [c for row in blk.tolist() for c in row]
+        return out
+    if kind == "quotient":
+        return list(cat.base.hom(x, y).coords(fp))
+    if kind == "orbit":
+        return parts(cat._graded_spaces(x, y))
+    return parts(cat.hom_complex(x, y).blocks.get(0, []))  # chain maps, homotopy classes
+
+
+def _flat_setups(field):
+    """(kind, category, objects) covering every _p_flatten hook: modules,
+    quotients by a zero and by a nonzero ideal, chain maps, homotopy
+    classes, KbProjCat and two orbit categories."""
+    fx = cyclic_nakayama(2, 3, field)
+    cat = fx.algebra.modcat
+    p1, p2, s1 = fx.projectives["1"], fx.projectives["2"], fx.simples["1"]
+    spec = SubcatSpec(cat, [p2])
+    by_zero = QuotientCategory(cat, lambda u, v: Subspace.zero(field, cat.hom(u, v).dim))
+    by_f = QuotientCategory(cat, lambda u, v: ideal_space(cat, spec, u, v, "F"))
+    a = cat.hom(p1, p2).basis[0]
+    r = next(e for e in cat.hom(p1, p1).basis if e.then(e).is_zero() and e.payload)
+    cxs = [Complex(cat, 0, [p1, p2], [a]), Complex(cat, 0, [p1, p1], [r]), Complex(cat, 0, [p2], [])]
+    tri = a2_triangle(field)
+    kb_objs = list(tri.triangle.objects) + [tri.cat.sigma.obj(tri.x)]
+    shift_orbit = OrbitCategory(tri.cat, ShiftAuto(tri.cat), AdmissibleSet([0, 1]))
+    # the rotation of the 2-cycle: Hom(P1, P1) is nonzero in both degrees
+    rotation = QuiverTwistAuto(fx.algebra, {"1": "2", "2": "1"}, {"a1": "a2", "a2": "a1"}, order=2)
+    rotation_orbit = OrbitCategory(cat, rotation, AdmissibleSet([0, 1]))
+    return [
+        ("module", cat, [p1, p2, s1, cat.direct_sum([p1, s1]).obj]),
+        ("quotient", by_zero, [p1, p2, s1]),
+        ("quotient", by_f, [p1, p2, s1]),
+        ("chain", ChainMapCategory(cat), cxs),
+        ("chain", HomotopyCategory(cat), cxs),
+        ("chain", tri.cat, kb_objs),
+        ("orbit", shift_orbit, [tri.m, tri.x, tri.triangle.objects[-1]]),
+        ("orbit", rotation_orbit, [p1, p2, s1]),
+    ]
+
+
+@pytest.mark.parametrize("char", [0, 2, 101])
+def test_flat_vectors_are_the_nonzeros_of_the_dense_ones(char):
+    # each _p_flatten hook returns a {flat index: nonzero} dict, the dense
+    # flat vector at its nonzeros, and coordinates read back what made a map
+    field = FieldSpec(char)
+    rng = random.Random(2300 + char)
+    setups = _flat_setups(field)
+    by_f, objs = setups[2][1:]
+    assert any(by_f.ideal(u, v).dim for u in objs for v in objs)
+    flattened = set()
+    for n, (kind, cat, objs) in enumerate(setups):
+        for x, y in itertools.product(objs, repeat=2):
+            space = cat.hom(x, y)
+            vecs = [tuple(int(i == k) for i in range(space.dim)) for k in range(space.dim)]
+            vecs += [tuple(field.random(rng) for _ in range(space.dim)) for _ in range(4)]
+            for v in vecs:
+                f = space.from_coords(v)
+                assert space.coords(f.payload) == v
+                if not f.payload:
+                    continue
+                flat = cat._p_flatten(x, y, f.payload)
+                dense = _dense_flat(kind, cat, x, y, f.payload)
+                assert type(flat) is dict and all(flat.values())
+                assert flat == {k: c for k, c in enumerate(dense) if c}
+                flattened.add(n)
+    assert len(flattened) == len(setups)  # every category flattened a nonzero map
+
+
+@pytest.mark.parametrize("char", [0, 2, 101])
+def test_slot_maps_that_do_not_intertwine_have_no_coordinates(char, monkeypatch):
+    # every one-entry slot map of P1 over k[x]/(x^2): coords raises exactly
+    # when the map breaks the square of x, after one solve whose check rows
+    # catch it; the zero map is answered with zeros and no solve
+    solves = []
+    solve = LinSolver.solve
+    monkeypatch.setattr(LinSolver, "solve", lambda self, b: solves.append(b) or solve(self, b))
+    fx = kxx(FieldSpec(char))
+    cat, p = fx.algebra.modcat, fx.projectives["1"]
+    x, end = p.mats["x"], cat.hom(p, p)
+    outside = 0
+    for i, j in itertools.product(range(2), repeat=2):
+        blk = Mat(cat.field, [[int((r, c) == (i, j)) for c in range(2)] for r in range(2)])
+        del solves[:]
+        if x * blk == blk * x:
+            assert end.from_coords(end.coords({"1": blk})).payload["1"] == blk
+        else:
+            with pytest.raises(InternalConsistencyError):
+                end.coords({"1": blk})
+            outside += 1
+        assert solves == [{2 * i + j: 1}]
+    assert outside == 3  # only the entry below the diagonal, x itself, commutes
+    del solves[:]
+    assert end.coords({}) == (0, 0) and solves == []

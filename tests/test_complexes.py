@@ -102,7 +102,8 @@ def test_chain_map_composition_and_homotopy_consistency():
     for cm in ccat.hom(cx, cx).basis:
         sq = cm.then(cm)
         assert is_chain_endomorphism(cx, sq.payload)
-        assert hc.cycles(0).contains(hc.vec_from_maps(0, sq.payload))
+        flat = hc.vec_from_maps(0, sq.payload)  # {index: nonzero}
+        assert hc.cycles(0).contains([flat.get(k, 0) for k in range(hc.dim(0))])
 
 
 def test_chain_map_composites_leave_out_vanishing_degrees():

@@ -12,6 +12,7 @@ from deqcert.exactla import (
     LinSolver,
     Mat,
     Subspace,
+    _sparse,
     kernel,
 )
 
@@ -71,9 +72,9 @@ def test_rref_and_solve_return_integral_rationals_as_ints():
     red, pivots = Mat(QQ, [[2, 4], [1, 1]]).rref()
     assert pivots == [0, 1]
     assert all(type(x) is int for row in red.tolist() for x in row), red.tolist()
-    x = LinSolver(Mat(QQ, [[2, 0], [0, 1]])).solve([2, 0])
+    x = LinSolver(Mat(QQ, [[2, 0], [0, 1]])).solve(_sparse([2, 0]))
     assert x == [1, 0] and all(type(v) is int for v in x), x
-    half = LinSolver(Mat(QQ, [[2, 0], [0, 1]])).solve([1, 0])
+    half = LinSolver(Mat(QQ, [[2, 0], [0, 1]])).solve(_sparse([1, 0]))
     assert half == [Fraction(1, 2), 0] and type(half[0]) is Fraction
 
 
@@ -137,9 +138,9 @@ def test_rref_is_idempotent():
 def test_solve_consistent_and_inconsistent():
     q = FieldSpec(0)
     a = Mat(q, [[1, 1], [0, 1], [1, 2]])
-    x = LinSolver(a).solve(a.apply([3, -2]))
+    x = LinSolver(a).solve(_sparse(a.apply([3, -2])))
     assert a.apply(x) == a.apply([3, -2])
-    assert LinSolver(a).solve([1, 0, 0]) is None  # rows force x+y=1, y=0, x+2y=0
+    assert LinSolver(a).solve(_sparse([1, 0, 0])) is None  # rows force x+y=1, y=0, x+2y=0
 
 
 def test_lin_solver_matches_direct_solve():
@@ -149,7 +150,7 @@ def test_lin_solver_matches_direct_solve():
         a = rand_mat(f5, 3, 4, rng)
         solver = LinSolver(a)
         target = a.apply([f5.random(rng) for _ in range(4)])
-        x = solver.solve(target)
+        x = solver.solve(_sparse(target))
         assert x is not None and a.apply(x) == target
 
 
@@ -178,7 +179,7 @@ def test_lin_solver_returns_the_solution_zero_on_free_columns():
             assert len(solver.columns) == rows
             assert all(t for col in solver.columns for _, t in col)
             for b in rhs:
-                x = solver.solve(b)
+                x = solver.solve(_sparse(b))
                 if Mat.from_columns(field, a.transpose().tolist() + [b], rows).rank() > len(pivots):
                     assert x is None
                     continue
@@ -188,7 +189,7 @@ def test_lin_solver_returns_the_solution_zero_on_free_columns():
             # b = c·e_j whose column of T reaches only rows past the rank
             for e, col in zip(units, solver.columns):
                 if col and all(r >= len(pivots) for r, _ in col):
-                    assert solver.solve(e) is None
+                    assert solver.solve(_sparse(e)) is None
                     past_rank_only += 1
         assert past_rank_only
 
@@ -362,7 +363,7 @@ def test_sparse_elimination_matches_dense_gauss_jordan(p):
             [sparse_entry(field, rng, 0.7) for _ in range(a.rows)],
             [field.one] + [field.zero] * (a.rows - 1) if a.rows else [],
         ]
-        solves = [solver.solve(b) for b in rhs]
+        solves = [solver.solve(_sparse(b)) for b in rhs]
         assert solves == [dense_solve(field, a, b) for b in rhs]
         assert solves[0] is not None
         outputs = [x for row in red.tolist() for x in row] + [x for v in ker for x in v]
@@ -416,7 +417,7 @@ def test_unit_row_solver_matches_the_elimination_path(p, monkeypatch):
             [field.zero] * a.rows,
         ] + [[field.one if k == i else field.zero for k in range(a.rows)] for i in range(a.rows)]
         for b in rhs:
-            x, ref = solver.solve(b), padded.solve(b)
+            x, ref = solver.solve(_sparse(b)), padded.solve(_sparse(b))
             assert x == (None if ref is None else ref[:-1]) == dense_solve(field, a, b)
             assert x is None or all(is_exact(field, v) and not integral_fraction(v) for v in x)
             outside += x is None
