@@ -686,7 +686,8 @@ def find_isomorphism(m: ModuleRep, n: ModuleRep, rng=None):
     if any(m.dims[s] != n.dims[s] for s in m.slots):
         return "no", None
     cat = m.algebra.modcat
-    basis = cat.hom(m, n).basis
+    space = cat.hom(m, n)
+    basis = space.basis
     if m.total_dim == 0:
         return "yes", cat.zero_mor(m, n)
     for f in basis:
@@ -698,11 +699,7 @@ def find_isomorphism(m: ModuleRep, n: ModuleRep, rng=None):
     if rng is not None:
         field = m.algebra.field
         for _ in range(64):
-            f = cat.zero_mor(m, n)
-            for b in basis:
-                c = field.random(rng)
-                if c:
-                    f = f + b.scale(c)
+            f = space.from_coords([field.random(rng) for _ in basis])
             if is_isomorphism(f):
                 return "yes", f
     return "undecided", None
@@ -739,7 +736,6 @@ def nakayama_projective(algebra: Algebra, p: ModuleRep) -> ModuleRep:
             lmul_blocks[v] = Mat._of(algebra.field, rows, len(tgt_paths[v]), len(src_paths[v]))
         lmul = cat.mor(projs[t], projs[s], lmul_blocks)
         # postcompose: Hom(p, P_t) -> Hom(p, P_s); the dual runs s -> t
-        hom_s = cat.hom(p, projs[s])
-        rows = [hom_s.coords(f.then(lmul).payload) for f in hom_bases[t]]
+        rows = [row[0] for row in cat.composite_coords(hom_bases[t], [lmul])]
         mats[name] = Mat(algebra.field, rows, dims[t], dims[s])
     return ModuleRep(algebra, dims, mats, name=f"nu({p.name})")

@@ -270,12 +270,12 @@ def _fill_angle_square(cat, sigma, src: NAngle, tgt: NAngle, h1: Mor, h2: Mor):
     # reads h_n g_n = f_n Sigma(h_1).  Below, i = j - 1 indexes the maps.
     equations = []
     for i in range(1, n - 1):
-        terms = [(i - 1, src.maps[i].then)]
+        terms = [(i - 1, src.maps[i], "pre")]
         if i >= 2:
-            terms.append((i - 2, lambda h, g=tgt.maps[i]: -h.then(g)))
+            terms.append((i - 2, -tgt.maps[i], "post"))
         equations.append((cat.hom(src.objects[i], tgt.objects[i + 1]), terms))
     last = cat.hom(src.objects[-1], sigma.obj(tgt.objects[0]))
-    equations.append((last, [(n - 3, lambda h: h.then(tgt.connecting))]))
+    equations.append((last, [(n - 3, tgt.connecting, "post")]))
     rhs = [h2.then(tgt.maps[1])] + [None] * (n - 3) + [src.connecting.then(sigma.mor(h1))]
     spaces = [cat.hom(src.objects[i], tgt.objects[i]) for i in range(2, n)]
     return MorphismEquations(cat, spaces, equations).solve(rhs)
@@ -324,7 +324,7 @@ def _solve_second(cat, src: NAngle, tgt: NAngle, h1: Mor):
     """h2 with f1 h2 = h1 g1, or None."""
     space = cat.hom(src.objects[1], tgt.objects[1])
     square = cat.hom(src.objects[0], tgt.objects[1])
-    sol = MorphismEquations(cat, [space], [(square, [(0, src.maps[0].then)])]).solve(
+    sol = MorphismEquations(cat, [space], [(square, [(0, src.maps[0], "pre")])]).solve(
         [h1.then(tgt.maps[0])]
     )
     return None if sol is None else sol[0]
@@ -367,11 +367,11 @@ def _hom_action(cat, p, f: Mor, side: str) -> Mat:
     if side == "cov":
         src_space = cat.hom(p, f.src)
         tgt_space = cat.hom(p, f.tgt)
-        cols = [tgt_space.coords(b.then(f).payload) for b in src_space.basis]
+        cols = [row[0] for row in cat.composite_coords(src_space.basis, [f])]
     else:
         src_space = cat.hom(f.tgt, p)
         tgt_space = cat.hom(f.src, p)
-        cols = [tgt_space.coords(f.then(b).payload) for b in src_space.basis]
+        (cols,) = cat.composite_coords([f], src_space.basis)
     return Mat.from_columns(cat.field, cols, tgt_space.dim)
 
 
@@ -418,8 +418,8 @@ def verify_theorem2(cat, sigma: StrictAuto, angle: NAngle, m) -> EquivCertificat
         cat,
         [cat.hom(ym, ym)],
         [
-            (cat.hom(g_tilde.src, ym), [(0, g_tilde.then)]),
-            (cat.hom(ym, sigma.obj(x_obj)), [(0, lambda u: u.then(eta_tilde))]),
+            (cat.hom(g_tilde.src, ym), [(0, g_tilde, "pre")]),
+            (cat.hom(ym, sigma.obj(x_obj)), [(0, eta_tilde, "post")]),
         ],
     )
     # well-definedness: the homogeneous solutions must lie in the proper ideal

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import InputError, InternalConsistencyError
-from .exactla import LinSolver, Mat, Subspace, _sparse
+from .exactla import LinSolver, Mat, Subspace, _normal, _sparse
 
 _KEYS = itertools.count()
 
@@ -147,28 +147,40 @@ class MorphismEquations:
     """Linear equations in unknown morphisms h_0, h_1, ..., with h_i in spaces[i].
 
     equations lists (target, terms): the equation lives in the HomSpace
-    target and reads sum act(h_i) = rhs over its terms (i, act), where act
-    is a linear map from spaces[i] to target.  The matrix has one column per
-    basis element of each unknown space, in order, and stacks the
-    coordinates in each target, in equation order.
+    target and reads sum of its terms = rhs, a term (i, f, side) standing
+    for f.then(h_i) when side is "pre" and for h_i.then(f) when it is
+    "post"; a sign rides on f.  The matrix has one column per basis element
+    of each unknown space, in order, and stacks the coordinates in each
+    target, in equation order.  A term's column block is one
+    ``composite_coords`` table, and the blocks of one unknown add, since
+    coordinates are linear.
     """
 
     def __init__(self, cat, spaces, equations):
         self.field = cat.field
         self.spaces = list(spaces)
         self.targets = [target for target, _ in equations]
-        cols = []
-        for i, space in enumerate(self.spaces):
-            for b in space.basis:
-                col = []
-                for target, terms in equations:
-                    images = [act(b) for j, act in terms if j == i]
-                    if images:
-                        col.extend(target.coords(sum(images[1:], images[0]).payload))
-                    else:
-                        col.extend([self.field.zero] * target.dim)
-                cols.append(col)
-        self.matrix = Mat.from_columns(self.field, cols, sum(t.dim for t in self.targets))
+        starts = list(itertools.accumulate((space.dim for space in self.spaces), initial=0))
+        rows = []
+        for target, terms in equations:
+            block = [{} for _ in range(target.dim)]
+            for i, f, side in terms:
+                space = self.spaces[i]
+                first, second = (f, space) if side == "pre" else (space, f)
+                if f.cat is not cat or first.tgt.key != second.src.key:
+                    raise InputError(f"a term's map does not compose with unknown {i}'s space")
+                if (first.src.key, second.tgt.key) != (target.src.key, target.tgt.key):
+                    raise InputError("a term's composite lands outside its equation's target")
+                if side == "pre":
+                    (images,) = cat.composite_coords([f], space.basis)
+                else:
+                    images = [row[0] for row in cat.composite_coords(space.basis, [f])]
+                for col, vec in enumerate(images, starts[i]):
+                    for r in itertools.compress(itertools.count(), vec):
+                        row = block[r]
+                        row[col] = row[col] + vec[r] if col in row else vec[r]
+            rows.extend(_normal(self.field.char, row) for row in block)
+        self.matrix = Mat._of(self.field, rows, len(rows), starts[-1])
         self._solver = LinSolver(self.matrix)
 
     def solve(self, rhs):

@@ -68,19 +68,7 @@ class SubcatSpec:
 def random_mor(cat: FiniteCategory, x, y, rng) -> Mor:
     """Random element of Hom(x, y) with coefficients from the field sampler."""
     space = cat.hom(x, y)
-    out = space.zero()
-    for b in space.basis:
-        c = cat.field.random(rng)
-        if c:
-            out = out + b.scale(c)
-    return out
-
-
-def _span_of_mors(cat, x, y, mors) -> Subspace:
-    space = cat.hom(x, y)
-    return Subspace.from_vectors(
-        cat.field, space.dim, [list(space.coords(m.payload)) for m in mors]
-    )
+    return space.from_coords([cat.field.random(rng) for _ in space.basis])
 
 
 def factorization_through(cat, spec: SubcatSpec, x, y) -> Subspace:
@@ -228,10 +216,10 @@ def approximation_witness(cat, spec: SubcatSpec, f: Mor, side: str):
         if space.dim == 0:
             continue
         if side == "right":
-            through = [u.then(f) for u in cat.hom(g, f.src).basis]
+            through = [row[0] for row in cat.composite_coords(cat.hom(g, f.src).basis, [f])]
         else:
-            through = [f.then(u) for u in cat.hom(f.tgt, g).basis]
-        span = _span_of_mors(cat, space.src, space.tgt, through)
+            (through,) = cat.composite_coords([f], cat.hom(f.tgt, g).basis)
+        span = Subspace.from_vectors(cat.field, space.dim, through)
         if span.dim == space.dim:
             continue
         for j, b in enumerate(space.basis):
@@ -268,11 +256,13 @@ def lemma_ann_verify(cat, spec: SubcatSpec, a, b) -> dict:
     hom_ab = cat.hom(a, b).basis
     _, fa = right_approximation(cat, spec, a)
     r_direct = ideal_space(cat, spec, a, b, "R")
-    report["right_char"] = r_direct == _kernel_space(cat, [fa.then(g).coords() for g in hom_ab])
+    (images,) = cat.composite_coords([fa], hom_ab)
+    report["right_char"] = r_direct == _kernel_space(cat, images)
 
     _, fb = left_approximation(cat, spec, b)
     l_direct = ideal_space(cat, spec, a, b, "L")
-    report["left_char"] = l_direct == _kernel_space(cat, [g.then(fb).coords() for g in hom_ab])
+    images = [row[0] for row in cat.composite_coords(hom_ab, [fb])]
+    report["left_char"] = l_direct == _kernel_space(cat, images)
 
     if spec.contains(a):
         dim_r = len(r_direct.basis)

@@ -70,7 +70,7 @@ class TiltingData:
         d_tilde = p_complex.diff(n)
         ym = ym_sum.obj
         self.theta_eqs = MorphismEquations(
-            cat, [cat.hom(ym, ym)], [(cat.hom(d_tilde.src, ym), [(0, d_tilde.then)])]
+            cat, [cat.hom(ym, ym)], [(cat.hom(d_tilde.src, ym), [(0, d_tilde, "pre")])]
         )
 
 

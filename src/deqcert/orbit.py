@@ -318,14 +318,8 @@ def ideals_IJ(
 
     # J: degree-0 endomorphisms of Y+M factoring through add(m) and through w-bar
     end_ym_base = base.hom(base_ym.obj, base_ym.obj)
-    j_factor = Subspace.from_vectors(
-        field,
-        end_ym_base.dim,
-        [
-            list(end_ym_base.coords(w_bar.then(t).payload))
-            for t in base.hom(sigma.obj(x_obj), base_ym.obj).basis
-        ],
-    )
+    (via_w_bar,) = base.composite_coords([w_bar], base.hom(sigma.obj(x_obj), base_ym.obj).basis)
+    j_factor = Subspace.from_vectors(field, end_ym_base.dim, via_w_bar)
     f_ideal_ym = ideal_space(ocat, spec, ym.obj, ym.obj, "F")
     f_deg0_ym = _degree_zero_part(ocat, ym.obj, f_ideal_ym)
     j_deg0 = j_factor.intersect(f_deg0_ym)
@@ -334,14 +328,9 @@ def ideals_IJ(
     # I: degree-0 endomorphisms of X+M factoring through add(m) and
     # through Sigma^{-1}(w-tilde)
     end_xm_base = base.hom(base_xm.obj, base_xm.obj)
-    i_factor = Subspace.from_vectors(
-        field,
-        end_xm_base.dim,
-        [
-            list(end_xm_base.coords(t.then(w_tilde_desh).payload))
-            for t in base.hom(base_xm.obj, sigma.obj(y_obj, -1)).basis
-        ],
-    )
+    to_shift = base.hom(base_xm.obj, sigma.obj(y_obj, -1)).basis
+    via_w_tilde = base.composite_coords(to_shift, [w_tilde_desh])
+    i_factor = Subspace.from_vectors(field, end_xm_base.dim, [row[0] for row in via_w_tilde])
     f_ideal_xm = ideal_space(ocat, spec, xm.obj, xm.obj, "F")
     f_deg0_xm = _degree_zero_part(ocat, xm.obj, f_ideal_xm)
     i_deg0 = i_factor.intersect(f_deg0_xm)

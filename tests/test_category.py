@@ -6,13 +6,21 @@ import random
 
 import pytest
 
+from deqcert import angulate, derivedeq
+from deqcert.angulate import KbProjCat, NAngle, cone_triangle, verify_theorem2, verify_weak_axioms
 from deqcert.catideal import SubcatSpec, ideal_space, random_mor
 from deqcert.category import Mor, MorphismEquations, QuotientCategory
 from deqcert.complexes import ChainMapCategory, Complex, HomotopyCategory
-from deqcert.errors import InternalConsistencyError
+from deqcert.errors import InputError, InternalConsistencyError
 from deqcert.exactla import FieldSpec, LinSolver, Mat, Subspace
-from deqcert.orbit import AdmissibleSet, OrbitCategory, QuiverTwistAuto, ShiftAuto
-from deqcert.presets import a2_triangle, cyclic_nakayama, kxx
+from deqcert.orbit import (
+    AdmissibleSet,
+    OrbitCategory,
+    QuiverTwistAuto,
+    ShiftAuto,
+    corollary_orbit_verify,
+)
+from deqcert.presets import a2_triangle, a3, cyclic_nakayama, d_split_sequence, kxx
 
 
 def _projectives(char=0):
@@ -22,23 +30,26 @@ def _projectives(char=0):
 
 def _system(cat, p1, p2):
     """Unknowns h0: P1 -> P1 and h1: P2 -> P2, coupled through a: P1 -> P2:
-    h0.a - a.h1 in Hom(P1, P2), and h0.r in End(P1) for a radical r."""
+    h0.a - a.h1 in Hom(P1, P2), and h0.r + r.h0 in End(P1) for a radical
+    r, two terms in one unknown whose coordinates add (and cancel over
+    GF(2), End(P1) being commutative)."""
     a = cat.hom(p1, p2).basis[0]
     r = next(e for e in cat.hom(p1, p1).basis if e.then(e).is_zero())
     spaces = [cat.hom(p1, p1), cat.hom(p2, p2)]
     equations = [
-        (cat.hom(p1, p2), [(0, lambda h: h.then(a)), (1, lambda h: -a.then(h))]),
-        (cat.hom(p1, p1), [(0, lambda h: h.then(r))]),
+        (cat.hom(p1, p2), [(0, a, "post"), (1, -a, "pre")]),
+        (cat.hom(p1, p1), [(0, r, "post"), (0, r, "pre")]),
     ]
     return spaces, equations
 
 
 def _lhs(equations, hs):
-    """The left-hand side of each equation at the maps hs."""
+    """The left-hand side of each equation at the maps hs, composed pair by
+    pair with Mor.then: the reference for the matrix's composite tables."""
     out = []
-    for _, terms in equations:
-        images = [act(hs[i]) for i, act in terms]
-        out.append(sum(images[1:], images[0]))
+    for target, terms in equations:
+        images = [f.then(hs[i]) if side == "pre" else hs[i].then(f) for i, f, side in terms]
+        out.append(sum(images, target.zero()))
     return out
 
 
@@ -47,19 +58,29 @@ def _stacked(equations, mors):
     return [c for (target, _), f in zip(equations, mors) for c in target.coords(f.payload)]
 
 
-def test_matrix_has_a_column_per_basis_element_and_stacks_the_targets():
-    cat, p1, p2 = _projectives()
-    spaces, equations = _system(cat, p1, p2)
-    eqs = MorphismEquations(cat, spaces, equations)
+def _pairwise_matrix(cat, spaces, equations):
+    """The system's matrix built column by column: each unknown basis map,
+    the other unknowns zero, through _lhs and coords."""
     cols = []
     for i, space in enumerate(spaces):
         for b in space.basis:
             hs = [sp.zero() for sp in spaces]
             hs[i] = b
             cols.append(_stacked(equations, _lhs(equations, hs)))
-    rows = sum(target.dim for target, _ in equations)
-    assert eqs.matrix == Mat.from_columns(cat.field, cols, rows)
-    assert eqs.matrix.shape == (rows, sum(sp.dim for sp in spaces))
+    return Mat.from_columns(cat.field, cols, sum(target.dim for target, _ in equations))
+
+
+def test_matrix_has_a_column_per_basis_element_and_stacks_the_targets():
+    for char in (0, 2, 101):
+        cat, p1, p2 = _projectives(char)
+        spaces, equations = _system(cat, p1, p2)
+        eqs = MorphismEquations(cat, spaces, equations)
+        rows = sum(target.dim for target, _ in equations)
+        assert eqs.matrix == _pairwise_matrix(cat, spaces, equations)
+        assert eqs.matrix.shape == (rows, sum(sp.dim for sp in spaces))
+        # h0.r + r.h0 = 2 h0.r, whose rows vanish exactly over GF(2)
+        radical_rows = eqs.matrix.sparse_rows[equations[0][0].dim :]
+        assert (char == 2) == (radical_rows == [{}] * len(radical_rows))
 
 
 def test_solvable_system_returns_maps_that_satisfy_every_equation(monkeypatch):
@@ -111,7 +132,7 @@ def test_unsolvable_system_returns_none():
             else:
                 assert sol is not None
     assert unsolvable
-    # the identity of P1 is not a multiple of the radical r
+    # the identity of P1 is not in the radical
     assert eqs.solve([None, cat.identity(p1)]) is None
 
 
@@ -129,6 +150,98 @@ def test_empty_unknowns_and_empty_equations():
     assert free.matrix.shape == (0, space.dim + target.dim)
     sol = free.solve([])
     assert len(sol) == 2 and all(h.is_zero() for h in sol)
+
+
+def test_a_term_whose_map_does_not_compose_with_its_unknown_is_rejected():
+    cat, p1, p2 = _projectives()
+    spaces, equations = _system(cat, p1, p2)
+    a = cat.hom(p1, p2).basis[0]
+    # a: P1 -> P2 cannot come before h0: P1 -> P1, nor after h1: P2 -> P2
+    for term in [(0, a, "pre"), (1, a, "post")]:
+        with pytest.raises(InputError, match="does not compose"):
+            MorphismEquations(cat, spaces, [(cat.hom(p1, p2), [term])])
+    # a map of another category composes with nothing here
+    other = cyclic_nakayama(2, 3).algebra.modcat
+    alien = Mor(other, p1, p2, a.payload)
+    with pytest.raises(InputError, match="does not compose"):
+        MorphismEquations(cat, spaces, [(cat.hom(p1, p2), [(0, alien, "post")])])
+
+
+def test_a_term_whose_composite_misses_its_target_is_rejected():
+    cat, p1, p2 = _projectives()
+    spaces, equations = _system(cat, p1, p2)
+    (first, first_terms), (radical, radical_terms) = equations
+    # h0.a lands in Hom(P1, P2), not in End(P1); h0.r and r.h0 in End(P1)
+    for target, terms in [(radical, first_terms[:1]), (first, radical_terms)]:
+        with pytest.raises(InputError, match="outside its equation's target"):
+            MorphismEquations(cat, spaces, [(target, terms)])
+    # an unknown space of dimension 0 is checked all the same
+    fx = cyclic_nakayama(2, 3)
+    cat, s1, s2 = fx.algebra.modcat, fx.simples["1"], fx.simples["2"]
+    empty = cat.hom(s1, s2)
+    assert empty.dim == 0
+    with pytest.raises(InputError, match="outside its equation's target"):
+        MorphismEquations(cat, [empty], [(cat.hom(s1, s1), [(0, cat.identity(s2), "post")])])
+
+
+def _recording(monkeypatch, module):
+    """Record (cat, system, equations) of each MorphismEquations that module builds."""
+    seen, build = [], module.MorphismEquations
+
+    def recording(cat, spaces, equations):
+        eqs = build(cat, spaces, equations)
+        seen.append((cat, eqs, equations))
+        return eqs
+
+    monkeypatch.setattr(module, "MorphismEquations", recording)
+    return seen
+
+
+def _four_term_fill(cat, tri):
+    """The filler system of two four-term sequences X -> Y -> C -> Sigma X
+    -> Sigma X (the last map the identity), zero on the first two terms:
+    its middle square holds a pre- and a negated post-composition term.
+    The sequence is no angle; only the system's matrix is looked at."""
+    (x, y, c), sigma = tri.objects, tri.sigma
+    sx = sigma.obj(x)
+    seq = NAngle(sigma, [x, y, c, sx], tri.maps + [tri.connecting], cat.identity(sx))
+    angulate._fill_angle_square(cat, sigma, seq, seq, cat.zero_mor(x, x), cat.zero_mor(y, y))
+
+
+@pytest.mark.parametrize("char", [0, 2, 101])
+def test_system_matrices_match_the_pairwise_reference(char, monkeypatch):
+    # theta of Theorem 1, theta of Theorem 2 on a cone triangle and on a
+    # shift-orbit triangle, and the weak-axiom fillers: each matrix equals
+    # the one made column by column with Mor.then and coords
+    field = FieldSpec(char)
+    thm1 = _recording(monkeypatch, derivedeq)
+    fx = cyclic_nakayama(3, 2, field)
+    derivedeq.build_tilting(*d_split_sequence(fx.algebra, fx.simples["1"]))
+    assert len(thm1) == 1
+
+    seen = _recording(monkeypatch, angulate)
+    fx = cyclic_nakayama(2, 3, field)
+    kb = KbProjCat(fx.algebra)
+    p1, p2 = fx.projectives["1"], fx.projectives["2"]
+    x, m = kb.stalk_obj(p1), kb.stalk_obj(p2)
+    cone = cone_triangle(kb, Mor(kb, x, m, {0: fx.algebra.modcat.hom(p1, p2).basis[0]}))
+    verify_theorem2(kb, kb.sigma, cone, m)
+    tri = a2_triangle(field)
+    orbit = OrbitCategory(tri.cat, ShiftAuto(tri.cat), AdmissibleSet([0, 1]))
+    corollary_orbit_verify(orbit, tri.cat.sigma, tri.triangle, tri.m)
+    assert [len(eqs.targets) for _, eqs, _ in seen] == [2, 2]  # the two theta systems
+    fx = a3(field)
+    kb = KbProjCat(fx.algebra)
+    x, y, z = (kb.stalk_obj(fx.projectives[v]) for v in "321")
+    angles = [cone_triangle(kb, kb.hom(x, y).basis[0]), cone_triangle(kb, kb.hom(y, z).basis[0])]
+    verify_weak_axioms(kb, kb.sigma, angles, random.Random(char))
+    _four_term_fill(kb, angles[0])
+    assert len(seen) > 3 and any(len(terms) == 2 for _, terms in seen[-1][2])
+
+    systems = thm1 + seen
+    assert all(not eqs.matrix.is_zero() for _, eqs, _ in systems[:3])
+    for cat, eqs, equations in systems:
+        assert eqs.matrix == _pairwise_matrix(cat, eqs.spaces, equations)
 
 
 def test_every_hom_space_chart_holds_its_basis():

@@ -112,8 +112,23 @@ def _composing(tree):
     return names
 
 
-def _reads_basis(node):
-    return any(isinstance(n, ast.Attribute) and n.attr == "basis" for n in ast.walk(node))
+def _basis_names(fn):
+    """Names fn assigns from an expression that reads a .basis, as hom_ab in
+    hom_ab = cat.hom(a, b).basis or hom_bases in hom_bases[t]."""
+    return {
+        target.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Assign) and _reads_basis(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+
+def _reads_basis(node, names=frozenset()):
+    return any(
+        isinstance(n, ast.Attribute) and n.attr == "basis" or isinstance(n, ast.Name) and n.id in names
+        for n in ast.walk(node)
+    )
 
 
 def _stored(nodes):
@@ -125,45 +140,97 @@ def _stored(nodes):
     }
 
 
-def _pair_composites(tree):
-    """(line, callee) of each composing call whose operands come from two
-    nested loops or comprehensions, one of them over a .basis (or the call
-    reading a .basis).  A loop binds its targets and the names assigned in
-    its body; a name belongs to the innermost loop that binds it."""
+def _looped_composites(tree):
+    """(call, loops) of each composing call, loops holding (bound names,
+    over a basis) of every loop and comprehension around it, outermost
+    first.  A loop binds its targets and the names assigned in its body; it
+    runs over a basis when its iterable reads a .basis or a name that its
+    function assigns from one."""
     composing, found = _composing(tree), []
 
-    def visit(node, loops):
+    def visit(node, loops, names):
+        if isinstance(node, ast.FunctionDef):
+            names = _basis_names(node)
         if isinstance(node, ast.For):
-            visit(node.iter, loops)
-            inner = loops + [(_stored([node.target, *node.body]), _reads_basis(node.iter))]
+            visit(node.iter, loops, names)
+            over = _reads_basis(node.iter, names)
+            inner = loops + [(_stored([node.target, *node.body]), over)]
             for child in node.body:
-                visit(child, inner)
+                visit(child, inner, names)
             for child in node.orelse:
-                visit(child, loops)
+                visit(child, loops, names)
             return
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
             inner = loops
             for gen in node.generators:
-                visit(gen.iter, inner)
-                inner = inner + [(_stored([gen.target]), _reads_basis(gen.iter))]
+                visit(gen.iter, inner, names)
+                inner = inner + [(_stored([gen.target]), _reads_basis(gen.iter, names))]
                 for cond in gen.ifs:
-                    visit(cond, inner)
+                    visit(cond, inner, names)
             for child in ast.iter_child_nodes(node):
                 if not isinstance(child, ast.comprehension):
-                    visit(child, inner)
+                    visit(child, inner, names)
             return
         if isinstance(node, ast.Call) and _callee(node) in composing:
-            read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            binders = {
-                max((k for k, (bound, _) in enumerate(loops) if name in bound), default=None)
-                for name in read
-            } - {None}
-            if len(binders) >= 2 and (_reads_basis(node) or any(b for _, b in loops)):
-                found.append((node.lineno, _callee(node)))
+            found.append((node, loops))
         for child in ast.iter_child_nodes(node):
-            visit(child, loops)
+            visit(child, loops, names)
 
-    visit(tree, [])
+    visit(tree, [], frozenset())
+    return found
+
+
+def _binder(node, loops):
+    """The innermost loop that binds a name node reads, or None; a name
+    belongs to the innermost loop that binds it."""
+    read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    return max((k for k, (bound, _) in enumerate(loops) if bound & read), default=None)
+
+
+def _pair_composites(tree):
+    """(line, callee) of each composing call whose operands come from two
+    nested loops or comprehensions, one of them over a basis (or the call
+    reading a .basis)."""
+    found = []
+    for call, loops in _looped_composites(tree):
+        read = [n for n in ast.walk(call) if isinstance(n, ast.Name)]
+        binders = {_binder(name, loops) for name in read} - {None}
+        if len(binders) >= 2 and (_reads_basis(call) or any(b for _, b in loops)):
+            found.append((call.lineno, _callee(call)))
+    return sorted(found)
+
+
+def _basis_composites(tree):
+    """(line, callee) of each composing call with an operand bound by a loop
+    over a basis and another operand that no such loop binds: one map
+    composed with a whole basis, pair by pair."""
+    found = []
+    for call, loops in _looped_composites(tree):
+        operands = list(call.args)
+        if isinstance(call.func, ast.Attribute):
+            operands.append(call.func.value)
+        over = [(k := _binder(op, loops)) is not None and loops[k][1] for op in operands]
+        if any(over) and not all(over):
+            found.append((call.lineno, _callee(call)))
+    return sorted(found)
+
+
+def _undeclared_terms(tree):
+    """(line, what) of each lambda that composes and each .then that is not
+    called, in a function that builds a MorphismEquations."""
+    composing, found = _composing(tree), set()
+    for fn in ast.walk(tree):
+        nodes = list(ast.walk(fn)) if isinstance(fn, ast.FunctionDef) else []
+        if not any(isinstance(c, ast.Call) and _callee(c) == "MorphismEquations" for c in nodes):
+            continue
+        called = {id(c.func) for c in nodes if isinstance(c, ast.Call)}
+        for node in nodes:
+            if isinstance(node, ast.Lambda) and any(
+                isinstance(c, ast.Call) and _callee(c) in composing for c in ast.walk(node.body)
+            ):
+                found.add((node.lineno, "lambda"))
+            elif isinstance(node, ast.Attribute) and node.attr == "then" and id(node) not in called:
+                found.add((node.lineno, ".then"))
     return sorted(found)
 
 
@@ -173,6 +240,20 @@ def test_basis_pairs_compose_through_the_table(path):
     # FiniteCategory.composite_coords table, not from then pair by pair
     pairs = _pair_composites(ast.parse(path.read_text()))
     assert pairs == [], f"{path.name} composes basis pairs one by one (line, call): {pairs}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_a_map_composes_with_a_basis_through_the_table(path):
+    # one map composed with every element of a Hom basis is one row or
+    # column of a composite_coords table, and an equation's term is the
+    # declared (unknown, map, side) that the table is read for, not a
+    # callable that composes one basis map at a time
+    tree = ast.parse(path.read_text())
+    loops, terms = _basis_composites(tree), _undeclared_terms(tree)
+    assert (loops, terms) == ([], []), (
+        f"{path.name} composes a map with a basis one by one (line, call): {loops}, "
+        f"and passes equation terms as callables (line, form): {terms}"
+    )
 
 
 def test_intertwiner_systems_reach_the_kernel_through_exactla():
