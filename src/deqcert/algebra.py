@@ -200,18 +200,6 @@ class Algebra:
                     acc[k] = acc[k] + a * b * s if k in acc else a * b * s
         return _normal(self.field.char, acc) if acc else acc
 
-    def mul_vec(self, u, v):
-        """u·v for dense coordinate vectors."""
-        out = [self.field.zero] * self.dim
-        for k, x in self.mul(_sparse(u), _sparse(v)).items():
-            out[k] = x
-        return out
-
-    def basis_vec(self, i):
-        v = [self.field.zero] * self.dim
-        v[i] = self.field.one
-        return v
-
     def _check_axioms(self):
         basis, table = set(range(self.dim)), self.table
         if len(self.unit) != self.dim:
@@ -572,13 +560,13 @@ def submodule(m: ModuleRep, spaces) -> tuple[ModuleRep, Mor]:
     """Sub-representation spanned by per-slot subspaces, with its inclusion."""
     cat = m.algebra.modcat
     field = m.algebra.field
-    bases = {s: [list(v) for v in spaces[s].basis] for s in m.slots}
+    bases = {s: spaces[s].basis for s in m.slots}
     dims = {s: len(bases[s]) for s in m.slots}
     incl_blocks = {s: Mat.from_columns(field, bases[s], m.dims[s]) for s in m.slots}
     solvers = {s: LinSolver(incl_blocks[s]) for s in m.slots}
 
     def induced(mat, s_src, s_tgt):
-        coeffs = [solvers[s_tgt].solve(_sparse(mat.apply(vec))) for vec in bases[s_src]]
+        coeffs = [solvers[s_tgt].solve(mat.apply(vec)) for vec in bases[s_src]]
         if None in coeffs:
             raise InputError("subspaces are not closed under the action")
         return Mat.from_columns(field, coeffs, dims[s_tgt])
@@ -603,7 +591,9 @@ def quotient_module(m: ModuleRep, spaces) -> tuple[ModuleRep, Mor]:
         # projection: reduce mod the subspace, then express in coset reps
         solver = LinSolver(Mat.from_columns(field, reps[s] + list(spaces[s].basis), m.dims[s]))
         units = Mat.identity(field, m.dims[s]).sparse_rows
-        proj_cols = [solver.solve(e)[: dims[s]] for e in units]
+        proj_cols = [
+            {j: x for j, x in solver.solve(e).items() if j < dims[s]} for e in units
+        ]
         proj_mats[s] = Mat.from_columns(field, proj_cols, dims[s])
 
     def induced(mat, s_src, s_tgt):
@@ -626,24 +616,25 @@ def kernel_module(f: Mor) -> tuple[ModuleRep, Mor]:
 def image_module(f: Mor) -> tuple[ModuleRep, Mor]:
     field = f.cat.field
     spaces = {
-        s: Subspace.from_vectors(
-            field,
-            f.tgt.dims[s],
-            _block(f, s).transpose().tolist(),
-        )
+        s: Subspace.from_vectors(field, f.tgt.dims[s], _block(f, s).transpose().sparse_rows)
         for s in f.src.slots
     }
     return submodule(f.tgt, spaces)
 
 
-def radical(m: ModuleRep) -> tuple[ModuleRep, Mor]:
-    """Span of all arrow images, with its inclusion."""
+def _arrow_images(m: ModuleRep):
+    """Per slot, the span of the images of the arrows into it."""
     field = m.algebra.field
     spaces = {s: Subspace.zero(field, m.dims[s]) for s in m.slots}
     for name, s, t in m.algebra.presentation.quiver.arrows:
-        cols = m.mats[name].transpose().tolist()
+        cols = m.mats[name].transpose().sparse_rows
         spaces[t] = spaces[t] + Subspace.from_vectors(field, m.dims[t], cols)
-    return submodule(m, spaces)
+    return spaces
+
+
+def radical(m: ModuleRep) -> tuple[ModuleRep, Mor]:
+    """Span of all arrow images, with its inclusion."""
+    return submodule(m, _arrow_images(m))
 
 
 def socle(m: ModuleRep) -> tuple[ModuleRep, Mor]:
@@ -657,12 +648,7 @@ def socle(m: ModuleRep) -> tuple[ModuleRep, Mor]:
 
 def top(m: ModuleRep) -> tuple[ModuleRep, Mor]:
     """Quotient by the radical, with its projection."""
-    field = m.algebra.field
-    spaces = {s: Subspace.zero(field, m.dims[s]) for s in m.slots}
-    for name, s, t in m.algebra.presentation.quiver.arrows:
-        cols = m.mats[name].transpose().tolist()
-        spaces[t] = spaces[t] + Subspace.from_vectors(field, m.dims[t], cols)
-    return quotient_module(m, spaces)
+    return quotient_module(m, _arrow_images(m))
 
 
 def radical_layers(m: ModuleRep):
@@ -699,7 +685,7 @@ def find_isomorphism(m: ModuleRep, n: ModuleRep, rng=None):
     if rng is not None:
         field = m.algebra.field
         for _ in range(64):
-            f = space.from_coords([field.random(rng) for _ in basis])
+            f = space.from_coords({j: c for j in range(space.dim) if (c := field.random(rng))})
             if is_isomorphism(f):
                 return "yes", f
     return "undecided", None
@@ -737,5 +723,5 @@ def nakayama_projective(algebra: Algebra, p: ModuleRep) -> ModuleRep:
         lmul = cat.mor(projs[t], projs[s], lmul_blocks)
         # postcompose: Hom(p, P_t) -> Hom(p, P_s); the dual runs s -> t
         rows = [row[0] for row in cat.composite_coords(hom_bases[t], [lmul])]
-        mats[name] = Mat(algebra.field, rows, dims[t], dims[s])
+        mats[name] = Mat._of(algebra.field, rows, dims[t], dims[s])
     return ModuleRep(algebra, dims, mats, name=f"nu({p.name})")

@@ -80,7 +80,7 @@ class Mor:
         return self.cat.hom(self.src, self.tgt).coords(self.payload)
 
     def is_zero(self) -> bool:
-        return not any(self.coords())
+        return not self.coords()
 
     def eq(self, other) -> bool:
         """Equality in the category (coordinate-level, so e.g. up to homotopy)."""
@@ -106,7 +106,8 @@ class HomSpace:
     the basis and then any generators to be quotiented away when taking
     coordinates (ideal elements, null-homotopic maps); coordinates of a
     payload are those of its class in the span of basis + generators,
-    solved from its flat {index: nonzero} dict.
+    solved from its flat {index: nonzero} dict, as an {index: nonzero}
+    dict over the basis.
     """
 
     def __init__(self, cat, src, tgt, basis_payloads, chart: Mat):
@@ -119,21 +120,23 @@ class HomSpace:
 
     def coords(self, payload):
         if not payload:  # the zero payload of every category is {}
-            return (self.cat.field.zero,) * self.dim
+            return {}
         flat = self.cat._p_flatten(self.src, self.tgt, payload)
         sol = self._solver.solve(flat)
         if sol is None:
             raise InternalConsistencyError("morphism outside its computed Hom space")
-        return tuple(sol[: self.dim])
+        return {j: x for j, x in sol.items() if j < self.dim}
 
     def from_coords(self, vec) -> Mor:
-        """The morphism with coordinates vec, which holds field elements."""
-        if len(vec) != self.dim:
-            raise InputError("coordinate length mismatch")
+        """The morphism with coordinates vec: an {index: nonzero} dict of
+        field elements, or a dense sequence of them of length dim."""
+        if not isinstance(vec, dict):
+            if len(vec) != self.dim:
+                raise InputError("coordinate length mismatch")
+            vec = _sparse(vec)
         out = self.zero()
-        for c, b in zip(vec, self.basis):
-            if c:
-                out = out + b.scale(c)
+        for j in sorted(vec):
+            out = out + self.basis[j].scale(vec[j])
         return out
 
     def zero(self) -> Mor:
@@ -160,7 +163,9 @@ class MorphismEquations:
         self.field = cat.field
         self.spaces = list(spaces)
         self.targets = [target for target, _ in equations]
-        starts = list(itertools.accumulate((space.dim for space in self.spaces), initial=0))
+        starts = self.starts = list(
+            itertools.accumulate((space.dim for space in self.spaces), initial=0)
+        )
         rows = []
         for target, terms in equations:
             block = [{} for _ in range(target.dim)]
@@ -176,9 +181,9 @@ class MorphismEquations:
                 else:
                     images = [row[0] for row in cat.composite_coords(space.basis, [f])]
                 for col, vec in enumerate(images, starts[i]):
-                    for r in itertools.compress(itertools.count(), vec):
+                    for r, x in vec.items():
                         row = block[r]
-                        row[col] = row[col] + vec[r] if col in row else vec[r]
+                        row[col] = row[col] + x if col in row else x
             rows.extend(_normal(self.field.char, row) for row in block)
         self.matrix = Mat._of(self.field, rows, len(rows), starts[-1])
         self._solver = LinSolver(self.matrix)
@@ -190,18 +195,17 @@ class MorphismEquations:
         vec, pos = {}, 0
         for target, r in zip(self.targets, rhs):
             if r is not None:
-                vec.update(_sparse(target.coords(r.payload), pos))
+                vec.update((pos + j, c) for j, c in target.coords(r.payload).items())
             pos += target.dim
         if not vec:  # the zero maps, which a solve would return too
             return [space.zero() for space in self.spaces]
         sol = self._solver.solve(vec)
         if sol is None:
             return None
-        out, k = [], 0
-        for space in self.spaces:
-            out.append(space.from_coords(sol[k : k + space.dim]))
-            k += space.dim
-        return out
+        return [
+            space.from_coords({j - k: c for j, c in sol.items() if k <= j < k + space.dim})
+            for space, k in zip(self.spaces, self.starts)
+        ]
 
 
 class DirectSumData:
@@ -244,7 +248,7 @@ class FiniteCategory:
     def composite_coords(self, fs, gs):
         """table[i][j] = the coordinates of fs[i].then(gs[j]), the fs maps
         x -> y and the gs maps y -> z, from one ``_p_compose_table`` call; a
-        composite that vanishes is answered with zeros and no solve."""
+        composite that vanishes is answered with {} and no solve."""
         if not fs or not gs:
             return [[] for _ in fs]
         x, y, z = fs[0].src, fs[0].tgt, gs[0].tgt
@@ -253,9 +257,8 @@ class FiniteCategory:
         ):
             raise InputError("composite table operands do not share their endpoints")
         space = self.hom(x, z)
-        zero = (self.field.zero,) * space.dim
         table = self._p_compose_table(x, y, z, [f.payload for f in fs], [g.payload for g in gs])
-        return [[space.coords(p) if p else zero for p in row] for row in table]
+        return [[space.coords(p) for p in row] for row in table]
 
     def direct_sum(self, objs) -> DirectSumData:
         objs = list(objs)
@@ -358,7 +361,7 @@ class QuotientCategory(FiniteCategory):
         return self.base._p_identity(x)
 
     def _p_flatten(self, x, y, fp):
-        return _sparse(self.base.hom(x, y).coords(fp))
+        return self.base.hom(x, y).coords(fp)
 
     def lift(self, f: Mor) -> Mor:
         """View a base morphism in the quotient (or re-tag a quotient rep)."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .algebra import Algebra
 from .category import FiniteCategory, Mor, QuotientCategory
 from .errors import InputError, InternalConsistencyError
-from .exactla import Mat, Subspace, _sparse, kernel
+from .exactla import Mat, Subspace, kernel
 
 __all__ = [
     "SubcatSpec",
@@ -68,7 +68,7 @@ class SubcatSpec:
 def random_mor(cat: FiniteCategory, x, y, rng) -> Mor:
     """Random element of Hom(x, y) with coefficients from the field sampler."""
     space = cat.hom(x, y)
-    return space.from_coords([cat.field.random(rng) for _ in space.basis])
+    return space.from_coords({j: c for j in range(space.dim) if (c := cat.field.random(rng))})
 
 
 def factorization_through(cat, spec: SubcatSpec, x, y) -> Subspace:
@@ -106,16 +106,17 @@ def ideal_space(cat, spec: SubcatSpec, x, y, kind: str) -> Subspace:
         return factorization_through(cat, spec, x, y)
     if not space.dim or _from_generators(cat, spec, y if kind == "L" else x):
         return Subspace.zero(cat.field, space.dim)
-    cols = [[] for _ in space.basis]  # column j: the images of basis map j under every probe
+    rows = []  # one block per probe h, column j the image of basis map j
     for g in spec.generators:
         if kind == "R":  # h: g -> x;  f dies iff h.then(f)=0
-            images = zip(*cat.composite_coords(cat.hom(g, x).basis, space.basis))
+            per_probe = cat.composite_coords(cat.hom(g, x).basis, space.basis)
+            n = cat.hom(g, y).dim
         else:  # h: y -> g;  f dies iff f.then(h)=0
-            images = cat.composite_coords(space.basis, cat.hom(y, g).basis)
-        for col, per_probe in zip(cols, images):
-            for vec in per_probe:
-                col.extend(vec)
-    return _kernel_space(cat, cols)
+            per_probe = zip(*cat.composite_coords(space.basis, cat.hom(y, g).basis))
+            n = cat.hom(x, g).dim
+        for images in per_probe:
+            rows += Mat.from_columns(cat.field, images, n).sparse_rows
+    return kernel(Mat._of(cat.field, rows, len(rows), space.dim))
 
 
 def _from_generators(cat, spec: SubcatSpec, obj) -> bool:
@@ -126,13 +127,6 @@ def _from_generators(cat, spec: SubcatSpec, obj) -> bool:
         return True
     parts = cat.summands_by_key.get(obj.key)
     return parts is not None and all(_from_generators(cat, spec, o) for o in parts)
-
-
-def _kernel_space(cat, cols) -> Subspace:
-    """Kernel of the linear map whose column j is cols[j], inside k^len(cols)."""
-    if not cols:
-        return Subspace.zero(cat.field, 0)
-    return kernel(Mat.from_columns(cat.field, cols, len(cols[0])))
 
 
 # -- approximations --------------------------------------------------------
@@ -223,9 +217,7 @@ def approximation_witness(cat, spec: SubcatSpec, f: Mor, side: str):
         if span.dim == space.dim:
             continue
         for j, b in enumerate(space.basis):
-            unit = [cat.field.zero] * space.dim
-            unit[j] = cat.field.one
-            if not span.contains(unit):
+            if not span.contains({j: cat.field.one}):
                 return b
     return None
 
@@ -257,12 +249,14 @@ def lemma_ann_verify(cat, spec: SubcatSpec, a, b) -> dict:
     _, fa = right_approximation(cat, spec, a)
     r_direct = ideal_space(cat, spec, a, b, "R")
     (images,) = cat.composite_coords([fa], hom_ab)
-    report["right_char"] = r_direct == _kernel_space(cat, images)
+    killed = kernel(Mat.from_columns(cat.field, images, cat.hom(fa.src, b).dim))
+    report["right_char"] = r_direct == killed
 
     _, fb = left_approximation(cat, spec, b)
     l_direct = ideal_space(cat, spec, a, b, "L")
     images = [row[0] for row in cat.composite_coords(hom_ab, [fb])]
-    report["left_char"] = l_direct == _kernel_space(cat, images)
+    killed = kernel(Mat.from_columns(cat.field, images, cat.hom(a, fb.tgt).dim))
+    report["left_char"] = l_direct == killed
 
     if spec.contains(a):
         dim_r = len(r_direct.basis)
@@ -311,8 +305,9 @@ def end_ring(cat, obj) -> RingPresentation:
     space = cat.hom(obj, obj)
     table = {}
     for i, row in enumerate(cat.composite_coords(space.basis, space.basis)):
-        table.update(((i, j), _sparse(vec)) for j, vec in enumerate(row) if any(vec))
-    unit = list(space.coords(cat.identity(obj).payload))
+        table.update(((i, j), vec) for j, vec in enumerate(row) if vec)
+    coords = space.coords(cat.identity(obj).payload)
+    unit = [coords.get(i, cat.field.zero) for i in range(space.dim)]  # an Algebra's unit is dense
     return RingPresentation(cat.field, [f"e{i}" for i in range(space.dim)], table, unit)
 
 

@@ -32,7 +32,7 @@ from .catideal import SubcatSpec, end_ring, ideal_space, quotient_ring, right_ap
 from .complexes import Complex, check_thm1_conditions
 from .derivedeq import nu_stable_sequence, verify_theorem1
 from .errors import HypothesisError, InputError, InternalConsistencyError
-from .exactla import FieldSpec, Mat
+from .exactla import FieldSpec, Mat, Subspace
 from .orbit import (
     AdmissibleSet,
     OrbitCategory,
@@ -59,8 +59,8 @@ def jsonable(x):
         return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
-    if hasattr(x, "dim") and hasattr(x, "basis"):  # Subspace
-        return {"dim": x.dim, "basis": [[jsonable(v) for v in b] for b in x.basis]}
+    if isinstance(x, Subspace):
+        return {"dim": x.dim, "basis": jsonable(x.tolist())}
     if isinstance(x, (bool, int, str)) or x is None:
         return x
     return str(x)

@@ -15,12 +15,10 @@ moves x^{i+1} into degree i and negates the differentials.
 
 from __future__ import annotations
 
-from itertools import compress, count
-
 from .category import FiniteCategory, HomSpace, Mor, QuotientCategory, fresh_key
 from .catideal import SubcatSpec, ideal_space
 from .errors import InputError
-from .exactla import Mat, Subspace, _sparse
+from .exactla import Mat, Subspace
 
 __all__ = [
     "Complex",
@@ -30,7 +28,6 @@ __all__ = [
     "nonzero_homology",
     "ChainMapCategory",
     "HomotopyCategory",
-    "null_homotopic_space",
     "check_thm1_conditions",
     "self_orthogonality_check",
     "complex_in_quotient",
@@ -100,7 +97,7 @@ class HomComplex:
     """The Hom-total complex of a pair of complexes, with block structure.
 
     Degree-n vectors are concatenations of Hom(x^m, y^{m+n}) coordinates,
-    blocks ordered by increasing m.
+    blocks ordered by increasing m, as {index: nonzero} dicts.
     """
 
     def __init__(self, cat: FiniteCategory, x: Complex, y: Complex):
@@ -144,17 +141,16 @@ class HomComplex:
         """Coordinate vector of degree n -> {m: Mor(x^m, y^{m+n})}."""
         out, pos = {}, 0
         for m, h in self.blocks[n]:
-            out[m] = h.from_coords(list(vec[pos : pos + h.dim]))
+            out[m] = h.from_coords({j - pos: c for j, c in vec.items() if pos <= j < pos + h.dim})
             pos += h.dim
         return out
 
     def vec_from_maps(self, n, maps) -> dict:
-        """{m: Mor} -> coordinate vector of degree n as a {index: nonzero}
-        dict (absent maps are zero)."""
+        """{m: Mor} -> coordinate vector of degree n (absent maps are zero)."""
         out, pos = {}, 0
         for m, h in self.blocks.get(n, []):
             if m in maps:
-                out.update(_sparse(h.coords(maps[m].payload), pos))
+                out.update((pos + j, c) for j, c in h.coords(maps[m].payload).items())
             pos += h.dim
         return out
 
@@ -174,13 +170,13 @@ class HomComplex:
             dy, dx = self.y.diff(m + n), self.x.diff(m - 1)
             if m in offsets and dy is not None:
                 for k, (vec,) in enumerate(cat.composite_coords(h.basis, [dy])):
-                    for r in compress(count(), vec):
-                        rows[offsets[m] + r][col + k] = vec[r]
+                    for r, x in vec.items():
+                        rows[offsets[m] + r][col + k] = x
             if m - 1 in offsets and dx is not None:
                 (images,) = cat.composite_coords([dx], h.basis)
                 for k, vec in enumerate(images):
-                    for r in compress(count(), vec):
-                        rows[offsets[m - 1] + r][col + k] = field.mul(sign, vec[r])
+                    for r, x in vec.items():
+                        rows[offsets[m - 1] + r][col + k] = field.mul(sign, x)
             col += h.dim
         return Mat._of(field, rows, pos, col)
 
@@ -191,7 +187,7 @@ class HomComplex:
 
     def boundaries(self, n) -> Subspace:
         d = self.diff(n - 1)
-        return Subspace.from_vectors(self.cat.field, self.dim(n), d.transpose().tolist())
+        return Subspace.from_vectors(self.cat.field, self.dim(n), d.transpose().sparse_rows)
 
 
 def homology_dims(x: Complex, y: Complex) -> dict:
@@ -240,7 +236,7 @@ class ChainMapCategory(FiniteCategory):
         return self._cycle_classes(x, y, hc, hc.cycles(0).basis, [])
 
     def _cycle_classes(self, x, y, hc, reps, extra) -> HomSpace:
-        payloads = [hc.maps_from_vec(0, list(v)) for v in reps]
+        payloads = [hc.maps_from_vec(0, v) for v in reps]
         chart = Mat.from_columns(self.field, [*reps, *extra], hc.dim(0))
         return HomSpace(self, x, y, payloads, chart)
 
@@ -285,12 +281,8 @@ class HomotopyCategory(ChainMapCategory):
 
     def _hom_space(self, x, y) -> HomSpace:
         hc = self.hom_complex(x, y)
-        null = null_homotopic_space(hc)
+        null = hc.boundaries(0)  # the null-homotopic maps
         return self._cycle_classes(x, y, hc, hc.cycles(0).quotient_basis(null), null.basis)
-
-
-def null_homotopic_space(hc: HomComplex) -> Subspace:
-    return hc.boundaries(0)
 
 
 def complex_in_quotient(qcat: QuotientCategory, cx: Complex) -> Complex:

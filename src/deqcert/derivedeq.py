@@ -360,21 +360,16 @@ def nu_stable_sequence(p: ModuleRep, y: ModuleRep, steps=None, rng=None, max_ste
     current_f = f0
     step = 0
     while True:
-        ker, incl = kernel_module(current_f)
-        if steps is not None and step >= steps:
-            x = ker
-            x_incl = incl
-            break
-        if steps is None and (
-            ker.total_dim == 0 or _in_add(cat, spec, ker) or step >= max_steps
+        x, x_incl = kernel_module(current_f)
+        # stop after the given steps, or else at a kernel that is zero or in add(p)
+        if (step >= steps) if steps is not None else (
+            x.total_dim == 0 or _in_add(cat, spec, x) or step >= max_steps
         ):
-            x = ker
-            x_incl = incl
             break
-        data, approx = minimal_right_approximation(cat, spec, ker)
+        data, approx = minimal_right_approximation(cat, spec, x)
         if step == 0 and not _is_surjective(approx):
             raise HypothesisError("first kernel has no surjective approximation; no presentation")
-        current_f = approx.then(incl)
+        current_f = approx.then(x_incl)
         terms.append((data.obj, current_f))
         step += 1
 

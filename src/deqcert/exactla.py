@@ -12,8 +12,10 @@ Every rank, kernel, solve, span and intersection runs one elimination,
 SymPy's `sdm_irref`, whose cost follows the nonzeros, not rows x columns.
 The RREF is unique, so it gives the entries a dense Gauss-Jordan would.
 A `Mat` stores its rows in that form, so an elimination starts from a copy
-of them, and a solve's right-hand side is a {row: nonzero} dict too;
-coordinates and `Subspace` bases stay dense vectors.
+of them.  Every vector is such a dict too, under the same value rules: a
+solve's right-hand side and solution, a kernel vector, the argument and
+result of `Mat.apply`, the columns `Mat.from_columns` takes and the rows of
+a `Subspace` basis.  `Mat.tolist` and `Subspace.tolist` are the dense views.
 """
 
 from __future__ import annotations
@@ -166,12 +168,12 @@ class Mat:
 
     @classmethod
     def from_columns(cls, field, cols, rows):
-        """The rows x len(cols) matrix whose j-th column is cols[j], a dense
-        sequence of field elements (no coerce)."""
+        """The rows x len(cols) matrix whose j-th column is cols[j], a
+        {row: nonzero} dict of field elements (no coerce)."""
         data = [{} for _ in range(rows)]
         for j, col in enumerate(cols):
-            for i in compress(count(), col):
-                data[i][j] = col[i]
+            for i, x in col.items():
+                data[i][j] = x
         return cls._of(field, data, rows, len(cols))
 
     def copy(self):
@@ -233,15 +235,12 @@ class Mat:
         return Mat._of(self.field, out, self.rows, other.cols)
 
     def apply(self, vec):
-        """Matrix times a dense column vector, as a dense vector."""
-        if len(vec) != self.cols:
-            raise InputError("vector length mismatch")
-        p = self.field.char
-        out = []
-        for row in self.sparse_rows:
-            s = sum(a * vec[c] for c, a in row.items() if vec[c])
-            out.append(s % p if p else _integral(s))
-        return out
+        """Matrix times a {column: nonzero} vector, as a {row: nonzero} dict."""
+        out = {}
+        for i, row in enumerate(self.sparse_rows):
+            if terms := [a * vec[c] for c, a in row.items() if c in vec]:
+                out[i] = sum(terms)
+        return _normal(self.field.char, out)
 
     def transpose(self):
         data = [{} for _ in range(self.cols)]
@@ -285,15 +284,14 @@ class Mat:
         return len(_rref_rows(self.field, list(map(dict, self.sparse_rows)))[0])
 
     def kernel_basis(self):
-        """Basis of the right null space as dense vectors, one per free column."""
-        vecs = sparse_kernel(self.field, list(map(dict, self.sparse_rows)), self.cols)
-        return Mat._of(self.field, vecs, len(vecs), self.cols).tolist()
+        """Basis of the right null space, one {column: nonzero} vector per
+        free column."""
+        return sparse_kernel(self.field, list(map(dict, self.sparse_rows)), self.cols)
 
 
-def _sparse(vec, start=0):
-    """A dense vector as its {column: nonzero} dict, built at C speed; its
-    columns are numbered from start."""
-    return dict(zip(compress(count(start), vec), compress(vec, vec)))
+def _sparse(vec):
+    """A dense vector as its {column: nonzero} dict, built at C speed."""
+    return dict(zip(compress(count(), vec), compress(vec, vec)))
 
 
 def _integral(x):
@@ -416,23 +414,24 @@ class LinSolver:
                     self.columns[c - n].append((r, t))
 
     def solve(self, b):
-        """The solution of A·x = b that is zero on every free column, or None;
-        b is a {row: nonzero} dict."""
+        """The solution of A·x = b that is zero on every free column, as a
+        {column: nonzero} dict, or None; b is a {row: nonzero} dict."""
         acc = {}  # row r -> (T·b)_r; no int 0 start: 0 + Fraction is slow
         for j, bj in b.items():
             for r, t in self.columns[j]:
                 acc[r] = acc[r] + t * bj if r in acc else t * bj
         p, pivots = self.field.char, self.pivots
-        x = [self.field.zero] * self.cols
+        x = {}
         for r, s in acc.items():
             if p:
                 s %= p
             elif type(s) is Fraction and s.denominator == 1:
                 s = s.numerator
-            if r < len(pivots):
-                x[pivots[r]] = s
-            elif s:
+            if not s:
+                continue
+            if r >= len(pivots):
                 return None
+            x[pivots[r]] = s
         return x
 
 
@@ -442,25 +441,23 @@ def kernel(m: Mat) -> "Subspace":
 
 
 class Subspace:
-    """A subspace of F^n, stored by its reduced-echelon basis (canonical)."""
+    """A subspace of F^n, stored by its reduced-echelon basis (canonical):
+    {column: nonzero} rows, each 1 at its pivot, the first column it holds."""
 
     __slots__ = ("field", "ambient", "basis")
 
     def __init__(self, field: FieldSpec, ambient: int, echelon_basis):
         self.field = field
         self.ambient = ambient
-        self.basis = tuple(tuple(v) for v in echelon_basis)
+        self.basis = tuple(echelon_basis)
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors) -> "Subspace":
-        vectors = [list(v) for v in vectors]
-        for v in vectors:
-            if len(v) != ambient:
-                raise InputError("vector does not match ambient dimension")
-        if not vectors:
-            return cls(field, ambient, [])
-        red, pivots = Mat(field, vectors, len(vectors), ambient).rref()
-        return cls(field, ambient, red.tolist()[: len(pivots)])
+        """The span of {column: nonzero} vectors (not consumed)."""
+        rows = list(map(dict, vectors))
+        if any(row and max(row) >= ambient for row in rows):
+            raise InputError("vector does not match ambient dimension")
+        return cls(field, ambient, _rref_rows(field, rows)[1])
 
     @classmethod
     def zero(cls, field, ambient) -> "Subspace":
@@ -468,24 +465,28 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient) -> "Subspace":
-        return cls(field, ambient, Mat.identity(field, ambient).tolist())
+        return cls(field, ambient, [{i: field.one} for i in range(ambient)])
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    def tolist(self):
+        """The basis as dense rows, zeros written out."""
+        return Mat._of(self.field, list(self.basis), self.dim, self.ambient).tolist()
+
     def reduce(self, vec):
-        """Residue of vec after subtracting its projection onto the basis."""
-        f = self.field
-        v = [f.coerce(x) for x in vec]
+        """Residue of the {column: nonzero} vec after subtracting its
+        projection onto the basis, as a {column: nonzero} dict."""
+        p, v = self.field.char, dict(vec)
         for row in self.basis:
-            c = v[next(i for i, x in enumerate(row) if x)]
+            c = v.get(min(row))
             if c:
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        return v
+                _sub_multiple(p, v, c, row)
+        return _normal(p, v)
 
     def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        return not self.reduce(vec)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -498,13 +499,11 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, tuple(frozenset(v.items()) for v in self.basis)))
 
     def __add__(self, other) -> "Subspace":
         self._check(other)
-        return Subspace.from_vectors(
-            self.field, self.ambient, list(self.basis) + list(other.basis)
-        )
+        return Subspace.from_vectors(self.field, self.ambient, self.basis + other.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: the rows (u | u) for u in self and (v | 0) for v in
@@ -512,21 +511,20 @@ class Subspace:
         intersection."""
         self._check(other)
         n = self.ambient
-        rows = [{**u, **{n + c: x for c, x in u.items()}} for u in map(_sparse, self.basis)]
-        pivots, reduced, _ = _rref_rows(self.field, rows + list(map(_sparse, other.basis)))
+        rows = [{**u, **{n + c: x for c, x in u.items()}} for u in self.basis]
+        pivots, reduced, _ = _rref_rows(self.field, rows + list(map(dict, other.basis)))
         basis = [{c - n: x for c, x in row.items()} for pc, row in zip(pivots, reduced) if pc >= n]
-        return Subspace(self.field, n, Mat._of(self.field, basis, len(basis), n).tolist())
+        return Subspace(self.field, n, basis)
 
     def quotient_basis(self, sub: "Subspace"):
         """Vectors of self extending a basis of sub (coset representatives):
         the first of self's basis vectors that are independent modulo sub."""
         self._check(sub)
         k = sub.dim
-        rows = [_sparse(v) for v in sub.basis + self.basis]
-        pivots, _, raised = _rref_rows(self.field, rows)
-        if len(pivots) != self.dim:
+        _, _, raised = _rref_rows(self.field, list(map(dict, sub.basis + self.basis)))
+        if len(raised) != self.dim:
             raise InputError("quotient-basis requires sub to be contained in self")
-        return [list(self.basis[i - k]) for i in raised if i >= k]
+        return [self.basis[i - k] for i in raised if i >= k]
 
     def _check(self, other):
         if self.ambient != other.ambient:

@@ -12,7 +12,7 @@ from .angulate import NAngle, ShiftAuto, verify_theorem2
 from .catideal import RingPresentation, SubcatSpec, approximation_witness, end_ring, ideal_space
 from .category import DirectSumData, FiniteCategory, HomSpace, Mor, StrictAuto
 from .errors import HypothesisError, InputError, InternalConsistencyError
-from .exactla import Mat, Subspace, _sparse
+from .exactla import Mat, Subspace
 
 __all__ = [
     "AdmissibleSet",
@@ -176,7 +176,7 @@ class OrbitCategory(FiniteCategory):
         out, pos = {}, 0
         for u, space in self._graded_spaces(x, y):
             if u in fp:
-                out.update(_sparse(space.coords(fp[u].payload), pos))
+                out.update((pos + j, c) for j, c in space.coords(fp[u].payload).items())
             pos += space.dim
         return out
 
@@ -247,14 +247,9 @@ def yoneda_algebra(base: FiniteCategory, x, functor: StrictAuto, phi) -> RingPre
 
 def _embed_degree_zero(ocat, x, sub: Subspace) -> Subspace:
     """Degree-0 subspace (in base Hom coordinates) as a graded subspace."""
-    space = ocat.hom(x, x)
-    lo, hi = ocat.degree_zero_block(x, x)
-    vecs = []
-    for v in sub.basis:
-        vec = [ocat.field.zero] * space.dim
-        vec[lo:hi] = list(v)
-        vecs.append(vec)
-    return Subspace.from_vectors(ocat.field, space.dim, vecs)
+    lo, _ = ocat.degree_zero_block(x, x)
+    vecs = [{lo + j: c for j, c in v.items()} for v in sub.basis]
+    return Subspace.from_vectors(ocat.field, ocat.hom(x, x).dim, vecs)
 
 
 def ideals_IJ(
@@ -352,8 +347,9 @@ def _degree_zero_part(ocat, x, sub: Subspace) -> Subspace:
     Hom coordinates: sub meets the coordinate subspace of the degree-0 block."""
     field = ocat.field
     lo, hi = ocat.degree_zero_block(x, x)
-    block = Subspace(field, sub.ambient, Mat.identity(field, sub.ambient).tolist()[lo:hi])
-    return Subspace(field, hi - lo, [v[lo:hi] for v in sub.intersect(block).basis])
+    block = Subspace(field, sub.ambient, [{j: field.one} for j in range(lo, hi)])
+    basis = [{j - lo: c for j, c in v.items()} for v in sub.intersect(block).basis]
+    return Subspace(field, hi - lo, basis)
 
 
 class OrbitShift(StrictAuto):

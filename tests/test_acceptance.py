@@ -61,6 +61,14 @@ def run_cli_json(argv):
 # -- criterion 1 -----------------------------------------------------------
 
 
+def dense_coords(f):
+    """The coordinates of the map f written out with their zeros."""
+    vec = [f.cat.field.zero] * f.cat.hom(f.src, f.tgt).dim
+    for k, c in f.coords().items():
+        vec[k] = c
+    return vec
+
+
 def count_paths(quiver, relations, max_len=30):
     """Independent path enumeration for the algebra-dimension oracle."""
     words = {tuple(r) for r in relations}
@@ -209,7 +217,7 @@ def test_criterion_3_annihilator_lemma_randomized():
             coeffs = [field.random(rng) for _ in range(sub.dim)]
             vec = [
                 sum(c * x for c, x in zip(coeffs, col)) % 5
-                for col in zip(*sub.basis)
+                for col in zip(*sub.tolist())
             ]
             f = space.from_coords(vec)
             w, z = rng.choice(pool), rng.choice(pool)
@@ -218,7 +226,7 @@ def test_criterion_3_annihilator_lemma_randomized():
             comp = u.then(f).then(v)
             if cat.hom(w, z).dim:
                 target = ideal_space(cat, spec, w, z, kind)
-                if not target.contains(list(comp.coords())):
+                if not target.contains(comp.coords()):
                     probe_failures += 1
             done += 1
 
@@ -255,7 +263,7 @@ def random_bounded_complex(cat, projs, rng, max_len=3):
             rows = []
             out = cat.hom(prev.src, b)
             for g in space.basis:
-                rows.append(list(prev.then(g).coords()))
+                rows.append(dense_coords(prev.then(g)))
             mat = Mat(cat.field, [[rows[j][i] for j in range(space.dim)] for i in range(out.dim)], out.dim, space.dim)
             candidates = Subspace.from_vectors(cat.field, space.dim, mat.kernel_basis())
         if candidates.dim == 0:
@@ -264,7 +272,7 @@ def random_bounded_complex(cat, projs, rng, max_len=3):
             coeffs = [cat.field.random(rng) for _ in range(candidates.dim)]
             vec = [
                 sum((c * x for c, x in zip(coeffs, col)), cat.field.zero)
-                for col in zip(*candidates.basis)
+                for col in zip(*candidates.tolist())
             ]
             diffs.append(space.from_coords([cat.field.coerce(v) for v in vec]))
         prev = diffs[-1]
@@ -351,7 +359,7 @@ def brute_force_quotient_dims():
         # constraint matrix has one row per (probe, output coordinate)
         constraint = []
         for h in hom_basis(obj, m):
-            per_f = [list(f.then(h).coords()) for f in space.basis]
+            per_f = [dense_coords(f.then(h)) for f in space.basis]
             for r in range(len(per_f[0])):
                 constraint.append([per_f[j][r] for j in range(n)])
         if constraint:
@@ -363,7 +371,7 @@ def brute_force_quotient_dims():
         facs = []
         for u in hom_basis(obj, m):
             for v in hom_basis(m, obj):
-                facs.append(list(u.then(v).coords()))
+                facs.append(u.then(v).coords())
         f_sub = Subspace.from_vectors(field, n, facs)
         return n - l_sub.intersect(f_sub).dim, n
 
@@ -372,7 +380,7 @@ def brute_force_quotient_dims():
         n = space.dim
         constraint = []
         for h in hom_basis(m, obj):
-            per_f = [list(h.then(f).coords()) for f in space.basis]
+            per_f = [dense_coords(h.then(f)) for f in space.basis]
             for r in range(len(per_f[0])):
                 constraint.append([per_f[j][r] for j in range(n)])
         if constraint:
@@ -383,7 +391,7 @@ def brute_force_quotient_dims():
         facs = []
         for u in hom_basis(obj, m):
             for v in hom_basis(m, obj):
-                facs.append(list(u.then(v).coords()))
+                facs.append(u.then(v).coords())
         f_sub = Subspace.from_vectors(field, n, facs)
         return n - r_sub.intersect(f_sub).dim, n
 

@@ -3,6 +3,7 @@ the flat vectors every Hom space's coordinates are solved from."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -55,7 +56,11 @@ def _lhs(equations, hs):
 
 def _stacked(equations, mors):
     """Coordinates of one map per equation, stacked in equation order."""
-    return [c for (target, _), f in zip(equations, mors) for c in target.coords(f.payload)]
+    out, pos = {}, 0
+    for (target, _), f in zip(equations, mors):
+        out.update((pos + j, c) for j, c in target.coords(f.payload).items())
+        pos += target.dim
+    return out
 
 
 def _pairwise_matrix(cat, spaces, equations):
@@ -123,7 +128,7 @@ def test_unsolvable_system_returns_none():
             rhs[k] = b
             vec = _stacked(equations, rhs)
             augmented = Mat.from_columns(
-                cat.field, eqs.matrix.transpose().tolist() + [vec], eqs.matrix.rows
+                cat.field, eqs.matrix.transpose().sparse_rows + [vec], eqs.matrix.rows
             )
             sol = eqs.solve(rhs)
             if augmented.rank() > eqs.matrix.rank():
@@ -259,20 +264,24 @@ def test_every_hom_space_chart_holds_its_basis():
     assert all(space.dim for space in spaces)
     for space in spaces:
         for k, b in enumerate(space.basis):
-            assert space.coords(b.payload) == tuple(int(i == k) for i in range(space.dim))
+            assert space.coords(b.payload) == {k: 1}
 
 
 def test_from_coords_of_a_unit_vector_is_that_basis_map():
-    # a coefficient 1 adds the basis map itself: its parts are not copied
+    # a coefficient 1 adds the basis map itself: its parts are not copied;
+    # a dense coordinate sequence reads the same as its {index: nonzero} dict
     cat, p1, p2 = _projectives()
     x = Complex(cat, 0, [p1, p2], [cat.hom(p1, p2).basis[0]])
     for space in (cat.hom(p1, p1), cat.hom(p2, p1), ChainMapCategory(cat).hom(x, x)):
         for k, b in enumerate(space.basis):
-            got = space.from_coords([int(i == k) for i in range(space.dim)])
-            assert (got.src, got.tgt) == (b.src, b.tgt)
-            assert got.payload.keys() == b.payload.keys()
-            assert all(got.payload[i] is part for i, part in b.payload.items())
+            for vec in ({k: 1}, [int(i == k) for i in range(space.dim)]):
+                got = space.from_coords(vec)
+                assert (got.src, got.tgt) == (b.src, b.tgt)
+                assert got.payload.keys() == b.payload.keys()
+                assert all(got.payload[i] is part for i, part in b.payload.items())
             assert b.scale(cat.field.one) is b
+        with pytest.raises(InputError):
+            space.from_coords([0] * (space.dim + 1))
 
 
 def _same_payload(p, q):
@@ -355,14 +364,28 @@ def test_composite_tables_match_the_pairwise_composites(char):
 # -- flat vectors ------------------------------------------------------------
 
 
+def _dense(vec, n):
+    """A {index: value} vector written out with its zeros."""
+    out = [0] * n
+    for i, c in vec.items():
+        out[i] = c
+    return out
+
+
+def _nonzeros(field, vec):
+    """The {index: nonzero} dict of a dense vector, under the value rules:
+    an integral rational as an int."""
+    return {k: field.coerce(c) for k, c in enumerate(vec) if c}
+
+
 def _dense_flat(kind, cat, x, y, fp):
     """The flat vector of the payload fp with its zeros written out, by the
     layout each category's chart uses: slot blocks row by row, base
     coordinates, or the coordinates of the parts in order."""
-    zero = cat.field.zero
 
     def parts(spaces):
-        return [c for key, h in spaces for c in (h.coords(fp[key].payload) if key in fp else [zero] * h.dim)]
+        vecs = [(h.coords(fp[key].payload) if key in fp else {}, h.dim) for key, h in spaces]
+        return [c for vec, n in vecs for c in _dense(vec, n)]
 
     if kind == "module":
         out = []
@@ -371,10 +394,54 @@ def _dense_flat(kind, cat, x, y, fp):
             out += [c for row in blk.tolist() for c in row]
         return out
     if kind == "quotient":
-        return list(cat.base.hom(x, y).coords(fp))
+        return _dense(cat.base.hom(x, y).coords(fp), cat.base.hom(x, y).dim)
     if kind == "orbit":
         return parts(cat._graded_spaces(x, y))
     return parts(cat.hom_complex(x, y).blocks.get(0, []))  # chain maps, homotopy classes
+
+
+def _dense_rref(field, rows, cols):
+    """Reference: textbook dense Gauss-Jordan; the nonzero reduced rows and
+    their pivot columns."""
+    rows, pivots = [list(row) for row in rows], []
+    for c in range(cols):
+        pr = next((i for i in range(len(pivots), len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                q = rows[i][c]
+                rows[i] = [field.sub(x, field.mul(q, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def _dense_chart(kind, cat, x, y):
+    """The chart of Hom(x, y) rebuilt densely: the flat vectors of its basis,
+    then the generators it divides by (an ideal's basis in base coordinates,
+    the null-homotopic maps of a homotopy category)."""
+    space = cat.hom(x, y)
+    columns = [_dense_flat(kind, cat, x, y, b.payload) for b in space.basis]
+    if kind == "quotient":
+        gens = cat.ideal(x, y)
+    elif isinstance(cat, HomotopyCategory):
+        gens = cat.hom_complex(x, y).boundaries(0)
+    else:
+        return columns
+    return columns + [_dense(v, gens.ambient) for v in gens.basis]
+
+
+def _dense_solve(field, columns, b):
+    """Reference: the unique c with sum of c_k columns[k] = b, the columns
+    being independent, by dense Gauss-Jordan on [columns | b]."""
+    augmented = [[col[i] for col in columns] + [b[i]] for i in range(len(b))]
+    red, pivots = _dense_rref(field, augmented, len(columns) + 1)
+    assert pivots == list(range(len(columns))), "not in the span of the chart"
+    return [row[-1] for row in red]
 
 
 def _flat_setups(field):
@@ -408,32 +475,66 @@ def _flat_setups(field):
     ]
 
 
+def _is_sparse(field, vec):
+    """A {index: nonzero} dict under the value rules: no zero stored, a
+    GF(p) value in [0, p), an integral rational an int."""
+    return type(vec) is dict and all(
+        c and (type(c) is int or not field.char and type(c) is Fraction and c.denominator != 1)
+        and (not field.char or 0 < c < field.char)
+        for c in vec.values()
+    )
+
+
 @pytest.mark.parametrize("char", [0, 2, 101])
 def test_flat_vectors_are_the_nonzeros_of_the_dense_ones(char):
     # each _p_flatten hook returns a {flat index: nonzero} dict, the dense
-    # flat vector at its nonzeros, and coordinates read back what made a map
+    # flat vector at its nonzeros; the chart's solution, the coordinates,
+    # every composite_coords entry and every Subspace basis row are the
+    # nonzeros of the same vectors solved or reduced densely
     field = FieldSpec(char)
     rng = random.Random(2300 + char)
     setups = _flat_setups(field)
     by_f, objs = setups[2][1:]
     assert any(by_f.ideal(u, v).dim for u in objs for v in objs)
-    flattened = set()
+    flattened, generators, composites, spans = set(), 0, 0, 0
     for n, (kind, cat, objs) in enumerate(setups):
         for x, y in itertools.product(objs, repeat=2):
             space = cat.hom(x, y)
-            vecs = [tuple(int(i == k) for i in range(space.dim)) for k in range(space.dim)]
-            vecs += [tuple(field.random(rng) for _ in range(space.dim)) for _ in range(4)]
+            chart = _dense_chart(kind, cat, x, y)
+            generators += len(chart) > space.dim
+            vecs = [[int(i == k) for i in range(space.dim)] for k in range(space.dim)]
+            vecs += [[field.random(rng) for _ in range(space.dim)] for _ in range(4)]
+            coords = []
             for v in vecs:
-                f = space.from_coords(v)
-                assert space.coords(f.payload) == v
+                f = space.from_coords(_nonzeros(field, v))
+                coords.append(space.coords(f.payload))
+                assert _is_sparse(field, coords[-1]) and coords[-1] == _nonzeros(field, v)
                 if not f.payload:
                     continue
                 flat = cat._p_flatten(x, y, f.payload)
                 dense = _dense_flat(kind, cat, x, y, f.payload)
-                assert type(flat) is dict and all(flat.values())
-                assert flat == {k: c for k, c in enumerate(dense) if c}
+                assert _is_sparse(field, flat) and flat == _nonzeros(field, dense)
+                sol = space._solver.solve(flat)
+                want = _dense_solve(field, chart, dense)
+                assert _is_sparse(field, sol) and sol == _nonzeros(field, want)
                 flattened.add(n)
+            sub = Subspace.from_vectors(field, space.dim, coords)
+            ref, _ = _dense_rref(field, vecs, space.dim)
+            assert all(_is_sparse(field, row) for row in sub.basis)
+            assert list(sub.basis) == [_nonzeros(field, row) for row in ref]
+            spans += sub.dim > 1
+        for x, y, z in itertools.product(objs, repeat=3):
+            fs, gs = cat.hom(x, y).basis, cat.hom(y, z).basis
+            fs = fs + [random_mor(cat, x, y, rng) for _ in fs[:1]]
+            chart = _dense_chart(kind, cat, x, z)
+            for f, row in zip(fs, cat.composite_coords(fs, gs)):
+                for g, got in zip(gs, row):
+                    dense = _dense_flat(kind, cat, x, z, f.then(g).payload)
+                    want = _dense_solve(field, chart, dense)[: cat.hom(x, z).dim]
+                    assert _is_sparse(field, got) and got == _nonzeros(field, want)
+                    composites += bool(got)
     assert len(flattened) == len(setups)  # every category flattened a nonzero map
+    assert generators and composites and spans
 
 
 @pytest.mark.parametrize("char", [0, 2, 101])
@@ -460,4 +561,4 @@ def test_slot_maps_that_do_not_intertwine_have_no_coordinates(char, monkeypatch)
         assert solves == [{2 * i + j: 1}]
     assert outside == 3  # only the entry below the diagonal, x itself, commutes
     del solves[:]
-    assert end.coords({}) == (0, 0) and solves == []
+    assert end.coords({}) == {} and solves == []

@@ -22,6 +22,16 @@ def rand_mat(field, rows, cols, rng):
     return Mat(field, data, rows, cols)  # the shape holds for 0 rows or 0 columns too
 
 
+def dense(vec, n):
+    """A {index: nonzero} vector written out with its zeros, after checking
+    that it stores no zero."""
+    assert all(vec.values()), vec
+    out = [0] * n
+    for i, x in vec.items():
+        out[i] = x
+    return out
+
+
 def is_exact(field, v):
     """An exact field element: an int, or over Q a Fraction; never a float or a bool."""
     if isinstance(v, bool):
@@ -72,17 +82,17 @@ def test_rref_and_solve_return_integral_rationals_as_ints():
     red, pivots = Mat(QQ, [[2, 4], [1, 1]]).rref()
     assert pivots == [0, 1]
     assert all(type(x) is int for row in red.tolist() for x in row), red.tolist()
-    x = LinSolver(Mat(QQ, [[2, 0], [0, 1]])).solve(_sparse([2, 0]))
-    assert x == [1, 0] and all(type(v) is int for v in x), x
-    half = LinSolver(Mat(QQ, [[2, 0], [0, 1]])).solve(_sparse([1, 0]))
-    assert half == [Fraction(1, 2), 0] and type(half[0]) is Fraction
+    x = LinSolver(Mat(QQ, [[2, 0], [0, 1]])).solve({0: 2})
+    assert x == {0: 1} and all(type(v) is int for v in x.values()), x
+    half = LinSolver(Mat(QQ, [[2, 0], [0, 1]])).solve({0: 1})
+    assert half == {0: Fraction(1, 2)} and type(half[0]) is Fraction
 
 
 def test_products_return_integral_rationals_as_ints():
     prod = Mat(QQ, [[Fraction(1, 2)]]) * Mat(QQ, [[2]])
     assert prod.tolist() == [[1]] and type(prod.tolist()[0][0]) is int, prod.tolist()
-    img = Mat(QQ, [[Fraction(1, 2)]]).apply([2])
-    assert img == [1] and type(img[0]) is int, img
+    img = Mat(QQ, [[Fraction(1, 2)]]).apply({0: 2})
+    assert img == {0: 1} and type(img[0]) is int, img
     mixed = Mat(QQ, [[Fraction(1, 3), 1], [1, 0]]) * Mat(QQ, [[3, 0], [0, Fraction(1, 2)]])
     assert mixed.tolist() == [[1, Fraction(1, 2)], [3, 0]]
     assert [type(x) for row in mixed.tolist() for x in row] == [int, Fraction, int, int]
@@ -106,11 +116,12 @@ def test_mat_arithmetic():
     assert (-a + a).is_zero()
     assert a.scale(2) == Mat(q, [[2, 4], [6, 8]])
     assert a.transpose() == Mat(q, [[1, 3], [2, 4]])
-    assert Mat.from_columns(q, a.transpose().tolist(), 2) == a
+    assert Mat.from_columns(q, a.transpose().sparse_rows, 2) == a
     # a matrix with no rows keeps its columns both ways
-    empty = Mat.from_columns(q, [[], [], []], 0)
+    empty = Mat.from_columns(q, [{}, {}, {}], 0)
     assert empty.shape == (0, 3) and empty.transpose().tolist() == [[], [], []]
-    assert a.apply([1, 0]) == [Fraction(1), Fraction(3)]
+    assert a.apply({0: 1}) == {0: Fraction(1), 1: Fraction(3)}
+    assert a.apply({}) == {} and Mat(q, [[1, 1], [0, 1]]).apply({0: 1, 1: -1}) == {1: -1}
 
 
 def test_rank_nullity_random():
@@ -122,7 +133,7 @@ def test_rank_nullity_random():
             ker = a.kernel_basis()
             assert a.rank() + len(ker) == cols
             for vec in ker:
-                assert all(x == field.zero for x in a.apply(vec))
+                assert vec and all(vec.values()) and a.apply(vec) == {}
 
 
 def test_rref_is_idempotent():
@@ -138,9 +149,11 @@ def test_rref_is_idempotent():
 def test_solve_consistent_and_inconsistent():
     q = FieldSpec(0)
     a = Mat(q, [[1, 1], [0, 1], [1, 2]])
-    x = LinSolver(a).solve(_sparse(a.apply([3, -2])))
-    assert a.apply(x) == a.apply([3, -2])
-    assert LinSolver(a).solve(_sparse([1, 0, 0])) is None  # rows force x+y=1, y=0, x+2y=0
+    b = a.apply({0: 3, 1: -2})
+    assert b == {0: 1, 1: -2, 2: -1}
+    x = LinSolver(a).solve(b)
+    assert x == {0: 3, 1: -2} and a.apply(x) == b
+    assert LinSolver(a).solve({0: 1}) is None  # rows force x+y=1, y=0, x+2y=0
 
 
 def test_lin_solver_matches_direct_solve():
@@ -149,8 +162,8 @@ def test_lin_solver_matches_direct_solve():
     for _ in range(20):
         a = rand_mat(f5, 3, 4, rng)
         solver = LinSolver(a)
-        target = a.apply([f5.random(rng) for _ in range(4)])
-        x = solver.solve(_sparse(target))
+        target = a.apply(_sparse([f5.random(rng) for _ in range(4)]))
+        x = solver.solve(target)
         assert x is not None and a.apply(x) == target
 
 
@@ -168,7 +181,7 @@ def test_lin_solver_returns_the_solution_zero_on_free_columns():
             for j, e in enumerate(units):
                 e[j] = field.random(rng) or field.one
             rhs = [
-                a.apply([field.random(rng) for _ in range(cols)]),
+                dense(a.apply(_sparse([field.random(rng) for _ in range(cols)])), rows),
                 [field.random(rng) for _ in range(rows)],
                 [field.random(rng) if rng.random() < 0.3 else field.zero for _ in range(rows)],
                 [field.zero] * rows,
@@ -180,12 +193,13 @@ def test_lin_solver_returns_the_solution_zero_on_free_columns():
             assert all(t for col in solver.columns for _, t in col)
             for b in rhs:
                 x = solver.solve(_sparse(b))
-                if Mat.from_columns(field, a.transpose().tolist() + [b], rows).rank() > len(pivots):
+                augmented = Mat(field, [row + [y] for row, y in zip(a.tolist(), b)], rows, cols + 1)
+                if augmented.rank() > len(pivots):
                     assert x is None
                     continue
-                assert x is not None and a.apply(x) == b
-                assert all(is_exact(field, v) for v in x)
-                assert all(not x[c] for c in range(cols) if c not in pivots)
+                assert x is not None and dense(a.apply(x), rows) == b
+                assert all(is_exact(field, v) for v in dense(x, cols))
+                assert set(x) <= set(pivots)
             # b = c·e_j whose column of T reaches only rows past the rank
             for e, col in zip(units, solver.columns):
                 if col and all(r >= len(pivots) for r, _ in col):
@@ -199,10 +213,10 @@ def test_subspace_membership_and_sum_intersection_dims():
     for f in [FieldSpec(5)] * 30 + [FieldSpec(0)] * 30:
         n = rng.randint(1, 6)
         u = Subspace.from_vectors(
-            f, n, [[f.random(rng) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+            f, n, [_sparse([f.random(rng) for _ in range(n)]) for _ in range(rng.randint(0, 3))]
         )
         v = Subspace.from_vectors(
-            f, n, [[f.random(rng) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+            f, n, [_sparse([f.random(rng) for _ in range(n)]) for _ in range(rng.randint(0, 3))]
         )
         # modular law for dimensions
         meet = u.intersect(v)
@@ -212,14 +226,19 @@ def test_subspace_membership_and_sum_intersection_dims():
         # canonical: the echelon basis, whichever side the meet starts from
         assert meet == v.intersect(u) == Subspace.from_vectors(f, n, meet.basis)
         for vec in u.basis:
-            assert u.contains(vec)
+            assert u.contains(vec) and dense(vec, n)[min(vec)] == 1
+        for vec in v.basis:
+            residue = u.reduce(vec)
+            assert all(residue.values()) and u.contains(vec) == (not residue)
+            assert (u + Subspace.from_vectors(f, n, [vec])).dim == u.dim + bool(residue)
 
 
 def test_subspace_canonical_equality():
     q = FieldSpec(0)
-    u = Subspace.from_vectors(q, 3, [[1, 1, 0], [0, 0, 1]])
-    v = Subspace.from_vectors(q, 3, [[2, 2, 2], [1, 1, 3]])
-    assert u == v
+    u = Subspace.from_vectors(q, 3, map(_sparse, [[1, 1, 0], [0, 0, 1]]))
+    v = Subspace.from_vectors(q, 3, map(_sparse, [[2, 2, 2], [1, 1, 3]]))
+    assert u == v and hash(u) == hash(v)
+    assert u.basis == ({0: 1, 1: 1}, {2: 1}) and v.tolist() == [[1, 1, 0], [0, 0, 1]]
     assert u + v == u
     assert u.intersect(v) == u
 
@@ -228,29 +247,31 @@ def test_kernel_of_matrix():
     q = FieldSpec(0)
     a = Mat(q, [[1, 2, 3]])
     ker = kernel(a)
-    assert ker.dim == 2
+    assert ker.dim == 2 and ker.tolist() == [[1, 0, Fraction(-1, 3)], [0, 1, Fraction(-2, 3)]]
     for vec in ker.basis:
-        assert all(x == 0 for x in a.apply(vec))
+        assert a.apply(vec) == {}
 
 
 def test_quotient_basis():
     # the representatives extend a basis of sub to one of the total space
     q = FieldSpec(0)
     total = Subspace.full(q, 3)
-    sub = Subspace.from_vectors(q, 3, [[1, 0, 0]])
+    sub = Subspace.from_vectors(q, 3, [{0: 1}])
     reps = total.quotient_basis(sub)
     assert len(reps) == 2
     assert sub + Subspace.from_vectors(q, 3, reps) == total
     f3 = FieldSpec(3)
-    total = Subspace.from_vectors(f3, 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
-    sub = Subspace.from_vectors(f3, 4, [[1, 1, 0, 0]])
+    total = Subspace.from_vectors(f3, 4, [{0: 1}, {1: 1}, {2: 1}])
+    sub = Subspace.from_vectors(f3, 4, [{0: 1, 1: 1}])
     reps = total.quotient_basis(sub)
     assert len(reps) == 2
     assert sub + Subspace.from_vectors(f3, 4, reps) == total
     # the first basis vectors of total that are independent modulo sub
-    assert reps == [[1, 0, 0, 0], [0, 0, 1, 0]]
+    assert reps == [{0: 1}, {2: 1}]
     with pytest.raises(InputError):
-        total.quotient_basis(Subspace.from_vectors(f3, 4, [[0, 0, 0, 1]]))
+        total.quotient_basis(Subspace.from_vectors(f3, 4, [{3: 1}]))
+    with pytest.raises(InputError):
+        Subspace.from_vectors(f3, 4, [{4: 1}])  # outside the ambient space
 
 
 # -- the sparse elimination against dense Gauss-Jordan ---------------------
@@ -354,16 +375,17 @@ def test_sparse_elimination_matches_dense_gauss_jordan(p):
         red, pivots = a.rref()
         assert pivots == ref_pivots and red.tolist() == ref_rows, a
         assert red.shape == a.shape and a.rank() == len(ref_pivots)
-        ker = a.kernel_basis()
+        ker = [dense(v, a.cols) for v in a.kernel_basis()]
         assert ker == dense_kernel(field, a)
         solver = LinSolver(a)
         assert solver.pivots == ref_pivots
         rhs = [
-            a.apply([sparse_entry(field, rng, 0.7) for _ in range(a.cols)]),
+            dense(a.apply(_sparse([sparse_entry(field, rng, 0.7) for _ in range(a.cols)])), a.rows),
             [sparse_entry(field, rng, 0.7) for _ in range(a.rows)],
             [field.one] + [field.zero] * (a.rows - 1) if a.rows else [],
         ]
         solves = [solver.solve(_sparse(b)) for b in rhs]
+        solves = [None if x is None else dense(x, a.cols) for x in solves]
         assert solves == [dense_solve(field, a, b) for b in rhs]
         assert solves[0] is not None
         outputs = [x for row in red.tolist() for x in row] + [x for v in ker for x in v]
@@ -412,13 +434,15 @@ def test_unit_row_solver_matches_the_elimination_path(p, monkeypatch):
         assert len(calls) == (0 if has_units else 1)
         padded = LinSolver(Mat(field, [row + [0] for row in a.tolist()], a.rows, a.cols + 1))
         rhs = [
-            a.apply([sparse_entry(field, rng, 0.7) for _ in range(a.cols)]),
+            dense(a.apply(_sparse([sparse_entry(field, rng, 0.7) for _ in range(a.cols)])), a.rows),
             [sparse_entry(field, rng, 0.5) for _ in range(a.rows)],
             [field.zero] * a.rows,
         ] + [[field.one if k == i else field.zero for k in range(a.rows)] for i in range(a.rows)]
         for b in rhs:
             x, ref = solver.solve(_sparse(b)), padded.solve(_sparse(b))
-            assert x == (None if ref is None else ref[:-1]) == dense_solve(field, a, b)
+            assert x == ref and (ref is None or a.cols not in ref)
+            x = None if x is None else dense(x, a.cols)
+            assert x == dense_solve(field, a, b)
             assert x is None or all(is_exact(field, v) and not integral_fraction(v) for v in x)
             outside += x is None
         assert solver.pivots == a.rref()[1]
@@ -479,11 +503,11 @@ def test_sparse_mat_matches_a_dense_reference(p):
                 scaled = [[f.mul(f.coerce(s), x) for x in row] for row in da]
                 assert_matches(a.scale(s), (r, k), scaled)
             vec = [sparse_entry(f, rng, density) for _ in range(k)]
-            image = a.apply(vec)
-            assert image == [dot(row, vec) for row in da]
-            assert not any(map(integral_fraction, image))
+            image = a.apply(_sparse(vec))
+            assert dense(image, r) == [dot(row, vec) for row in da]
+            assert not any(map(integral_fraction, image.values()))
             assert_matches(a.transpose(), (k, r), cols_a)
-            assert_matches(Mat.from_columns(f, cols_a, r), (r, k), da)
+            assert_matches(Mat.from_columns(f, list(map(_sparse, cols_a)), r), (r, k), da)
             red, pivots = a.rref()
             ref_rows, ref_pivots = dense_rref(f, da, k)
             assert_matches(red, (r, k), ref_rows)

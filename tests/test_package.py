@@ -382,3 +382,49 @@ def test_every_default_is_set_by_some_caller():
                 ):
                     unset.append(f"{path.stem}.{owner + '.' if owner else ''}{fn.name}({param})")
     assert unset == [], f"defaulted parameters that no caller sets: {unset}"
+
+
+def _calls_by_function(tree, callee):
+    """(enclosing Class.function, line) of every read of the name or call of
+    the attribute callee, outside import statements and its own def."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Name) and node.id == callee:
+            found.append((where, node.lineno))
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == callee:
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+# the dense vectors that come from outside the package: a Mat's rows read
+# from a document, an algebra's or a ring's unit (a dense list, as Algebra
+# takes it), and the dense coordinates HomSpace.from_coords still accepts
+SPARSE_BOUNDARIES = {
+    "exactla.py": {"Mat.__init__"},
+    "algebra.py": {"Algebra._check_axioms"},
+    "derivedeq.py": {"_ring_map_witness"},
+    "category.py": {"HomSpace.from_coords"},
+}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_vectors_are_sparse_past_the_input_boundaries(path):
+    # one vector format: solves, coordinates, kernels and Subspace bases are
+    # {index: nonzero} dicts, so a dense vector is read in only where one
+    # comes from outside, and written out only by the dense views that
+    # exactla defines and the JSON report in cli reads
+    tree = ast.parse(path.read_text())
+    allowed = SPARSE_BOUNDARIES.get(path.name, set())
+    sparse = [(fn, line) for fn, line in _calls_by_function(tree, "_sparse") if fn not in allowed]
+    dense = [] if path.name in ("cli.py", "exactla.py") else _calls_by_function(tree, "tolist")
+    assert (sparse, dense) == ([], []), (
+        f"{path.name} converts dense vectors outside the input boundaries (function, line): "
+        f"{sparse}, and writes vectors out densely (function, line): {dense}"
+    )
