@@ -29,7 +29,7 @@ __all__ = [
     "socle",
     "top",
     "nakayama_projective",
-    "find_isomorphism",
+    "iso_from_projective",
     "is_isomorphism",
     "invert",
 ]
@@ -662,33 +662,20 @@ def radical_layers(m: ModuleRep):
     return layers
 
 
-def find_isomorphism(m: ModuleRep, n: ModuleRep, rng=None):
-    """('yes', f) / ('no', None) / ('undecided', None).
+def iso_from_projective(proj: ModuleRep, m: ModuleRep) -> Mor | None:
+    """An isomorphism from the indecomposable projective proj = P_w onto m,
+    or None when there is none.
 
-    Sound for yes; 'no' only when dimension counts already rule an iso out.
-    With rng, 64 random combinations of the Hom basis are tried before
-    'undecided'.
+    Exact: Hom(P_w, m) is e_w m as a vector space.  When m is isomorphic to
+    P_w, e_w rad m is a proper subspace of e_w m, so some Hom basis map
+    sends the generator of P_w outside it; that map is onto, and with equal
+    dimensions it is an isomorphism.
     """
-    if any(m.dims[s] != n.dims[s] for s in m.slots):
-        return "no", None
-    cat = m.algebra.modcat
-    space = cat.hom(m, n)
-    basis = space.basis
-    if m.total_dim == 0:
-        return "yes", cat.zero_mor(m, n)
-    for f in basis:
-        if is_isomorphism(f):
-            return "yes", f
-    back = cat.hom(n, m).dim
-    if not basis or not back:
-        return "no", None
-    if rng is not None:
-        field = m.algebra.field
-        for _ in range(64):
-            f = space.from_coords({j: c for j in range(space.dim) if (c := field.random(rng))})
-            if is_isomorphism(f):
-                return "yes", f
-    return "undecided", None
+    if proj.proj_summands is None or len(proj.proj_summands) != 1:
+        raise InputError("iso_from_projective needs an indecomposable projective")
+    if any(proj.dims[s] != m.dims[s] for s in proj.slots):
+        return None
+    return next((f for f in proj.algebra.modcat.hom(proj, m).basis if is_isomorphism(f)), None)
 
 
 def nakayama_projective(algebra: Algebra, p: ModuleRep) -> ModuleRep:

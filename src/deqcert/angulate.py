@@ -281,9 +281,15 @@ def _fill_angle_square(cat, sigma, src: NAngle, tgt: NAngle, h1: Mor, h2: Mor):
     return MorphismEquations(cat, spaces, equations).solve(rhs)
 
 
-def verify_weak_axioms(cat, sigma, angles, rng) -> dict:
-    """Spot-check the three axioms on a finite sample of angles, with five
-    random squares per pair of angles for the fillers."""
+def verify_weak_axioms(cat, sigma, angles) -> dict:
+    """Check the three axioms on a finite sample of angles.
+
+    For the fillers, each pair of angles contributes a basis of its
+    commuting squares (h1, h2), the kernel of f1.h2 - h1.g1.  The filler
+    equations have a fixed matrix and right-hand sides linear in (h1, h2),
+    so every commuting square has a filler exactly when each basis square
+    has one.
+    """
     report = {"identity": True, "sums": True, "rotations": True, "fillers": []}
     for ang in angles:
         x = ang.objects[0]
@@ -299,16 +305,12 @@ def verify_weak_axioms(cat, sigma, angles, rng) -> dict:
             if not s.consecutive_composites_vanish():
                 report["sums"] = False
     # axiom (3): commuting squares extend
-    from .catideal import random_mor
-
-    for _ in range(5):
-        for src in angles:
-            for tgt in angles:
-                h1 = random_mor(cat, src.objects[0], tgt.objects[0], rng)
-                # solve f1 h2 = h1 g1 for h2
-                h2 = _solve_second(cat, src, tgt, h1)
-                if h2 is None:
-                    continue
+    for src in angles:
+        for tgt in angles:
+            (x1, x2), (y1, y2) = src.objects[:2], tgt.objects[:2]
+            square = (cat.hom(x1, y2), [(1, src.maps[0], "pre"), (0, -tgt.maps[0], "post")])
+            squares = MorphismEquations(cat, [cat.hom(x1, y1), cat.hom(x2, y2)], [square])
+            for h1, h2 in squares.kernel():
                 fillers = _fill_angle_square(cat, sigma, src, tgt, h1, h2)
                 report["fillers"].append(fillers is not None)
     report["ok"] = (
@@ -318,16 +320,6 @@ def verify_weak_axioms(cat, sigma, angles, rng) -> dict:
         and all(report["fillers"])
     )
     return report
-
-
-def _solve_second(cat, src: NAngle, tgt: NAngle, h1: Mor):
-    """h2 with f1 h2 = h1 g1, or None."""
-    space = cat.hom(src.objects[1], tgt.objects[1])
-    square = cat.hom(src.objects[0], tgt.objects[1])
-    sol = MorphismEquations(cat, [space], [(square, [(0, src.maps[0], "pre")])]).solve(
-        [h1.then(tgt.maps[0])]
-    )
-    return None if sol is None else sol[0]
 
 
 def lemma_nangle_check(cat, angle: NAngle, probes, window: int = 3) -> dict:

@@ -200,10 +200,16 @@ class MorphismEquations:
         if not vec:  # the zero maps, which a solve would return too
             return [space.zero() for space in self.spaces]
         sol = self._solver.solve(vec)
-        if sol is None:
-            return None
+        return None if sol is None else self._maps(sol)
+
+    def kernel(self):
+        """A basis of the solutions with every right-hand side zero, each
+        solution the list of its maps h_i."""
+        return [self._maps(vec) for vec in self.matrix.kernel_basis()]
+
+    def _maps(self, vec):
         return [
-            space.from_coords({j - k: c for j, c in sol.items() if k <= j < k + space.dim})
+            space.from_coords({j - k: c for j, c in vec.items() if k <= j < k + space.dim})
             for space, k in zip(self.spaces, self.starts)
         ]
 

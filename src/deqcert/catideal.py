@@ -16,7 +16,6 @@ from .exactla import Mat, Subspace, kernel
 
 __all__ = [
     "SubcatSpec",
-    "random_mor",
     "ideal_space",
     "factorization_through",
     "right_approximation",
@@ -63,12 +62,6 @@ class SubcatSpec:
         data = self.cat.direct_sum(objs)
         self.member(data.obj)
         return data
-
-
-def random_mor(cat: FiniteCategory, x, y, rng) -> Mor:
-    """Random element of Hom(x, y) with coefficients from the field sampler."""
-    space = cat.hom(x, y)
-    return space.from_coords({j: c for j in range(space.dim) if (c := cat.field.random(rng))})
 
 
 def factorization_through(cat, spec: SubcatSpec, x, y) -> Subspace:

@@ -6,13 +6,14 @@ stable-under-Nakayama projectives.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 
 from .algebra import (
     ModuleRep,
-    find_isomorphism,
     image_module,
     intertwiner_system,
+    iso_from_projective,
     kernel_module,
     nakayama_projective,
     projective,
@@ -332,26 +333,22 @@ def _is_surjective(f) -> bool:
     return all(img.dims[s] == f.tgt.dims[s] for s in f.tgt.slots)
 
 
-def nu_stable_sequence(p: ModuleRep, y: ModuleRep, steps=None, rng=None, max_steps=16):
+def nu_stable_sequence(p: ModuleRep, y: ModuleRep, steps=None, max_steps=16):
     """Iterated minimal right approximations 0 -> X -> P_n..P_0 -> Y -> 0.
 
-    Requires the Nakayama transform of p to be isomorphic to p, and y to
-    admit a presentation by add(p) (first two approximations surjective).
-    Returns the sequence as a Complex with X in degree 0.
+    Requires the Nakayama transform of p to be isomorphic to p (decided
+    exactly by ``_nu_stable``), and y to admit a presentation by add(p)
+    (first two approximations surjective).  Returns the sequence as a
+    Complex with X in degree 0.
     """
-    import random as _random
-
     algebra = p.algebra
     cat = algebra.modcat
     if p.proj_summands is None:
         raise HypothesisError("p is not a certified sum of projectives")
-    rng = rng or _random.Random(0)
-    nu_p = nakayama_projective(algebra, p)
-    status, _ = find_isomorphism(p, nu_p, rng)
-    if status != "yes":
-        raise HypothesisError(f"projective is not stable under the Nakayama transform ({status})")
-    gens = [projective(algebra, v) for v in sorted(set(p.proj_summands))]
-    spec = SubcatSpec(cat, gens)
+    projs = {v: projective(algebra, v) for v in sorted(set(p.proj_summands))}
+    if not _nu_stable(p.proj_summands, projs):
+        raise HypothesisError("projective is not stable under the Nakayama transform")
+    spec = SubcatSpec(cat, list(projs.values()))
 
     approx_data, f0 = minimal_right_approximation(cat, spec, y)
     if not _is_surjective(f0):
@@ -386,6 +383,23 @@ def nu_stable_sequence(p: ModuleRep, y: ModuleRep, steps=None, rng=None, max_ste
     if bad := nonzero_homology(q, p_stalk):
         raise InternalConsistencyError(f"Hom(sequence, p) not exact: {bad}")
     return q
+
+
+def _nu_stable(summands, projs) -> bool:
+    """Is nu of the sum of the P_v, v over summands, isomorphic to that sum?
+
+    projs maps each distinct summand vertex to its projective.  nu is
+    additive and each nu P_v is indecomposable, so by Krull-Schmidt the two
+    sums agree exactly when sending each P_v to the one P_w isomorphic to
+    nu P_v (or to none) keeps the multiset of summands.
+    """
+    counts = Counter(summands)
+    images = Counter()
+    for v, proj in projs.items():
+        nu = nakayama_projective(proj.algebra, proj)
+        w = next((w for w, pw in projs.items() if iso_from_projective(pw, nu) is not None), None)
+        images[w] += counts[v]
+    return images == counts
 
 
 def _in_add(cat, spec: SubcatSpec, mod: ModuleRep) -> bool:

@@ -110,11 +110,6 @@ class FieldSpec:
             raise InputError("cannot enumerate Q")
         return range(self.char)
 
-    def random(self, rng):
-        if self.char:
-            return rng.randrange(self.char)
-        return rng.randint(-4, 4)
-
     def fmt(self, a) -> str:
         return str(a)
 

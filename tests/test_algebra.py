@@ -10,11 +10,11 @@ from deqcert.algebra import (
     ModuleCategory,
     ModuleRep,
     Quiver,
-    find_isomorphism,
     image_module,
     intertwiner_kernel,
     invert,
     is_isomorphism,
+    iso_from_projective,
     kernel_module,
     nakayama_projective,
     path_algebra,
@@ -33,6 +33,8 @@ from deqcert.complexes import ChainMapCategory, Complex
 from deqcert.errors import InputError, InternalConsistencyError, NonFiniteDimensionalError
 from deqcert.exactla import FieldSpec, Mat
 from deqcert.presets import a2, a3, cyclic_nakayama, kxx, nakayama4
+
+from draws import random_mor
 
 
 def count_paths(quiver, relations, max_len=30):
@@ -227,7 +229,6 @@ def test_composition_bilinear_and_associative():
     cat = fx.algebra.modcat
     rng = random.Random(5)
     objs = list(fx.projectives.values()) + list(fx.simples.values())
-    from deqcert.catideal import random_mor
 
     for _ in range(20):
         x, y, z, w = (rng.choice(objs) for _ in range(4))
@@ -350,17 +351,41 @@ def test_submodule_inclusion_composes_to_zero_with_quotient():
     assert sum(rad.dims.values()) + sum(tp.dims.values()) == sum(p1.dims.values())
 
 
-def test_find_isomorphism_and_invert():
+def test_iso_from_projective_and_invert():
     fx = a2()
     cat = fx.algebra.modcat
     p1 = fx.projectives["1"]
     copy = ModuleRep.quiver_rep(
         fx.algebra, dict(p1.dims), {a: m.copy() for a, m in p1.mats.items()}, name="copy"
     )
-    verdict, iso = find_isomorphism(p1, copy, rng=random.Random(6))
-    assert verdict == "yes" and is_isomorphism(iso)
+    iso = iso_from_projective(p1, copy)
+    assert is_isomorphism(iso)
     assert iso.then(invert(iso)).eq(cat.identity(p1))
-    assert find_isomorphism(p1, fx.simples["1"]) == ("no", None)
+    assert iso_from_projective(p1, fx.simples["1"]) is None
+    # the argument needs an indecomposable projective first
+    with pytest.raises(InputError, match="indecomposable projective"):
+        iso_from_projective(fx.simples["1"], p1)
+    with pytest.raises(InputError, match="indecomposable projective"):
+        iso_from_projective(cat.direct_sum([p1, p1]).obj, p1)
+
+
+def test_iso_from_projective_finds_every_conjugate():
+    # P1 over k[x]/(x^2) with its arrow matrix conjugated by each invertible
+    # 2 x 2 matrix over GF(3): always isomorphic to P1, and found so
+    fx = kxx(FieldSpec(3))
+    field = fx.algebra.field
+    p1 = fx.projectives["1"]
+    found = 0
+    for a, b, c, d in itertools.product(range(3), repeat=4):
+        det = (a * d - b * c) % 3
+        if not det:
+            continue
+        s = Mat(field, [[a, b], [c, d]])
+        s_inv = Mat(field, [[d, -b], [-c, a]]) * Mat(field, [[det, 0], [0, det]])  # det^-1 = det
+        conj = ModuleRep.quiver_rep(fx.algebra, {"1": 2}, {"x": s * p1.mats["x"] * s_inv})
+        assert is_isomorphism(iso_from_projective(p1, conj))
+        found += 1
+    assert found == 48
 
 
 def test_regular_module_is_sum_of_projectives():
@@ -370,18 +395,18 @@ def test_regular_module_is_sum_of_projectives():
 
 
 def test_nakayama_transform_of_projectives():
-    # linear A2: the transform of P1 is the injective at 1, i.e. S1
+    # linear A2: the transform of P1 is the injective at 1, i.e. S1, which is
+    # not projective; the transform of P2 is the projective-injective P1
     fx = a2()
     n1 = nakayama_projective(fx.algebra, fx.projectives["1"])
-    assert find_isomorphism(n1, fx.simples["1"], rng=random.Random(7))[0] == "yes"
+    assert {s: n1.dims[s] for s in n1.slots} == {"1": 1, "2": 0}
+    assert all(iso_from_projective(p, n1) is None for p in fx.projectives.values())
+    n2 = nakayama_projective(fx.algebra, fx.projectives["2"])
+    assert is_isomorphism(iso_from_projective(fx.projectives["1"], n2))
     # self-injective cyclic algebra: projectives are permuted
     cyc = cyclic_nakayama(4, 5)
     n = nakayama_projective(cyc.algebra, cyc.projectives["1"])
-    hit = [
-        v
-        for v in ("1", "2", "3", "4")
-        if find_isomorphism(n, cyc.projectives[v], rng=random.Random(8))[0] == "yes"
-    ]
+    hit = [v for v, pv in cyc.projectives.items() if iso_from_projective(pv, n) is not None]
     assert len(hit) == 1
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from deqcert import angulate, derivedeq
 from deqcert.angulate import KbProjCat, NAngle, cone_triangle, verify_theorem2, verify_weak_axioms
-from deqcert.catideal import SubcatSpec, ideal_space, random_mor
+from deqcert.catideal import SubcatSpec, ideal_space
 from deqcert.category import Mor, MorphismEquations, QuotientCategory
 from deqcert.complexes import ChainMapCategory, Complex, HomotopyCategory
 from deqcert.errors import InputError, InternalConsistencyError
@@ -22,6 +22,8 @@ from deqcert.orbit import (
     corollary_orbit_verify,
 )
 from deqcert.presets import a2_triangle, a3, cyclic_nakayama, d_split_sequence, kxx
+
+from draws import random_element, random_mor
 
 
 def _projectives(char=0):
@@ -239,7 +241,7 @@ def test_system_matrices_match_the_pairwise_reference(char, monkeypatch):
     kb = KbProjCat(fx.algebra)
     x, y, z = (kb.stalk_obj(fx.projectives[v]) for v in "321")
     angles = [cone_triangle(kb, kb.hom(x, y).basis[0]), cone_triangle(kb, kb.hom(y, z).basis[0])]
-    verify_weak_axioms(kb, kb.sigma, angles, random.Random(char))
+    verify_weak_axioms(kb, kb.sigma, angles)
     _four_term_fill(kb, angles[0])
     assert len(seen) > 3 and any(len(terms) == 2 for _, terms in seen[-1][2])
 
@@ -503,7 +505,7 @@ def test_flat_vectors_are_the_nonzeros_of_the_dense_ones(char):
             chart = _dense_chart(kind, cat, x, y)
             generators += len(chart) > space.dim
             vecs = [[int(i == k) for i in range(space.dim)] for k in range(space.dim)]
-            vecs += [[field.random(rng) for _ in range(space.dim)] for _ in range(4)]
+            vecs += [[random_element(field, rng) for _ in range(space.dim)] for _ in range(4)]
             coords = []
             for v in vecs:
                 f = space.from_coords(_nonzeros(field, v))

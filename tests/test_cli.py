@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -407,3 +408,19 @@ def test_default_nu_pipeline_report_is_pinned(capsys):
     code, out = run(capsys, *argv)
     assert code == 0
     assert out == (DATA / "nu-pipeline.nakayama4.q.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("example", "nakayama"), ("nu-pipeline", "--algebra", "nakayama4", "--p", "P", "--y", "Y")],
+    ids=["example-nakayama", "nu-pipeline"],
+)
+def test_seed_is_only_echoed(capsys, argv):
+    # no computation draws at random: the reports differ in the echoed seed alone
+    outs = {}
+    for seed in (0, 1, 6, 17):
+        code, out = run(capsys, *argv, "--seed", str(seed), "--json")
+        assert code == 0 and json.loads(out)["seed"] == seed
+        outs[seed], count = re.subn(r'"seed": \d+', '"seed": 0', out)
+        assert count == 1
+    assert len(set(outs.values())) == 1

@@ -9,7 +9,14 @@ from pathlib import Path
 import pytest
 
 from deqcert import angulate, complexes, derivedeq
-from deqcert.algebra import Algebra, ModuleRep, dense_table
+from deqcert.algebra import (
+    Algebra,
+    ModuleRep,
+    dense_table,
+    iso_from_projective,
+    nakayama_projective,
+    regular_module,
+)
 from deqcert.angulate import verify_theorem2
 from deqcert.category import Mor
 from deqcert.catideal import (
@@ -36,6 +43,8 @@ from deqcert.presets import (
     nakayama4,
     worked_example_scenario,
 )
+
+from draws import random_element
 
 
 def test_split_sequence_certificate_small():
@@ -491,6 +500,38 @@ def test_nu_stable_requires_stable_subcategory():
         nu_stable_sequence(fx.projectives["1"], fx.simples["1"], steps=1)
 
 
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_nu_stability_of_regular_sums_is_decided_without_draws(char):
+    # A^k over cyclic_nakayama(3, 4): nu permutes the three projectives, so
+    # every k passes, and the S1 pipeline runs to its 16-step cap
+    fx = cyclic_nakayama(3, 4, FieldSpec(char))
+    cat = fx.algebra.modcat
+    a = regular_module(fx.algebra).obj
+    for k in (2, 3, 4):
+        p = cat.direct_sum([a] * k).obj
+        q = nu_stable_sequence(p, fx.simples["1"])
+        assert [q.obj(i).total_dim for i in q.degrees()] == [3] + [4] * 17 + [1]
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+@pytest.mark.parametrize("e, l", [(2, 2), (3, 2)])
+def test_nu_moving_a_summand_to_another_projective_is_rejected(char, e, l):
+    # nu P1 is the injective hull of S1, a projective P_w with w != 1 here;
+    # p = P1 is rejected, and so is P1 + A, whose multiset of summands nu
+    # changes although it keeps their set; A itself is stable
+    fx = cyclic_nakayama(e, l, FieldSpec(char))
+    cat = fx.algebra.modcat
+    nu1 = nakayama_projective(fx.algebra, fx.projectives["1"])
+    images = [v for v, pv in fx.projectives.items() if iso_from_projective(pv, nu1) is not None]
+    assert len(images) == 1 and images != ["1"]
+    a = list(fx.projectives.values())
+    for p in (fx.projectives["1"], cat.direct_sum(a[:1] + a).obj):
+        with pytest.raises(HypothesisError) as err:
+            nu_stable_sequence(p, fx.simples["1"], steps=1)
+        assert "undecided" not in str(err.value)
+    assert nu_stable_sequence(cat.direct_sum(a).obj, fx.simples["1"], steps=1).hi == 3
+
+
 def test_worked_example_certificate():
     sc = worked_example_scenario()
     cert = verify_theorem1(sc.q, sc.p, embedding_check=False)
@@ -687,7 +728,9 @@ def _scalar(f, rng, density):
     fraction with denominator up to 3."""
     if rng.random() >= density:
         return f.zero
-    return f.random(rng) if f.char else f.coerce(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    if f.char:
+        return random_element(f, rng)
+    return f.coerce(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
 
 
 def _assert_sparse_table_matches(ring, dense, rng):

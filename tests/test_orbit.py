@@ -6,7 +6,6 @@ import random
 import pytest
 
 from deqcert.angulate import KbProjCat
-from deqcert.catideal import random_mor
 from deqcert.errors import InputError
 from deqcert.exactla import FieldSpec
 from deqcert.orbit import (
@@ -21,6 +20,8 @@ from deqcert.orbit import (
     yoneda_algebra,
 )
 from deqcert.presets import a2_triangle, cyclic_nakayama, nakayama4
+
+from draws import random_mor
 
 
 def rotation_functor(algebra):

@@ -49,6 +49,27 @@ def test_no_module_imports_a_name_it_never_uses(path):
     assert unused == [], f"{path.name} imports names it never uses (line, name): {unused}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_module_draws_at_random(path):
+    # every check is decided exactly: no module imports random, and no
+    # function takes a random generator
+    tree = ast.parse(path.read_text())
+    found = sorted(
+        (node.lineno, "import random")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "random" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "random"
+    ) + sorted(
+        (node.lineno, f"{getattr(node, 'name', 'lambda')}(rng)")
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for arg in ast.walk(node.args)
+        if isinstance(arg, ast.arg) and arg.arg == "rng"
+    )
+    assert found == [], f"{path.name} draws at random (line, what): {found}"
+
+
 # a field inverse is what an elimination normalises its pivots with
 ELIMINATION_CALLS = {"rref", "inv", "div"}
 
