@@ -26,12 +26,10 @@ __all__ = [
     "kernel_module",
     "image_module",
     "radical",
-    "socle",
     "top",
     "nakayama_projective",
     "iso_from_projective",
     "is_isomorphism",
-    "invert",
 ]
 
 
@@ -543,19 +541,6 @@ def is_isomorphism(f: Mor) -> bool:
     )
 
 
-def invert(f: Mor) -> Mor:
-    if not is_isomorphism(f):
-        raise InputError("morphism is not invertible")
-    cat = f.cat
-    blocks = {}
-    for s in f.src.slots:
-        n = f.src.dims[s]
-        solver = LinSolver(_block(f, s))
-        units = Mat.identity(cat.field, n).sparse_rows
-        blocks[s] = Mat.from_columns(cat.field, [solver.solve(e) for e in units], n)
-    return Mor(cat, f.tgt, f.src, blocks)
-
-
 def submodule(m: ModuleRep, spaces) -> tuple[ModuleRep, Mor]:
     """Sub-representation spanned by per-slot subspaces, with its inclusion."""
     cat = m.algebra.modcat
@@ -635,15 +620,6 @@ def _arrow_images(m: ModuleRep):
 def radical(m: ModuleRep) -> tuple[ModuleRep, Mor]:
     """Span of all arrow images, with its inclusion."""
     return submodule(m, _arrow_images(m))
-
-
-def socle(m: ModuleRep) -> tuple[ModuleRep, Mor]:
-    """Joint kernel of all arrow actions, with its inclusion."""
-    field = m.algebra.field
-    spaces = {s: Subspace.full(field, m.dims[s]) for s in m.slots}
-    for name, s, t in m.algebra.presentation.quiver.arrows:
-        spaces[s] = spaces[s].intersect(kernel(m.mats[name]))
-    return submodule(m, spaces)
 
 
 def top(m: ModuleRep) -> tuple[ModuleRep, Mor]:

@@ -82,11 +82,6 @@ class Mor:
     def is_zero(self) -> bool:
         return not self.coords()
 
-    def eq(self, other) -> bool:
-        """Equality in the category (coordinate-level, so e.g. up to homotopy)."""
-        self._same_homset(other)
-        return (self - other).is_zero()
-
     def _same_homset(self, other):
         if (
             other.cat is not self.cat
@@ -200,16 +195,10 @@ class MorphismEquations:
         if not vec:  # the zero maps, which a solve would return too
             return [space.zero() for space in self.spaces]
         sol = self._solver.solve(vec)
-        return None if sol is None else self._maps(sol)
-
-    def kernel(self):
-        """A basis of the solutions with every right-hand side zero, each
-        solution the list of its maps h_i."""
-        return [self._maps(vec) for vec in self.matrix.kernel_basis()]
-
-    def _maps(self, vec):
+        if sol is None:
+            return None
         return [
-            space.from_coords({j - k: c for j, c in vec.items() if k <= j < k + space.dim})
+            space.from_coords({j - k: c for j, c in sol.items() if k <= j < k + space.dim})
             for space, k in zip(self.spaces, self.starts)
         ]
 

@@ -22,9 +22,6 @@ __all__ = [
     "left_approximation",
     "minimal_right_approximation",
     "approximation_witness",
-    "is_right_approximation",
-    "is_left_approximation",
-    "lemma_ann_verify",
     "RingPresentation",
     "end_ring",
     "quotient_ring",
@@ -185,7 +182,7 @@ def minimal_right_approximation(cat, spec: SubcatSpec, x):
         changed = False
         for drop in range(len(pairs)):
             trial = pairs[:drop] + pairs[drop + 1 :]
-            if is_right_approximation(cat, spec, _assemble(cat, spec, x, trial)[1]):
+            if approximation_witness(cat, spec, _assemble(cat, spec, x, trial)[1], "right") is None:
                 pairs = trial
                 changed = True
                 break
@@ -213,60 +210,6 @@ def approximation_witness(cat, spec: SubcatSpec, f: Mor, side: str):
             if not span.contains({j: cat.field.one}):
                 return b
     return None
-
-
-def is_right_approximation(cat, spec: SubcatSpec, f: Mor) -> bool:
-    """Does every map generator -> target factor through f?"""
-    return approximation_witness(cat, spec, f, "right") is None
-
-
-def is_left_approximation(cat, spec: SubcatSpec, f: Mor) -> bool:
-    """Does every map source -> generator factor through f?"""
-    return approximation_witness(cat, spec, f, "left") is None
-
-
-# -- characterization checks ----------------------------------------------
-
-
-def lemma_ann_verify(cat, spec: SubcatSpec, a, b) -> dict:
-    """Check the four annihilator characterizations for the pair (a, b).
-
-    (1) with a right approximation f_a of a: R(a,b) = {g | f_a.then(g)=0};
-    (2) with a left approximation f^b of b: L(a,b) = {g | g.then(f^b)=0};
-    (3) if a is in the subcategory: R(a,b)=0 and L(a,b)=I(a,b);
-    (4) if b is in the subcategory: L(a,b)=0 and R(a,b)=J(a,b).
-    Clauses (3)/(4) are skipped when membership is not known structurally.
-    """
-    report = {}
-    hom_ab = cat.hom(a, b).basis
-    _, fa = right_approximation(cat, spec, a)
-    r_direct = ideal_space(cat, spec, a, b, "R")
-    (images,) = cat.composite_coords([fa], hom_ab)
-    killed = kernel(Mat.from_columns(cat.field, images, cat.hom(fa.src, b).dim))
-    report["right_char"] = r_direct == killed
-
-    _, fb = left_approximation(cat, spec, b)
-    l_direct = ideal_space(cat, spec, a, b, "L")
-    images = [row[0] for row in cat.composite_coords(hom_ab, [fb])]
-    killed = kernel(Mat.from_columns(cat.field, images, cat.hom(a, fb.tgt).dim))
-    report["left_char"] = l_direct == killed
-
-    if spec.contains(a):
-        dim_r = len(r_direct.basis)
-        report["member_source"] = dim_r == 0 and l_direct == ideal_space(
-            cat, spec, a, b, "I"
-        )
-    else:
-        report["member_source"] = None
-    if spec.contains(b):
-        dim_l = len(l_direct.basis)
-        report["member_target"] = dim_l == 0 and r_direct == ideal_space(
-            cat, spec, a, b, "J"
-        )
-    else:
-        report["member_target"] = None
-    report["ok"] = all(v is not False for v in report.values())
-    return report
 
 
 # -- endomorphism rings ----------------------------------------------------

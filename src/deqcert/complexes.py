@@ -16,7 +16,6 @@ moves x^{i+1} into degree i and negates the differentials.
 from __future__ import annotations
 
 from .category import FiniteCategory, HomSpace, Mor, QuotientCategory, fresh_key
-from .catideal import SubcatSpec, ideal_space
 from .errors import InputError
 from .exactla import Mat, Subspace
 
@@ -29,7 +28,6 @@ __all__ = [
     "ChainMapCategory",
     "HomotopyCategory",
     "check_thm1_conditions",
-    "self_orthogonality_check",
     "complex_in_quotient",
 ]
 
@@ -314,37 +312,3 @@ def check_thm1_conditions(q: Complex, m) -> dict:
     c1, c2, c3 = ("c1" not in kinds, "c2" not in kinds, "c3" not in kinds)
     return {"n": n, "c1": c1, "c2": c2, "c3": c3, "failing": failing, "ok": c1 and c2 and c3}
 
-
-def self_orthogonality_check(p: Complex, spec: SubcatSpec, variant: str) -> dict:
-    """Hypotheses and conclusion of the self-orthogonality lemmas.
-
-    variant "left": p on [0, n] with p^i in the subcategory for i > 0;
-    conclusion checked over C/L and C/I.  variant "right": p on [-n, 0]
-    with p^i in the subcategory for i < 0; conclusion over C/R and C/J.
-    """
-    if variant not in ("left", "right"):
-        raise InputError("variant must be 'left' or 'right'")
-    cat = p.cat
-    if len(spec.generators) != 1:
-        m_obj = spec.sum_of(spec.generators).obj
-    else:
-        m_obj = spec.generators[0]
-    m_stalk = stalk(cat, m_obj)
-    n = p.hi - p.lo
-    left = variant == "left"
-    hyp1 = not nonzero_homology(m_stalk, p, (0, n) if left else (-n,))
-    hyp2 = not nonzero_homology(p, m_stalk, (-n,) if left else (0, n))
-    kinds = ("L", "I") if left else ("R", "J")
-
-    conclusion = {}
-    for kind in kinds:
-        qcat = QuotientCategory(cat, lambda a, b, k=kind: ideal_space(cat, spec, a, b, k))
-        pq = complex_in_quotient(qcat, p)
-        bad = nonzero_homology(pq, pq, (0,))
-        conclusion[kind] = {"self_orthogonal": not bad, "nonzero": bad}
-    return {
-        "hyp1": hyp1,
-        "hyp2": hyp2,
-        "conclusion": conclusion,
-        "ok": all(c["self_orthogonal"] for c in conclusion.values()),
-    }

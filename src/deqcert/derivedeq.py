@@ -148,16 +148,6 @@ class EquivCertificate:
     def passed(self) -> bool:
         return all(self.flags.values())
 
-    def as_dict(self):
-        return {
-            "passed": self.passed,
-            "flags": dict(self.flags),
-            "ring_left_dim": self.ring_left.dim,
-            "ring_right_dim": self.ring_right.dim,
-            "end_cb_dim": self.data.get("end_cb_dim"),
-            "kernel_dim": self.data.get("kernel_dim"),
-        }
-
 
 def _certify(t_complex, qcat_left, qcat_right, ym, mx, theta_of) -> EquivCertificate:
     """The argument shared by Theorems 1 and 2 on the truncated complex T.

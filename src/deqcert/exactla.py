@@ -57,10 +57,6 @@ class FieldSpec:
                 raise InputError(f"characteristic {characteristic} is not prime")
         self.char = characteristic
 
-    @property
-    def kind(self) -> str:
-        return "rationals" if self.char == 0 else "prime-field"
-
     # -- element arithmetic ------------------------------------------------
 
     zero = 0
@@ -103,12 +99,6 @@ class FieldSpec:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def elements(self):
-        """All field elements; prime fields only (used by enumeration oracles)."""
-        if self.char == 0:
-            raise InputError("cannot enumerate Q")
-        return range(self.char)
 
     def fmt(self, a) -> str:
         return str(a)
@@ -170,9 +160,6 @@ class Mat:
             for i, x in col.items():
                 data[i][j] = x
         return cls._of(field, data, rows, len(cols))
-
-    def copy(self):
-        return Mat._of(self.field, list(map(dict, self.sparse_rows)), self.rows, self.cols)
 
     def tolist(self):
         """The dense rows, zeros written out."""
@@ -268,12 +255,6 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}: {body})"
 
     # -- elimination -------------------------------------------------------
-
-    def rref(self):
-        """Reduced row echelon form; returns (rref_matrix, pivot_columns)."""
-        pivots, reduced, _ = _rref_rows(self.field, list(map(dict, self.sparse_rows)))
-        reduced += [{} for _ in range(self.rows - len(pivots))]
-        return Mat._of(self.field, reduced, self.rows, self.cols), pivots
 
     def rank(self) -> int:
         return len(_rref_rows(self.field, list(map(dict, self.sparse_rows)))[0])

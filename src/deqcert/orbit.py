@@ -11,7 +11,7 @@ from .algebra import ModuleRep
 from .angulate import NAngle, ShiftAuto, verify_theorem2
 from .catideal import RingPresentation, SubcatSpec, approximation_witness, end_ring, ideal_space
 from .category import DirectSumData, FiniteCategory, HomSpace, Mor, StrictAuto
-from .errors import HypothesisError, InputError, InternalConsistencyError
+from .errors import InputError, InternalConsistencyError
 from .exactla import Mat, Subspace
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "ShiftAuto",
     "QuiverTwistAuto",
     "OrbitCategory",
-    "orbit_iso_to_power",
     "yoneda_algebra",
     "ideals_IJ",
     "corollary_orbit_verify",
@@ -86,15 +85,6 @@ class AdmissibleSet:
 
     def __repr__(self):
         return f"AdmissibleSet({list(self.degrees)})"
-
-    def negated(self):
-        return AdmissibleSet([-d for d in self.degrees])
-
-    def nonnegative(self):
-        return AdmissibleSet([d for d in self.degrees if d >= 0])
-
-    def scaled(self, m: int):
-        return AdmissibleSet([m * d for d in self.degrees])
 
 
 class QuiverTwistAuto(StrictAuto):
@@ -213,27 +203,6 @@ class OrbitCategory(FiniteCategory):
     def from_degree_zero(self, x, y, f: Mor) -> Mor:
         """View a base morphism x -> y as a degree-0 orbit morphism."""
         return Mor(self, x, y, {0: f} if not f.is_zero() else {})
-
-
-def orbit_iso_to_power(ocat: OrbitCategory, x, i: int):
-    """Mutually inverse homogeneous morphisms X -> F^i X and back.
-
-    Needs both i and -i in the admissible set; the forward map is the
-    identity placed in degree -i, the backward one the identity in degree i.
-    """
-    if i not in ocat.phi or -i not in ocat.phi:
-        raise HypothesisError(f"degrees {i} and {-i} must both be admissible")
-    fx = ocat.functor.obj(x, i)
-    fwd = Mor(
-        ocat,
-        x,
-        fx,
-        {ocat.phi.norm(-i): ocat.base.identity(ocat.functor.obj(fx, -i))},
-    )
-    bwd = Mor(ocat, fx, x, {ocat.phi.norm(i): ocat.base.identity(fx)})
-    if not fwd.then(bwd).eq(ocat.identity(x)) or not bwd.then(fwd).eq(ocat.identity(fx)):
-        raise InternalConsistencyError("strict orbit isomorphism failed to invert")
-    return fwd, bwd
 
 
 def yoneda_algebra(base: FiniteCategory, x, functor: StrictAuto, phi) -> RingPresentation:

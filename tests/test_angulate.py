@@ -3,23 +3,26 @@
 import pytest
 
 from deqcert import angulate
-from deqcert.angulate import (
-    KbProjCat,
-    NAngle,
-    cone_triangle,
-    identity_angle,
-    lemma_nangle_check,
-    proj_resolution_complex,
-    rotate_angle,
-    sum_angles,
-    verify_theorem2,
-    verify_weak_axioms,
-)
+from deqcert.algebra import ModuleRep, kernel_module, projective
+from deqcert.angulate import KbProjCat, NAngle, cone_triangle, verify_theorem2
+from deqcert.catideal import SubcatSpec, minimal_right_approximation
 from deqcert.category import Mor
 from deqcert.complexes import Complex
-from deqcert.errors import HypothesisError, InputError
+from deqcert.errors import HypothesisError, InputError, InternalConsistencyError
 from deqcert.exactla import FieldSpec, Subspace
 from deqcert.presets import a2, a2_triangle, a3, cyclic_nakayama
+
+import oracles
+from oracles import (
+    composites_vanish,
+    equal,
+    identity_angle,
+    lemma_nangle_check,
+    rotate_angle,
+    sum_angles,
+    verify_weak_axioms,
+    zero_object,
+)
 
 
 def a2_cat():
@@ -61,7 +64,7 @@ def test_shift_functor_on_morphisms():
     f = cat.hom(p2, p1).basis[0]
     sf = sigma.mor(f, 2)
     assert sf.src is cat.sigma.obj(p2, 2) and sf.tgt is cat.sigma.obj(p1, 2)
-    assert sigma.mor(sf, -2).eq(f)
+    assert equal(sigma.mor(sf, -2), f)
 
 
 def test_hom_in_homotopy_category_mods_out_homotopy():
@@ -79,6 +82,37 @@ def test_hom_in_homotopy_category_mods_out_homotopy():
     assert hs.dim >= 1
 
 
+def proj_resolution_complex(cat: KbProjCat, module: ModuleRep):
+    """A bounded complex of projectives homotopy-representing the module.
+
+    The resolution is placed in degrees <= 0 with the degree-0 cover of the
+    module on the right; raises HypothesisError if projective dimension
+    exceeds 8.  Each syzygy cover is minimized.
+    """
+    algebra = cat.algebra
+    base = cat.base
+    spec = SubcatSpec(base, [projective(algebra, v) for v in algebra.vertices()])
+    if module.total_dim == 0:
+        return zero_object(cat)
+
+    steps = []  # (cover object, map into the previous cover or the module)
+    target, incl_prev = module, None
+    for _ in range(9):
+        if not any(base.hom(g, target).dim for g in spec.generators):
+            raise InternalConsistencyError("no projective cover of a nonzero module")
+        data, f = minimal_right_approximation(base, spec, target)
+        steps.append((data.obj, f.then(incl_prev) if incl_prev is not None else f))
+        target, incl_prev = kernel_module(f)
+        if target.total_dim == 0:
+            break
+    else:
+        raise HypothesisError("module has no projective resolution within the length bound")
+
+    objs = [p for p, _ in reversed(steps)]
+    diffs = [f for _, f in reversed(steps[1:])]
+    return cat.object(Complex(base, -(len(objs) - 1), objs, diffs))
+
+
 def test_resolution_complex_a3():
     fx = a3()
     cat = KbProjCat(fx.algebra)
@@ -93,7 +127,7 @@ def test_resolution_complex_a3():
 def test_cone_triangle_composites_vanish():
     fx = a2_triangle()
     tri = fx.triangle
-    assert tri.consecutive_composites_vanish()
+    assert composites_vanish(tri)
     # the cone of P2 -> P1 is the two-term complex for S1
     cone = tri.objects[2]
     assert sum(sum(cone.obj(i).dims.values()) for i in cone.degrees()) == 3
@@ -103,17 +137,17 @@ def test_rotation_and_identity_angles():
     fx = a2_triangle()
     cat = fx.cat
     rot = rotate_angle(cat, fx.triangle)
-    assert rot.consecutive_composites_vanish()
+    assert composites_vanish(rot)
     rot2 = rotate_angle(cat, rot)
-    assert rot2.consecutive_composites_vanish()
+    assert composites_vanish(rot2)
     ida = identity_angle(cat, cat.sigma, fx.x)
-    assert ida.consecutive_composites_vanish()
+    assert composites_vanish(ida)
 
 
 def test_sum_of_angles():
     fx = a2_triangle()
     s = sum_angles(fx.cat, fx.triangle, fx.triangle)
-    assert s.consecutive_composites_vanish()
+    assert composites_vanish(s)
 
 
 def test_weak_axioms_on_cone_triangles():
@@ -131,7 +165,7 @@ def test_weak_axioms_reject_a_triangle_with_zero_connecting_map(char):
     cat, tri = fx.cat, fx.triangle
     zero = cat.zero_mor(tri.objects[2], tri.sigma.obj(tri.objects[0]))
     split = NAngle(tri.sigma, tri.objects, tri.maps, zero)
-    assert split.consecutive_composites_vanish()
+    assert composites_vanish(split)
     report = verify_weak_axioms(cat, cat.sigma, [tri, split])
     assert False in report["fillers"] and report["ok"] is False, report
     assert report["identity"] and report["sums"] and report["rotations"]
@@ -146,14 +180,14 @@ def test_weak_axiom_fillers_make_every_square_commute(monkeypatch):
     z = cat.stalk_obj(fx.projectives["1"])
     angles = [cone_triangle(cat, cat.hom(x, y).basis[0]), cone_triangle(cat, cat.hom(y, z).basis[0])]
     seen = []
-    fill = angulate._fill_angle_square
+    fill = oracles._fill_angle_square
 
     def recording(cat, sigma, src, tgt, h1, h2):
         out = fill(cat, sigma, src, tgt, h1, h2)
         seen.append((src, tgt, [h1, h2] + (out or [])))
         return out
 
-    monkeypatch.setattr(angulate, "_fill_angle_square", recording)
+    monkeypatch.setattr(oracles, "_fill_angle_square", recording)
     report = verify_weak_axioms(cat, cat.sigma, angles)
     assert report["ok"], report
     assert len(seen) == len(report["fillers"]) > 0
@@ -161,8 +195,8 @@ def test_weak_axiom_fillers_make_every_square_commute(monkeypatch):
     for src, tgt, hs in seen:
         assert len(hs) == src.n
         for k in range(src.n - 1):
-            assert hs[k].then(tgt.maps[k]).eq(src.maps[k].then(hs[k + 1]))
-        assert hs[-1].then(tgt.connecting).eq(src.connecting.then(cat.sigma.mor(hs[0])))
+            assert equal(hs[k].then(tgt.maps[k]), src.maps[k].then(hs[k + 1]))
+        assert equal(hs[-1].then(tgt.connecting), src.connecting.then(cat.sigma.mor(hs[0])))
 
 
 def test_lemma_exactness_for_cone():
@@ -176,13 +210,39 @@ def test_lemma_exactness_for_cone():
 def test_lemma_exactness_a3_cone():
     fx = a3()
     cat = KbProjCat(fx.algebra)
-    base = fx.algebra.modcat
     x = cat.stalk_obj(fx.projectives["3"])
     y = cat.stalk_obj(fx.projectives["2"])
     f = cat.hom(x, y).basis[0]
     tri = cone_triangle(cat, f)
     report = lemma_nangle_check(cat, tri, [x, y], window=2)
     assert report["ok"], report
+
+
+def _a3_cone(field):
+    """The cone triangle of the a3 map P3 -> P2, as stalks in K^b(proj)."""
+    fx = a3(field)
+    cat = KbProjCat(fx.algebra)
+    x, y = (cat.stalk_obj(fx.projectives[v]) for v in "32")
+    return cat, cone_triangle(cat, cat.hom(x, y).basis[0])
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_lemma_exactness_rejects_a_zero_connecting_map(char):
+    # negative control: the copies of the a2 triangle and of the a3 cone
+    # with connecting map zero have vanishing composites, but Hom from and
+    # into their own terms is exact neither way; the triangles and their
+    # rotations pass with the same probes
+    field = FieldSpec(char)
+    fx = a2_triangle(field)
+    for cat, tri in ((fx.cat, fx.triangle), _a3_cone(field)):
+        probes = tri.objects
+        for ang in (tri, rotate_angle(cat, tri)):
+            assert lemma_nangle_check(cat, ang, probes, window=2)["ok"]
+        zero = cat.zero_mor(tri.objects[2], tri.sigma.obj(tri.objects[0]))
+        split = NAngle(tri.sigma, tri.objects, tri.maps, zero)
+        report = lemma_nangle_check(cat, split, probes, window=2)
+        assert report["composites"], report
+        assert not report["covariant_exact"] and not report["contravariant_exact"], report
 
 
 def test_verify_theorem2_a2_triangle():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from deqcert import angulate, derivedeq
-from deqcert.angulate import KbProjCat, NAngle, cone_triangle, verify_theorem2, verify_weak_axioms
+from deqcert.angulate import KbProjCat, NAngle, cone_triangle, verify_theorem2
 from deqcert.catideal import SubcatSpec, ideal_space
 from deqcert.category import Mor, MorphismEquations, QuotientCategory
 from deqcert.complexes import ChainMapCategory, Complex, HomotopyCategory
@@ -23,7 +23,9 @@ from deqcert.orbit import (
 )
 from deqcert.presets import a2_triangle, a3, cyclic_nakayama, d_split_sequence, kxx
 
+import oracles
 from draws import random_element, random_mor
+from oracles import equal, verify_weak_axioms
 
 
 def _projectives(char=0):
@@ -110,7 +112,7 @@ def test_solvable_system_returns_maps_that_satisfy_every_equation(monkeypatch):
             sol = eqs.solve(rhs)
             assert sol is not None
             assert [(h.src, h.tgt) for h in sol] == [(sp.src, sp.tgt) for sp in spaces]
-            assert all(got.eq(want) for got, want in zip(_lhs(equations, sol), rhs))
+            assert all(equal(got, want) for got, want in zip(_lhs(equations, sol), rhs))
         # None stands for a zero right-hand side, whose solution is the
         # zero maps without a solve
         del solves[:]
@@ -212,7 +214,7 @@ def _four_term_fill(cat, tri):
     (x, y, c), sigma = tri.objects, tri.sigma
     sx = sigma.obj(x)
     seq = NAngle(sigma, [x, y, c, sx], tri.maps + [tri.connecting], cat.identity(sx))
-    angulate._fill_angle_square(cat, sigma, seq, seq, cat.zero_mor(x, x), cat.zero_mor(y, y))
+    oracles._fill_angle_square(cat, sigma, seq, seq, cat.zero_mor(x, x), cat.zero_mor(y, y))
 
 
 @pytest.mark.parametrize("char", [0, 2, 101])
@@ -237,15 +239,16 @@ def test_system_matrices_match_the_pairwise_reference(char, monkeypatch):
     orbit = OrbitCategory(tri.cat, ShiftAuto(tri.cat), AdmissibleSet([0, 1]))
     corollary_orbit_verify(orbit, tri.cat.sigma, tri.triangle, tri.m)
     assert [len(eqs.targets) for _, eqs, _ in seen] == [2, 2]  # the two theta systems
+    fills = _recording(monkeypatch, oracles)
     fx = a3(field)
     kb = KbProjCat(fx.algebra)
     x, y, z = (kb.stalk_obj(fx.projectives[v]) for v in "321")
     angles = [cone_triangle(kb, kb.hom(x, y).basis[0]), cone_triangle(kb, kb.hom(y, z).basis[0])]
     verify_weak_axioms(kb, kb.sigma, angles)
     _four_term_fill(kb, angles[0])
-    assert len(seen) > 3 and any(len(terms) == 2 for _, terms in seen[-1][2])
+    assert len(seen) == 2 and len(fills) > 1 and any(len(terms) == 2 for _, terms in fills[-1][2])
 
-    systems = thm1 + seen
+    systems = thm1 + seen + fills
     assert all(not eqs.matrix.is_zero() for _, eqs, _ in systems[:3])
     for cat, eqs, equations in systems:
         assert eqs.matrix == _pairwise_matrix(cat, eqs.spaces, equations)

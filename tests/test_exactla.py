@@ -12,11 +12,20 @@ from deqcert.exactla import (
     LinSolver,
     Mat,
     Subspace,
+    _rref_rows,
     _sparse,
     kernel,
 )
 
 from draws import random_element
+
+
+def rref(a):
+    """The reduced row echelon form of a, its zero rows last, and its pivot
+    columns, read off the one elimination _rref_rows."""
+    pivots, reduced, _ = _rref_rows(a.field, list(map(dict, a.sparse_rows)))
+    reduced += [{} for _ in range(a.rows - len(pivots))]
+    return Mat._of(a.field, reduced, a.rows, a.cols), pivots
 
 
 def rand_mat(field, rows, cols, rng):
@@ -44,16 +53,11 @@ def is_exact(field, v):
 def test_field_spec_basics():
     q = FieldSpec(0)
     f5 = FieldSpec(5)
-    assert q.kind == "rationals"
-    assert f5.kind == "prime-field"
     assert q.coerce("2/3") == Fraction(2, 3)
     assert f5.coerce("2/3") == f5.div(2, 3)
     assert f5.mul(f5.inv(3), 3) == 1
-    assert list(f5.elements()) == [0, 1, 2, 3, 4]
     with pytest.raises(InputError):
         FieldSpec(6)
-    with pytest.raises(InputError):
-        q.elements()
     with pytest.raises(ZeroDivisionError):
         f5.inv(0)
 
@@ -79,7 +83,7 @@ def test_rationals_are_ints_unless_a_denominator_remains():
 
 def test_rref_and_solve_return_integral_rationals_as_ints():
     # a pivot of 2 makes every later entry a Fraction during elimination
-    red, pivots = Mat(QQ, [[2, 4], [1, 1]]).rref()
+    red, pivots = rref(Mat(QQ, [[2, 4], [1, 1]]))
     assert pivots == [0, 1]
     assert all(type(x) is int for row in red.tolist() for x in row), red.tolist()
     x = LinSolver(Mat(QQ, [[2, 0], [0, 1]])).solve({0: 2})
@@ -141,8 +145,8 @@ def test_rref_is_idempotent():
     q = FieldSpec(0)
     for _ in range(10):
         a = rand_mat(q, 4, 5, rng)
-        red, pivots = a.rref()
-        red2, pivots2 = red.rref()
+        red, pivots = rref(a)
+        red2, pivots2 = rref(red)
         assert red == red2 and pivots == pivots2
 
 
@@ -190,7 +194,7 @@ def test_lin_solver_returns_the_solution_zero_on_free_columns():
                 [field.zero] * rows,
             ] + units
             solver = LinSolver(a)
-            pivots = a.rref()[1]
+            pivots = rref(a)[1]
             assert solver.pivots == pivots
             assert len(solver.columns) == rows
             assert all(t for col in solver.columns for _, t in col)
@@ -379,7 +383,7 @@ def test_sparse_elimination_matches_dense_gauss_jordan(p):
     seen = []
     for a in differential_cases(field, rng):
         ref_rows, ref_pivots = dense_rref(field, a.tolist(), a.cols)
-        red, pivots = a.rref()
+        red, pivots = rref(a)
         assert pivots == ref_pivots and red.tolist() == ref_rows, a
         assert red.shape == a.shape and a.rank() == len(ref_pivots)
         ker = [dense(v, a.cols) for v in a.kernel_basis()]
@@ -452,7 +456,7 @@ def test_unit_row_solver_matches_the_elimination_path(p, monkeypatch):
             assert x == dense_solve(field, a, b)
             assert x is None or all(is_exact(field, v) and not integral_fraction(v) for v in x)
             outside += x is None
-        assert solver.pivots == a.rref()[1]
+        assert solver.pivots == rref(a)[1]
         units = [tuple(row) for row in a.tolist() if sorted(row) == [0] * (a.cols - 1) + [1]]
         doubled += has_units and len(units) > len(set(units))
     # some right-hand sides lie outside the span, and some columns hold two unit rows
@@ -518,7 +522,7 @@ def test_sparse_mat_matches_a_dense_reference(p):
             assert not any(map(integral_fraction, image.values()))
             assert_matches(a.transpose(), (k, r), cols_a)
             assert_matches(Mat.from_columns(f, list(map(_sparse, cols_a)), r), (r, k), da)
-            red, pivots = a.rref()
+            red, pivots = rref(a)
             ref_rows, ref_pivots = dense_rref(f, da, k)
             assert_matches(red, (r, k), ref_rows)
             assert pivots == ref_pivots

@@ -1,11 +1,13 @@
-"""Package surface: every exported name resolves, and no module imports a
-name it never uses."""
+"""Package surface: every exported name resolves, no module (and no test
+module) imports a name it never uses, and every definition in the package
+is read by the package or the benchmark."""
 
 import ast
 import functools
 import importlib
 import inspect
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,9 +27,12 @@ def test_every_exported_name_resolves(name):
 
 
 SOURCES = sorted(Path(deqcert.__file__).resolve().parent.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+@pytest.mark.parametrize(
+    "path", SOURCES + TESTS, ids=[p.name for p in SOURCES] + [f"tests/{p.name}" for p in TESTS]
+)
 def test_no_module_imports_a_name_it_never_uses(path):
     # a name counts as used when the module reads it or lists it in __all__
     tree = ast.parse(path.read_text())
@@ -323,18 +328,24 @@ ROOT = Path(__file__).resolve().parent.parent
 READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
+def _read_counts(node):
+    """How often node reads each name: bare names, attributes and names it
+    imports."""
+    counts = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            counts[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            counts[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            counts.update(alias.name for alias in n.names)
+    return counts
+
+
 @functools.cache
 def _names_read(path):
-    """Names a file reads: bare names, attributes and names it imports."""
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            names |= {alias.name for alias in node.names}
-    return names
+    """Names a file reads."""
+    return set(_read_counts(ast.parse(path.read_text())))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
@@ -353,6 +364,35 @@ def test_every_exported_name_is_read_elsewhere(path):
     read = set().union(*(_names_read(p) for p in READERS if p != path))
     unread = [name for name in exported if name not in read]
     assert unread == [], f"{path.name} exports names no other file reads: {unread}"
+
+
+PACKAGE_READERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _definitions(tree):
+    """Each top-level function or class and each method of a module, as
+    (qualified name, node); dunders are left out."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{n.name}", n) for n in node.body if isinstance(n, ast.FunctionDef)]
+    return [(qual, node) for qual, node in found if not node.name.startswith("__")]
+
+
+def test_every_definition_is_read_by_the_package_or_the_benchmark():
+    # src/ holds what a verdict runs: every function, class and method is
+    # read by the package or the benchmark somewhere outside its own body,
+    # and what only tests read lives in tests/ (cmd_* are dispatched by name)
+    total = sum((_read_counts(ast.parse(p.read_text())) for p in PACKAGE_READERS), Counter())
+    unread = []
+    for path in SOURCES:
+        for qual, node in _definitions(ast.parse(path.read_text())):
+            name = node.name
+            if not name.startswith("cmd_") and total[name] == _read_counts(node)[name]:
+                unread.append(f"{path.stem}.{qual}")
+    assert unread == [], f"definitions only tests read: {unread}"
 
 
 def _defaulted_params(fn, is_method):
