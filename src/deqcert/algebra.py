@@ -8,9 +8,10 @@ vectors, and the action of a path is the reverse-order matrix product.
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
 
-from .category import DirectSumData, FiniteCategory, HomSpace, Mor, fresh_key
+from .category import DirectSumData, FiniteCategory, Mor, fresh_key
 from .errors import InputError, NonFiniteDimensionalError
 from .exactla import FieldSpec, LinSolver, Mat, Subspace, _integral, _normal, _sparse, kernel, sparse_kernel
 
@@ -185,7 +186,7 @@ class Algebra:
         self.unit = [field.coerce(x) for x in unit]
         self.presentation = presentation
         self.key = fresh_key()
-        self._modcat = None
+        self._modcat = None  # a weak reference once modcat is read
         self._check_axioms()
 
     def mul(self, u, v):
@@ -222,9 +223,13 @@ class Algebra:
 
     @property
     def modcat(self) -> "ModuleCategory":
-        if self._modcat is None:
-            self._modcat = ModuleCategory(self)
-        return self._modcat
+        """The module category, not owned by the algebra: it lives while a map
+        or complex of it does (a Mor holds its category), else a read rebuilds it."""
+        cat = self._modcat and self._modcat()
+        if cat is None:
+            cat = ModuleCategory(self)
+            self._modcat = weakref.ref(cat)
+        return cat
 
     def vertices(self):
         if self.presentation is None:
@@ -366,7 +371,7 @@ class ModuleCategory(FiniteCategory):
 
     # -- hooks -------------------------------------------------------------
 
-    def _hom_space(self, x, y) -> HomSpace:
+    def _hom_space(self, x, y):
         if x.algebra is not self.algebra or y.algebra is not self.algebra:
             raise InputError("modules over a different algebra")
         arrows = [
@@ -383,8 +388,7 @@ class ModuleCategory(FiniteCategory):
                 s, i, j = cells[k]
                 blocks[s].sparse_rows[i][j] = v
             payloads.append(blocks)
-        chart = Mat._of(self.field, vecs, len(vecs), len(cells)).transpose()
-        return HomSpace(self, x, y, payloads, chart)
+        return payloads, Mat._of(self.field, vecs, len(vecs), len(cells)).transpose()
 
     def _p_flatten(self, x, y, fp):
         out, pos = {}, 0
@@ -447,7 +451,7 @@ class ModuleCategory(FiniteCategory):
     def _p_identity(self, x):
         return {s: Mat.identity(self.field, x.dims[s]) for s in x.slots if x.dims[s]}
 
-    def _direct_sum(self, objs) -> DirectSumData:
+    def _direct_sum(self, objs):
         if not objs:
             raise InputError("empty direct sum")
         a = self.algebra
@@ -480,9 +484,9 @@ class ModuleCategory(FiniteCategory):
                 proj_blocks[s] = Mat._of(self.field, units, o.dims[s], dims[s])
                 inj_blocks[s] = proj_blocks[s].transpose()
                 offsets[s] += o.dims[s]
-            injections.append(Mor(self, o, total, inj_blocks))
-            projections.append(Mor(self, total, o, proj_blocks))
-        return DirectSumData(total, objs, injections, projections)
+            injections.append(inj_blocks)
+            projections.append(proj_blocks)
+        return total, injections, projections
 
 
 # -- standard modules ------------------------------------------------------

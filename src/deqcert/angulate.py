@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .algebra import ModuleRep
 from .catideal import SubcatSpec, approximation_witness, ideal_space
-from .category import DirectSumData, MorphismEquations, Mor, QuotientCategory, StrictAuto
+from .category import MorphismEquations, Mor, QuotientCategory, StrictAuto
 from .complexes import Complex, HomotopyCategory, stalk
 from .derivedeq import EquivCertificate, _certify, augment
 from .errors import HypothesisError, InputError, InternalConsistencyError
@@ -46,11 +46,12 @@ class NAngle:
 
 class ShiftAuto(StrictAuto):
     """The shift Sigma of a KbProjCat.  Its power cache lives on the
-    category, so every ShiftAuto of one category returns the same objects."""
+    category, so every ShiftAuto of one category returns the same objects.
+    It holds only that cache: a shifted map lives where the map it shifts
+    does, so the category owns its shift and is not held back by it."""
 
     def __init__(self, cat: "KbProjCat"):
         super().__init__(cat._shift_cache)
-        self.cat = cat
 
     def _power(self, x: Complex, k: int) -> Complex:
         return x.shift(k)
@@ -58,7 +59,7 @@ class ShiftAuto(StrictAuto):
     def mor(self, f: Mor, k: int = 1) -> Mor:
         src, tgt = self.obj(f.src, k), self.obj(f.tgt, k)
         # (Sigma^k f)^i = f^{i+k}
-        return Mor(self.cat, src, tgt, {i - k: m for i, m in f.payload.items()})
+        return Mor(f.cat, src, tgt, {i - k: m for i, m in f.payload.items()})
 
 
 class KbProjCat(HomotopyCategory):
@@ -80,7 +81,7 @@ class KbProjCat(HomotopyCategory):
     def stalk_obj(self, module: ModuleRep) -> Complex:
         return self.object(stalk(self.base, module))
 
-    def _direct_sum(self, objs) -> DirectSumData:
+    def _direct_sum(self, objs):
         lo = min(o.lo for o in objs)
         hi = max(o.hi for o in objs)
         base = self.base
@@ -108,9 +109,9 @@ class KbProjCat(HomotopyCategory):
                 s = sums[i - lo]
                 inj[i] = s.injections[a]
                 proj[i] = s.projections[a]
-            injections.append(Mor(self, o, total, inj))
-            projections.append(Mor(self, total, o, proj))
-        return DirectSumData(total, list(objs), injections, projections)
+            injections.append(inj)
+            projections.append(proj)
+        return total, injections, projections
 
 
 # -- angle constructions ---------------------------------------------------

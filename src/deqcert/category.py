@@ -102,16 +102,27 @@ class HomSpace:
     coordinates (ideal elements, null-homotopic maps); coordinates of a
     payload are those of its class in the span of basis + generators,
     solved from its flat {index: nonzero} dict, as an {index: nonzero}
-    dict over the basis.
+    dict over the basis.  A category caches only the basis payloads and the
+    chart's solver, which hold no category and no Mor; the basis maps are
+    built the first time they are read.
     """
 
-    def __init__(self, cat, src, tgt, basis_payloads, chart: Mat):
+    __slots__ = ("cat", "src", "tgt", "payloads", "dim", "_solver", "_basis")
+
+    def __init__(self, cat, src, tgt, payloads, solver: LinSolver):
         self.cat = cat
         self.src = src
         self.tgt = tgt
-        self.basis = [Mor(cat, src, tgt, p) for p in basis_payloads]
-        self.dim = len(self.basis)
-        self._solver = LinSolver(chart)
+        self.payloads = payloads
+        self.dim = len(payloads)
+        self._solver = solver
+        self._basis = None
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = [Mor(self.cat, self.src, self.tgt, p) for p in self.payloads]
+        return self._basis
 
     def coords(self, payload):
         if not payload:  # the zero payload of every category is {}
@@ -208,11 +219,11 @@ class DirectSumData:
 
     __slots__ = ("obj", "summands", "injections", "projections")
 
-    def __init__(self, obj, summands, injections, projections):
+    def __init__(self, cat, summands, obj, inj_payloads, proj_payloads):
         self.obj = obj
-        self.summands = list(summands)
-        self.injections = list(injections)
-        self.projections = list(projections)
+        self.summands = summands
+        self.injections = [Mor(cat, s, obj, p) for s, p in zip(summands, inj_payloads)]
+        self.projections = [Mor(cat, obj, s, p) for s, p in zip(summands, proj_payloads)]
 
 
 class FiniteCategory:
@@ -228,11 +239,11 @@ class FiniteCategory:
 
     def hom(self, x, y) -> HomSpace:
         key = (x.key, y.key)
-        space = self._hom_cache.get(key)
-        if space is None:
-            space = self._hom_space(x, y)
-            self._hom_cache[key] = space
-        return space
+        entry = self._hom_cache.get(key)
+        if entry is None:
+            payloads, chart = self._hom_space(x, y)
+            entry = self._hom_cache[key] = (payloads, LinSolver(chart))
+        return HomSpace(self, x, y, *entry)
 
     def identity(self, x) -> Mor:
         return Mor(self, x, x, self._p_identity(x))
@@ -258,12 +269,11 @@ class FiniteCategory:
     def direct_sum(self, objs) -> DirectSumData:
         objs = list(objs)
         key = tuple(o.key for o in objs)
-        data = self._sum_cache.get(key)
-        if data is None:
-            data = self._direct_sum(objs)
-            self._sum_cache[key] = data
-            self.summands_by_key[data.obj.key] = objs
-        return data
+        entry = self._sum_cache.get(key)
+        if entry is None:
+            entry = self._sum_cache[key] = self._direct_sum(objs)
+            self.summands_by_key[entry[0].key] = objs
+        return DirectSumData(self, objs, *entry)
 
     def mor_from_blocks(self, src_sum: DirectSumData, tgt_sum: DirectSumData, blocks) -> Mor:
         """Assemble src_sum.obj -> tgt_sum.obj from a matrix of component maps.
@@ -280,10 +290,12 @@ class FiniteCategory:
 
     # -- hooks -------------------------------------------------------------
 
-    def _hom_space(self, x, y) -> HomSpace:
+    def _hom_space(self, x, y):
+        """The basis payloads of Hom(x, y) and its chart (see HomSpace)."""
         raise NotImplementedError
 
-    def _direct_sum(self, objs) -> DirectSumData:
+    def _direct_sum(self, objs):
+        """(sum object, injection payloads, projection payloads)."""
         raise NotImplementedError
 
     def _p_compose(self, x, y, z, fp, gp):
@@ -308,43 +320,36 @@ class QuotientCategory(FiniteCategory):
     """Same objects as the base, Hom spaces divided by an ideal.
 
     ``ideal_fn(x, y)`` returns the ideal's subspace in the coordinates of
-    the base Hom space; it is called once per pair, alongside the Hom space.
-    Payloads are base morphisms acting as coset representatives.
+    the base Hom space; it is called once per pair and kept with that space,
+    whose coordinates flatten the payloads: base payloads as coset reps.
     """
 
     def __init__(self, base: FiniteCategory, ideal_fn):
         super().__init__(base.field)
         self.base = base
         self.ideal_fn = ideal_fn
-        self._ideals = {}
+        self._ideals = {}  # (x key, y key) -> (base Hom(x, y), ideal)
 
     def ideal(self, x, y) -> Subspace:
         """The subspace of the base Hom(x, y) that Hom(x, y) here divides by."""
         self.hom(x, y)
-        return self._ideals[(x.key, y.key)]
+        return self._ideals[(x.key, y.key)][1]
 
     def _hom_space(self, x, y):
         base_hom = self.base.hom(x, y)
         ideal = self.ideal_fn(x, y)
         if ideal.ambient != base_hom.dim:
             raise InternalConsistencyError("ideal subspace has wrong ambient dimension")
-        self._ideals[(x.key, y.key)] = ideal
+        self._ideals[(x.key, y.key)] = base_hom, ideal
         if not ideal.dim:  # the base basis and the identity chart, as the general path gives
-            payloads = [b.payload for b in base_hom.basis]
-            return HomSpace(self, x, y, payloads, Mat.identity(self.field, base_hom.dim))
+            return base_hom.payloads, Mat.identity(self.field, base_hom.dim)
         reps = Subspace.full(self.field, base_hom.dim).quotient_basis(ideal)
         payloads = [base_hom.from_coords(v).payload for v in reps]
-        chart = Mat.from_columns(self.field, reps + list(ideal.basis), base_hom.dim)
-        return HomSpace(self, x, y, payloads, chart)
+        return payloads, Mat.from_columns(self.field, reps + list(ideal.basis), base_hom.dim)
 
     def _direct_sum(self, objs):
         data = self.base.direct_sum(objs)
-        return DirectSumData(
-            data.obj,
-            data.summands,
-            [Mor(self, m.src, m.tgt, m.payload) for m in data.injections],
-            [Mor(self, m.src, m.tgt, m.payload) for m in data.projections],
-        )
+        return data.obj, [m.payload for m in data.injections], [m.payload for m in data.projections]
 
     def _p_compose(self, x, y, z, fp, gp):
         return self.base._p_compose(x, y, z, fp, gp)
@@ -356,7 +361,7 @@ class QuotientCategory(FiniteCategory):
         return self.base._p_identity(x)
 
     def _p_flatten(self, x, y, fp):
-        return self.base.hom(x, y).coords(fp)
+        return self._ideals[(x.key, y.key)][0].coords(fp)
 
     def lift(self, f: Mor) -> Mor:
         """View a base morphism in the quotient (or re-tag a quotient rep)."""

@@ -10,7 +10,6 @@ only echoed in the nu-pipeline and example nakayama reports.
 
 import argparse
 import functools
-import gc
 import json
 import sys
 import time
@@ -549,9 +548,9 @@ def build_parser():
 def main(argv=None):
     """Run one command and return its exit code.
 
-    A command's categories, Hom spaces and basis morphisms form reference
-    cycles that only a full garbage collection frees, so main runs one
-    before it returns instead of leaving them to the next automatic one."""
+    A command's categories hold no reference back to themselves, so they
+    are freed when the command returns (notes/decisions.md, "Who owns
+    what")."""
     args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
@@ -565,8 +564,6 @@ def main(argv=None):
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    finally:
-        gc.collect()
     if getattr(args, "json", False):
         print(json.dumps(report, sort_keys=True, indent=2))
     else:

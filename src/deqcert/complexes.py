@@ -15,7 +15,7 @@ moves x^{i+1} into degree i and negates the differentials.
 
 from __future__ import annotations
 
-from .category import FiniteCategory, HomSpace, Mor, QuotientCategory, fresh_key
+from .category import FiniteCategory, Mor, QuotientCategory, fresh_key
 from .errors import InputError
 from .exactla import Mat, Subspace
 
@@ -106,16 +106,19 @@ class HomComplex:
         self.y = y
         self.lo = y.lo - x.hi
         self.hi = y.hi - x.lo
-        self.blocks = {}  # degree -> list of (m, HomSpace)
-        for n in range(self.lo, self.hi + 1):
-            blocks = []
-            for m in range(max(x.lo, y.lo - n), min(x.hi, y.hi - n) + 1):
-                blocks.append((m, cat.hom(x.obj(m), y.obj(m + n))))
-            self.blocks[n] = blocks
+        self._blocks = {}  # degree -> its blocks, built on demand
         self._diffs = {}  # degree -> differential leaving it, built on demand
 
+    def block(self, n):
+        """[(m, Hom(x^m, y^{m+n}))] over the m that degree n meets."""
+        if n not in self._blocks:
+            x, y = self.x, self.y
+            ms = range(max(x.lo, y.lo - n), min(x.hi, y.hi - n) + 1)
+            self._blocks[n] = [(m, self.cat.hom(x.obj(m), y.obj(m + n))) for m in ms]
+        return self._blocks[n]
+
     def dim(self, n):
-        return sum(h.dim for (_, h) in self.blocks.get(n, []))
+        return sum(h.dim for (_, h) in self.block(n))
 
     def diff(self, n) -> Mat:
         """The differential leaving degree n (zero-shaped when absent), built
@@ -138,7 +141,7 @@ class HomComplex:
     def maps_from_vec(self, n, vec) -> dict:
         """Coordinate vector of degree n -> {m: Mor(x^m, y^{m+n})}."""
         out, pos = {}, 0
-        for m, h in self.blocks[n]:
+        for m, h in self.block(n):
             out[m] = h.from_coords({j - pos: c for j, c in vec.items() if pos <= j < pos + h.dim})
             pos += h.dim
         return out
@@ -146,7 +149,7 @@ class HomComplex:
     def vec_from_maps(self, n, maps) -> dict:
         """{m: Mor} -> coordinate vector of degree n (absent maps are zero)."""
         out, pos = {}, 0
-        for m, h in self.blocks.get(n, []):
+        for m, h in self.block(n):
             if m in maps:
                 out.update((pos + j, c) for j, c in h.coords(maps[m].payload).items())
             pos += h.dim
@@ -159,12 +162,12 @@ class HomComplex:
         field, cat = self.cat.field, self.cat
         sign = field.neg(field.one) if n % 2 == 0 else field.one
         offsets, pos = {}, 0
-        for m, h in self.blocks[n + 1]:
+        for m, h in self.block(n + 1):
             offsets[m] = pos
             pos += h.dim
         rows = [{} for _ in range(pos)]
         col = 0
-        for m, h in self.blocks[n]:
+        for m, h in self.block(n):
             dy, dx = self.y.diff(m + n), self.x.diff(m - 1)
             if m in offsets and dy is not None:
                 for k, (vec,) in enumerate(cat.composite_coords(h.basis, [dy])):
@@ -229,14 +232,13 @@ class ChainMapCategory(FiniteCategory):
             hc = self._hc_cache[key] = HomComplex(self.base, x, y)
         return hc
 
-    def _hom_space(self, x, y) -> HomSpace:
+    def _hom_space(self, x, y):
         hc = self.hom_complex(x, y)
-        return self._cycle_classes(x, y, hc, hc.cycles(0).basis, [])
+        return self._cycle_classes(hc, hc.cycles(0).basis, [])
 
-    def _cycle_classes(self, x, y, hc, reps, extra) -> HomSpace:
+    def _cycle_classes(self, hc, reps, extra):
         payloads = [hc.maps_from_vec(0, v) for v in reps]
-        chart = Mat.from_columns(self.field, [*reps, *extra], hc.dim(0))
-        return HomSpace(self, x, y, payloads, chart)
+        return payloads, Mat.from_columns(self.field, [*reps, *extra], hc.dim(0))
 
     def _p_flatten(self, x, y, fp):
         return self.hom_complex(x, y).vec_from_maps(0, fp)
@@ -277,10 +279,10 @@ class HomotopyCategory(ChainMapCategory):
     homology of the Hom-total complex, with chain-map payloads as coset
     representatives."""
 
-    def _hom_space(self, x, y) -> HomSpace:
+    def _hom_space(self, x, y):
         hc = self.hom_complex(x, y)
         null = hc.boundaries(0)  # the null-homotopic maps
-        return self._cycle_classes(x, y, hc, hc.cycles(0).quotient_basis(null), null.basis)
+        return self._cycle_classes(hc, hc.cycles(0).quotient_basis(null), null.basis)
 
 
 def complex_in_quotient(qcat: QuotientCategory, cx: Complex) -> Complex:

@@ -199,9 +199,6 @@ def _certify(t_complex, qcat_left, qcat_right, ym, mx, theta_of) -> EquivCertifi
         "phi_mat": phi_mat,
         "multiplicative_witness": witness,
     }
-    for c in (ccat, hcat):  # break the category -> Hom cache -> Mor -> category cycles
-        c._hom_cache.clear()
-        c._hc_cache.clear()
     return EquivCertificate(ring_left, ring_right, flags, data)
 
 

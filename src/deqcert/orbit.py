@@ -10,7 +10,7 @@ from __future__ import annotations
 from .algebra import ModuleRep
 from .angulate import NAngle, ShiftAuto, verify_theorem2
 from .catideal import RingPresentation, SubcatSpec, approximation_witness, end_ring, ideal_space
-from .category import DirectSumData, FiniteCategory, HomSpace, Mor, StrictAuto
+from .category import FiniteCategory, Mor, StrictAuto
 from .errors import InputError, InternalConsistencyError
 from .exactla import Mat, Subspace
 
@@ -154,13 +154,17 @@ class OrbitCategory(FiniteCategory):
         self.phi = phi if isinstance(phi, AdmissibleSet) else AdmissibleSet(phi)
         if self.phi.period and functor.order != self.phi.period:
             raise InputError("periodic degree set needs a functor of matching order")
+        self._graded = {}  # (x key, y key) -> [(u, base Hom(x, F^u y))]
 
     def _graded_spaces(self, x, y):
-        return [(u, self.base.hom(x, self.functor.obj(y, u))) for u in self.phi]
+        key = (x.key, y.key)
+        if key not in self._graded:
+            self._graded[key] = [(u, self.base.hom(x, self.functor.obj(y, u))) for u in self.phi]
+        return self._graded[key]
 
-    def _hom_space(self, x, y) -> HomSpace:
+    def _hom_space(self, x, y):
         payloads = [{u: b} for u, space in self._graded_spaces(x, y) for b in space.basis]
-        return HomSpace(self, x, y, payloads, Mat.identity(self.field, len(payloads)))
+        return payloads, Mat.identity(self.field, len(payloads))
 
     def _p_flatten(self, x, y, fp):
         out, pos = {}, 0
@@ -185,11 +189,9 @@ class OrbitCategory(FiniteCategory):
     def _p_identity(self, x):
         return {0: self.base.identity(x)}
 
-    def _direct_sum(self, objs) -> DirectSumData:
+    def _direct_sum(self, objs):
         data = self.base.direct_sum(objs)
-        inj = [Mor(self, o, data.obj, {0: m}) for o, m in zip(objs, data.injections)]
-        proj = [Mor(self, data.obj, o, {0: m}) for o, m in zip(objs, data.projections)]
-        return DirectSumData(data.obj, list(objs), inj, proj)
+        return data.obj, [{0: m} for m in data.injections], [{0: m} for m in data.projections]
 
     def degree_zero_block(self, x, y):
         """Index range of the degree-0 coordinates inside Hom(x, y)."""

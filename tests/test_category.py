@@ -3,6 +3,7 @@ the flat vectors every Hom space's coordinates are solved from."""
 
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -402,7 +403,7 @@ def _dense_flat(kind, cat, x, y, fp):
         return _dense(cat.base.hom(x, y).coords(fp), cat.base.hom(x, y).dim)
     if kind == "orbit":
         return parts(cat._graded_spaces(x, y))
-    return parts(cat.hom_complex(x, y).blocks.get(0, []))  # chain maps, homotopy classes
+    return parts(cat.hom_complex(x, y).block(0))  # chain maps, homotopy classes
 
 
 def _dense_rref(field, rows, cols):
@@ -567,3 +568,40 @@ def test_slot_maps_that_do_not_intertwine_have_no_coordinates(char, monkeypatch)
     assert outside == 3  # only the entry below the diagonal, x itself, commutes
     del solves[:]
     assert end.coords({}) == {} and solves == []
+
+
+def test_module_category_is_not_owned_by_its_algebra(monkeypatch):
+    # a map or complex holds its category, so every read of modcat while one
+    # lives returns that category with its caches; once none lives, nothing
+    # holds the category and a read builds a fresh one
+    fx = cyclic_nakayama(2, 3)
+    a, p1, p2 = fx.algebra, fx.projectives["1"], fx.projectives["2"]
+    f = a.modcat.hom(p2, p1).basis[0]
+    built, hom_space = [], type(f.cat)._hom_space
+    monkeypatch.setattr(type(f.cat), "_hom_space", lambda c, x, y: built.append(x) or hom_space(c, x, y))
+    assert a.modcat is f.cat and a.modcat.hom(p2, p1).payloads is a.modcat.hom(p2, p1).payloads
+    assert a.modcat.hom(p1, p1).dim and a.modcat.hom(p1, p1).dim and built == [p1]
+    g = a.modcat.hom(p1, p1).basis[-1]  # from a second read: f.then(g) composes
+    assert f.then(g).cat is f.cat is g.cat
+    q = Complex(a.modcat, 0, [p2, p1], [f])
+    ref = weakref.ref(f.cat)
+    del f, g
+    assert a.modcat is q.cat is ref()
+    del q
+    assert ref() is None
+    assert a.modcat.hom(p2, p1).dim == 1 and built == [p1, p2]
+
+
+def test_the_shift_is_owned_by_its_category_and_holds_only_its_power_cache():
+    # every read of sigma, and every ShiftAuto of the category, shares one
+    # power cache; a shifted map lives where the map it shifts does, so the
+    # shift does not hold the category and a dropped category is freed
+    tri = a2_triangle()
+    cat, x = tri.cat, tri.x
+    assert cat.sigma is cat.sigma and cat.sigma.obj(x, 2) is ShiftAuto(cat).obj(x, 2)
+    assert cat.sigma.obj(cat.sigma.obj(x), 1) is cat.sigma.obj(x, 2)
+    f = cat.identity(x)
+    assert cat.sigma.mor(f, 2).cat is cat and cat.sigma.mor(f, 2).src is ShiftAuto(cat).obj(x, 2)
+    ref = weakref.ref(cat)
+    del tri, cat, f
+    assert ref() is None

@@ -1,5 +1,6 @@
 """The split-sequence equivalence engine for module categories."""
 
+import gc
 import json
 import random
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from deqcert import angulate, complexes, derivedeq
+from deqcert import angulate, derivedeq
 from deqcert.algebra import (
     ModuleRep,
     dense_table,
@@ -241,20 +242,39 @@ def test_zero_theta_fails_surjectivity_kernels_dimension_and_unit(monkeypatch):
     assert cert.data["kernel_dim"] == cert.data["end_cb_dim"]
 
 
-def test_certify_empties_the_caches_of_its_complex_categories(monkeypatch):
-    # each sits in a category -> Hom cache -> Mor -> category cycle, which
-    # would keep its Hom complexes and solvers alive until a full collection
-    seen = []
-    end_ring = derivedeq.end_ring
-    monkeypatch.setattr(
-        derivedeq, "end_ring", lambda cat, *a: seen.append(cat) or end_ring(cat, *a)
-    )
-    fx = cyclic_nakayama(2, 2)
+def _thm1_nakayama22_s1(field):
+    fx = cyclic_nakayama(2, 2, field)
     q, m = d_split_sequence(fx.algebra, fx.simples["1"])
-    assert verify_theorem1(q, m).passed
-    made = [c for c in seen if isinstance(c, complexes.ChainMapCategory)]
-    assert len(made) == 2
-    assert all(not c._hom_cache and not c._hc_cache for c in made)
+    return verify_theorem1(q, m).passed
+
+
+def _nu_stable_nakayama4():
+    fx = nakayama4()
+    return [o.total_dim for o in nu_stable_sequence(fx.p, fx.y, steps=2).objs] == [4, 5, 5, 5, 2]
+
+
+GARBAGE_FREE = {
+    "thm1-q": lambda: _thm1_nakayama22_s1(FieldSpec(0)),
+    "thm1-gf2": lambda: _thm1_nakayama22_s1(FieldSpec(2)),
+    "thm2-a2": lambda: _thm2_a2(FieldSpec(0)).passed,
+    "orbit-a2": lambda: _orbit_a2(FieldSpec(0)).passed,
+    "nu-stable": _nu_stable_nakayama4,
+}
+
+
+@pytest.mark.parametrize("verdict", GARBAGE_FREE.values(), ids=GARBAGE_FREE.keys())
+def test_verdicts_leave_no_cyclic_garbage(verdict):
+    # a category owns its caches, and nothing it caches holds it back, so
+    # reference counting frees every category a verdict builds: a full
+    # collection afterwards finds nothing unreachable
+    gc.collect()
+    gc.disable()
+    try:
+        assert verdict()
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def _compose(f, g):
@@ -618,7 +638,7 @@ def test_q_certificates_hold_no_float_bool_or_integral_fraction():
         theta_mat, phi_mat = cert.data["theta_mat"], cert.data["phi_mat"]
         held = [theta_mat, phi_mat, kernel(theta_mat), kernel(phi_mat)]
         held += [cert.ring_left, cert.ring_right]
-        held += [space.basis for space in cat._hom_cache.values()]
+        held += [payloads for payloads, _ in cat._hom_cache.values()]  # the basis payloads
         entries = list(_q_entries(held))
         assert entries
         exact = [type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in entries]

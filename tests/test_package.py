@@ -75,6 +75,42 @@ def test_no_module_draws_at_random(path):
     assert found == [], f"{path.name} draws at random (line, what): {found}"
 
 
+# each category cache and the one class whose methods may read or write it
+CACHE_OWNERS = {
+    "_hom_cache": ("category.py", "FiniteCategory"),
+    "_sum_cache": ("category.py", "FiniteCategory"),
+    "_hc_cache": ("complexes.py", "ChainMapCategory"),
+}
+
+
+def _attributes_by_class(tree):
+    """(enclosing top-level class or None, attribute name, line) of every
+    attribute read or write in a module."""
+    found = []
+    for node in tree.body:
+        owner = node.name if isinstance(node, ast.ClassDef) else None
+        found += [(owner, n.attr, n.lineno) for n in ast.walk(node) if isinstance(n, ast.Attribute)]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_module_collects_garbage_or_reaches_into_a_category_cache(path):
+    # no module collects garbage, and a category's caches are touched only
+    # by the class that owns them: nothing outside it clears them by hand
+    tree = ast.parse(path.read_text())
+    found = sorted(
+        (node.lineno, "import gc")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(alias.name == "gc" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "gc"
+    ) + sorted(
+        (line, f"{owner or path.stem}.{attr}")
+        for owner, attr, line in _attributes_by_class(tree)
+        if attr in CACHE_OWNERS and CACHE_OWNERS[attr] != (path.name, owner)
+    )
+    assert found == [], f"{path.name} collects garbage or reaches into a cache (line, what): {found}"
+
+
 # a field inverse is what an elimination normalises its pivots with
 ELIMINATION_CALLS = {"rref", "inv", "div"}
 
