@@ -410,42 +410,34 @@ class ModuleCategory(FiniteCategory):
                     out[s] = h
         return out
 
-    def _p_compose_table(self, x, y, z, fps, gps):
+    def _coords_table(self, x, y, z, fps, gps):
         # The blocks of gps are indexed once by their middle coordinate:
-        # (slot s, column k) -> the entries (j, row r, value) of gps[j] at s.
-        # Row k of a block of fps[i] then meets only the entries it
-        # multiplies, so a pair whose composite vanishes costs nothing.
-        p = self.field.char
-        index = {}
+        # (slot s, column k) -> (j, flat index pos[s] + r·x.dims[s] of row r
+        # in Hom(x, z), value) for the entries of gps[j] at s.  Row k of a
+        # block of fps[i] then meets only the entries it multiplies.
+        space, p = self.hom(x, z), self.field.char
+        index, pos, at = {}, {}, 0
+        for s in x.slots:
+            pos[s] = at
+            at += z.dims[s] * x.dims[s]
         for j, gp in enumerate(gps):
             for s, g in gp.items():
                 for r, row in enumerate(g.sparse_rows):
                     for k, b in row.items():
-                        index.setdefault((s, k), []).append((j, r, b))
+                        index.setdefault((s, k), []).append((j, pos[s] + r * x.dims[s], b))
         table = []
         for fp in fps:
-            acc = {}  # (j, s, r) -> row r of the block of fp-then-gps[j] at s
+            flats = [{} for _ in gps]
             for s, f in fp.items():
                 for k, row in enumerate(f.sparse_rows):
                     if not row:
                         continue
-                    for j, r, b in index.get((s, k), ()):
-                        out = acc.get((j, s, r))
-                        if out is None:
-                            acc[(j, s, r)] = {c: b * a for c, a in row.items()}
-                        else:
-                            for c, a in row.items():
-                                out[c] = out[c] + b * a if c in out else b * a
-            payloads = [{} for _ in gps]
-            for (j, s, r), out in acc.items():
-                out = _normal(p, out)
-                if out:
-                    block = payloads[j].get(s)
-                    if block is None:
-                        g = gps[j][s]
-                        block = payloads[j][s] = Mat.zeros(self.field, g.rows, fp[s].cols)
-                    block.sparse_rows[r] = out
-            table.append(payloads)
+                    for j, start, b in index.get((s, k), ()):
+                        out = flats[j]
+                        for c, a in row.items():
+                            i = start + c
+                            out[i] = out[i] + b * a if i in out else b * a
+            table.append([space.flat_coords(_normal(p, out)) if out else {} for out in flats])
         return table
 
     def _p_identity(self, x):

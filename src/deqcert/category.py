@@ -127,7 +127,13 @@ class HomSpace:
     def coords(self, payload):
         if not payload:  # the zero payload of every category is {}
             return {}
-        flat = self.cat._p_flatten(self.src, self.tgt, payload)
+        return self.flat_coords(self.cat._p_flatten(self.src, self.tgt, payload))
+
+    def flat_coords(self, flat):
+        """The coordinates of a flat {index: nonzero} vector of the chart;
+        a vector outside the span of the chart's columns raises."""
+        if not flat:
+            return {}
         sol = self._solver.solve(flat)
         if sol is None:
             raise InternalConsistencyError("morphism outside its computed Hom space")
@@ -253,7 +259,7 @@ class FiniteCategory:
 
     def composite_coords(self, fs, gs):
         """table[i][j] = the coordinates of fs[i].then(gs[j]), the fs maps
-        x -> y and the gs maps y -> z, from one ``_p_compose_table`` call; a
+        x -> y and the gs maps y -> z, from one ``_coords_table`` call; a
         composite that vanishes is answered with {} and no solve."""
         if not fs or not gs:
             return [[] for _ in fs]
@@ -262,9 +268,7 @@ class FiniteCategory:
             g.cat is not self or g.src.key != y.key or g.tgt.key != z.key for g in gs
         ):
             raise InputError("composite table operands do not share their endpoints")
-        space = self.hom(x, z)
-        table = self._p_compose_table(x, y, z, [f.payload for f in fs], [g.payload for g in gs])
-        return [[space.coords(p) for p in row] for row in table]
+        return self._coords_table(x, y, z, [f.payload for f in fs], [g.payload for g in gs])
 
     def direct_sum(self, objs) -> DirectSumData:
         objs = list(objs)
@@ -302,11 +306,10 @@ class FiniteCategory:
         """The payload of fp-then-gp, naming only the parts that are nonzero."""
         raise NotImplementedError
 
-    def _p_compose_table(self, x, y, z, fps, gps):
-        """table[i][j] = the payload of fps[i]-then-gps[j], by the rules of
-        ``_p_compose``; a category whose composites can share work across
-        the pairs overrides this."""
-        return [[self._p_compose(x, y, z, fp, gp) for gp in gps] for fp in fps]
+    def _coords_table(self, x, y, z, fps, gps):
+        """table[i][j] = the coordinates in Hom(x, z) of fps[i]-then-gps[j], solved
+        by ``HomSpace.flat_coords`` from a flat vector built without a payload."""
+        raise NotImplementedError
 
     def _p_identity(self, x):
         raise NotImplementedError
@@ -354,8 +357,10 @@ class QuotientCategory(FiniteCategory):
     def _p_compose(self, x, y, z, fp, gp):
         return self.base._p_compose(x, y, z, fp, gp)
 
-    def _p_compose_table(self, x, y, z, fps, gps):
-        return self.base._p_compose_table(x, y, z, fps, gps)
+    def _coords_table(self, x, y, z, fps, gps):
+        space = self.hom(x, z)  # base coordinates are this category's flat vectors
+        table = self.base._coords_table(x, y, z, fps, gps)
+        return [[space.flat_coords(vec) for vec in row] for row in table]
 
     def _p_identity(self, x):
         return self.base._p_identity(x)

@@ -69,7 +69,8 @@ def parse_field(text) -> FieldSpec:
     if text in (None, "q", "Q"):
         return FieldSpec(0)
     if isinstance(text, str) and text.startswith("fp:") and text[3:].isdecimal():
-        return FieldSpec(int(text[3:]))
+        if int(text[3:]):  # fp:0 is no prime field, and not another name for q
+            return FieldSpec(int(text[3:]))
     raise InputError(f"unknown field spec {text!r} (use q or fp:<p>)")
 
 

@@ -15,7 +15,7 @@ moves x^{i+1} into degree i and negates the differentials.
 
 from __future__ import annotations
 
-from .category import FiniteCategory, Mor, QuotientCategory, fresh_key
+from .category import FiniteCategory, QuotientCategory, fresh_key
 from .errors import InputError
 from .exactla import Mat, Subspace
 
@@ -252,23 +252,23 @@ class ChainMapCategory(FiniteCategory):
                     out[i] = h
         return out
 
-    def _p_compose_table(self, x, y, z, fps, gps):
-        # one base table per degree, over the operands that reach it
-        table = [[{} for _ in gps] for _ in fps]
-        for i in dict.fromkeys(i for fp in fps for i in fp):
-            fs = [(a, fp[i]) for a, fp in enumerate(fps) if i in fp]
-            gs = [(b, gp[i]) for b, gp in enumerate(gps) if i in gp]
-            if not gs:
-                continue
-            f0, g0 = fs[0][1], gs[0][1]
-            sub = self.base._p_compose_table(
-                f0.src, f0.tgt, g0.tgt, [f.payload for _, f in fs], [g.payload for _, g in gs]
-            )
-            for (a, f), row in zip(fs, sub):
-                for (b, g), h in zip(gs, row):
-                    if h:
-                        table[a][b][i] = Mor(self.base, f.src, g.tgt, h)
-        return table
+    def _coords_table(self, x, y, z, fps, gps):
+        # one base table per degree, placed at its block of Hom-complex degree 0
+        flats = [[{} for _ in gps] for _ in fps]
+        at = 0
+        for m, h in self.hom_complex(x, z).block(0):
+            fs = [a for a, fp in enumerate(fps) if m in fp]
+            gs = [b for b, gp in enumerate(gps) if m in gp]
+            if fs and gs:
+                fms, gms = [fps[a][m].payload for a in fs], [gps[b][m].payload for b in gs]
+                sub = self.base._coords_table(x.obj(m), y.obj(m), z.obj(m), fms, gms)
+                for a, row in zip(fs, sub):
+                    for b, vec in zip(gs, row):
+                        if vec:
+                            flats[a][b].update({at + j: c for j, c in vec.items()})
+            at += h.dim
+        space = self.hom(x, z)
+        return [[space.flat_coords(vec) for vec in row] for row in flats]
 
     def _p_identity(self, x):
         return {i: self.base.identity(x.obj(i)) for i in x.degrees()}

@@ -328,6 +328,8 @@ def nu_stable_sequence(p: ModuleRep, y: ModuleRep, steps=None, max_steps=16):
     (first two approximations surjective).  Returns the sequence as a
     Complex with X in degree 0.
     """
+    if max_steps < 0 or (steps is not None and steps < 0):
+        raise InputError("steps and max_steps must not be negative")
     algebra = p.algebra
     cat = algebra.modcat
     if p.proj_summands is None:

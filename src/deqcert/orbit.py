@@ -12,7 +12,7 @@ from .angulate import NAngle, ShiftAuto, verify_theorem2
 from .catideal import RingPresentation, SubcatSpec, approximation_witness, end_ring, ideal_space
 from .category import FiniteCategory, Mor, StrictAuto
 from .errors import InputError, InternalConsistencyError
-from .exactla import Mat, Subspace
+from .exactla import Mat, Subspace, _normal
 
 __all__ = [
     "AdmissibleSet",
@@ -185,6 +185,32 @@ class OrbitCategory(FiniteCategory):
                 if term.payload:
                     out[w] = out[w] + term if w in out else term
         return out
+
+    def _coords_table(self, x, y, z, fps, gps):
+        # f_u against F^u(g_v) is one base table per pair (u, v), summed into
+        # the block of w = norm(u + v); each g is twisted once per u
+        starts, at = {}, 0
+        for w, space in self._graded_spaces(x, z):
+            starts[w], at = at, at + space.dim
+        flats = [[{} for _ in gps] for _ in fps]
+        for u in dict.fromkeys(u for fp in fps for u in fp):
+            fs = [a for a, fp in enumerate(fps) if u in fp]
+            fus = [fps[a][u].payload for a in fs]
+            twisted = {}  # v -> [(b, F^u(g_v))], within the grading truncation
+            for b, gp in enumerate(gps):
+                for v, g in gp.items():
+                    if self.phi.norm(u + v) in starts:
+                        twisted.setdefault(v, []).append((b, self.functor.mor(g, u)))
+            for v, gs in twisted.items():
+                start, yu, zw = starts[self.phi.norm(u + v)], fps[fs[0]][u].tgt, gs[0][1].tgt
+                sub = self.base._coords_table(x, yu, zw, fus, [g.payload for _, g in gs])
+                for a, row in zip(fs, sub):
+                    for (b, _), vec in zip(gs, row):
+                        out = flats[a][b]
+                        for j, c in vec.items():
+                            out[start + j] = out[start + j] + c if start + j in out else c
+        space, p = self.hom(x, z), self.field.char
+        return [[space.flat_coords(_normal(p, vec)) if vec else {} for vec in row] for row in flats]
 
     def _p_identity(self, x):
         return {0: self.base.identity(x)}

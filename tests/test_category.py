@@ -290,22 +290,6 @@ def test_from_coords_of_a_unit_vector_is_that_basis_map():
             space.from_coords([0] * (space.dim + 1))
 
 
-def _same_payload(p, q):
-    """Equal part by part, and no part that vanishes is kept."""
-    return p.keys() == q.keys() and all(_same_part(p[k], q[k]) for k in p)
-
-
-def _same_part(a, b):
-    if isinstance(a, Mat):
-        return isinstance(b, Mat) and a == b and not a.is_zero()
-    return (
-        isinstance(b, Mor)
-        and (a.cat, a.src.key, a.tgt.key) == (b.cat, b.src.key, b.tgt.key)
-        and a.payload != {}
-        and _same_payload(a.payload, b.payload)
-    )
-
-
 def _operands(cat, x, y, rng):
     """A Hom basis, random combinations and basis differences, which make
     composites whose contributions cancel."""
@@ -316,19 +300,21 @@ def _operands(cat, x, y, rng):
 
 
 def _check_tables(cat, objs, rng):
+    # every entry is the coordinates of the composite made by _p_compose
     checked = 0
     for x in objs:
         for y in objs:
             for z in objs:
-                fs = [f.payload for f in _operands(cat, x, y, rng)]
-                gs = [g.payload for g in _operands(cat, y, z, rng)]
-                for fps, gps in ((fs, gs), ([], gs), (fs, [])):
-                    table = cat._p_compose_table(x, y, z, fps, gps)
-                    assert len(table) == len(fps)
-                    for fp, row in zip(fps, table):
-                        assert len(row) == len(gps)
-                        for gp, got in zip(gps, row):
-                            assert _same_payload(got, cat._p_compose(x, y, z, fp, gp))
+                space = cat.hom(x, z)
+                fs, gs = _operands(cat, x, y, rng), _operands(cat, y, z, rng)
+                for fl, gl in ((fs, gs), ([], gs), (fs, [])):
+                    table = cat.composite_coords(fl, gl)
+                    assert len(table) == len(fl)
+                    for f, row in zip(fl, table):
+                        assert len(row) == len(gl)
+                        for g, got in zip(gl, row):
+                            want = space.coords(cat._p_compose(x, y, z, f.payload, g.payload))
+                            assert got == want and all(got.values())
                             checked += bool(got)
     assert checked  # some composites do not vanish
 
@@ -344,7 +330,7 @@ def test_composite_tables_match_the_pairwise_composites(char):
     split = cat.mor(s1, ss, {"1": [[1], [1]]})
     merge = cat.mor(ss, s1, {"1": [[1, -1]]})
     assert cat._p_compose(s1, ss, s1, split.payload, merge.payload) == {}
-    assert cat._p_compose_table(s1, ss, s1, [split.payload], [merge.payload]) == [[{}]]
+    assert cat.composite_coords([split], [merge]) == [[{}]]
     _check_tables(cat, [p1, p2, s1, s2, ss], rng)
 
     quotient = QuotientCategory(cat, lambda u, v: ideal_space(cat, SubcatSpec(cat, [p2]), u, v, "F"))
@@ -365,6 +351,49 @@ def test_composite_tables_match_the_pairwise_composites(char):
     _check_tables(kb, objs, rng)
     orbit = OrbitCategory(kb, ShiftAuto(kb), AdmissibleSet([0, 1]))
     _check_tables(orbit, [tri.m, tri.x], rng)
+
+    # a periodic degree set: degrees 1 and 1 compose into degree norm(2) = 0
+    swap = QuiverTwistAuto(fx.algebra, {"1": "2", "2": "1"}, {"a1": "a2", "a2": "a1"}, order=2)
+    periodic = OrbitCategory(cat, swap, AdmissibleSet(None, period=2))
+    ones = [b for b in periodic.hom(p1, p1).basis if 1 in b.payload]
+    lo, hi = periodic.degree_zero_block(p1, p1)
+    assert any(lo <= j < hi for row in periodic.composite_coords(ones, ones) for v in row for j in v)
+    _check_tables(periodic, [p1, p2, s1], rng)
+
+
+def _drop_last_basis_element(cat, x, y):
+    """Cache Hom(x, y) with its last basis element left out of the basis and
+    of the chart; returns the full basis."""
+    full = cat.hom(x, y).basis
+    payloads, chart = cat._hom_space(x, y)
+    cols = chart.transpose().sparse_rows
+    del cols[len(payloads) - 1]
+    lacking = Mat.from_columns(cat.field, cols, chart.rows)
+    cat._hom_cache[(x.key, y.key)] = payloads[:-1], LinSolver(lacking)
+    return full
+
+
+@pytest.mark.parametrize("kind", ["module", "chain maps", "homotopy", "orbit"])
+def test_a_composite_outside_a_lacking_hom_space_raises(kind):
+    # negative control: a table checks every entry against the target's
+    # chart, so a Hom space missing a basis element raises rather than
+    # returning coordinates in the smaller span
+    fx = cyclic_nakayama(2, 3, FieldSpec(0))
+    cat = fx.algebra.modcat
+    p1, p2 = fx.projectives["1"], fx.projectives["2"]
+    x = p1
+    if kind in ("chain maps", "homotopy"):
+        x = Complex(cat, 0, [p1, p2], [cat.hom(p1, p2).basis[0]])
+        cat = ChainMapCategory(cat) if kind == "chain maps" else HomotopyCategory(cat)
+    elif kind == "orbit":
+        swap = QuiverTwistAuto(fx.algebra, {"1": "2", "2": "1"}, {"a1": "a2", "a2": "a1"}, order=2)
+        cat = OrbitCategory(cat, swap, AdmissibleSet(None, period=2))
+    full = _drop_last_basis_element(cat, x, x)
+    assert len(full) > cat.hom(x, x).dim
+    with pytest.raises(InternalConsistencyError, match="outside its computed Hom space"):
+        cat.composite_coords([cat.identity(x)], full)
+    with pytest.raises(InternalConsistencyError, match="outside its computed Hom space"):
+        cat.composite_coords(full, [cat.identity(x)])
 
 
 # -- flat vectors ------------------------------------------------------------

@@ -32,8 +32,9 @@ def run_json(capsys, *argv):
 def test_parse_field():
     assert parse_field("q").char == 0
     assert parse_field("fp:7").char == 7
-    with pytest.raises(InputError):
-        parse_field("gf:4")
+    for text in ("gf:4", "fp:0"):
+        with pytest.raises(InputError):
+            parse_field(text)
 
 
 def test_parse_scalar():
@@ -281,6 +282,16 @@ def test_non_numeric_characteristic_is_input_error(capsys):
     assert "input error:" in capsys.readouterr().err
 
 
+def test_characteristic_zero_is_input_error(tmp_path, capsys):
+    # fp:0 names no prime field; it must not run silently over Q
+    assert main(["hom", "--algebra", "a2", "--m", "P1", "--n", "P1", "--field", "fp:0"]) == 2
+    assert "input error: unknown field spec 'fp:0'" in capsys.readouterr().err
+    doc = _one_module_document(1)
+    doc["field"] = "fp:0"
+    assert _hom_on_document(tmp_path, doc) == 2
+    assert "input error: unknown field spec 'fp:0'" in capsys.readouterr().err
+
+
 def test_quiver_without_arrows_is_input_error(tmp_path, capsys):
     doc = _one_module_document(1)
     del doc["quiver"]["arrows"]
@@ -408,6 +419,14 @@ def test_default_nu_pipeline_report_is_pinned(capsys):
     code, out = run(capsys, *argv)
     assert code == 0
     assert out == (DATA / "nu-pipeline.nakayama4.q.json").read_text()
+
+
+@pytest.mark.parametrize("flags", [("--steps", "-1"), ("--max-steps", "-2")])
+def test_negative_nu_pipeline_step_counts_are_input_errors(capsys, flags):
+    argv = ["nu-pipeline", "--algebra", "nakayama4", "--p", "P", "--y", "Y"]
+    assert main([*argv, *flags]) == 2
+    assert "input error: steps and max_steps must not be negative" in capsys.readouterr().err
+    assert main([*argv, flags[0], "0"]) == 0  # no steps is a count the pipeline runs
 
 
 @pytest.mark.parametrize(
