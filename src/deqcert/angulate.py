@@ -13,7 +13,7 @@ from .algebra import ModuleRep
 from .catideal import SubcatSpec, approximation_witness, ideal_space
 from .category import MorphismEquations, Mor, QuotientCategory, StrictAuto
 from .complexes import Complex, HomotopyCategory, stalk
-from .derivedeq import EquivCertificate, _certify, augment
+from .derivedeq import EquivCertificate, _certify, _check_middle_terms, augment
 from .errors import HypothesisError, InputError, InternalConsistencyError
 from .exactla import kernel
 
@@ -160,17 +160,16 @@ def verify_theorem2(cat, sigma: StrictAuto, angle: NAngle, m) -> EquivCertificat
     """
     x_obj = angle.objects[0]
     spec = SubcatSpec(cat, [m])
-    for mid in angle.objects[1:-1]:
-        spec.member(mid)
     witness = approximation_witness(cat, spec, angle.maps[0], "left")
     if witness is not None:
         raise HypothesisError("the first map is not a left approximation", witness=witness)
     witness = approximation_witness(cat, spec, angle.maps[-1], "right")
     if witness is not None:
         raise HypothesisError("the last interior map is not a right approximation", witness=witness)
+    _check_middle_terms(spec, list(enumerate(angle.objects))[1:-1])
 
     # augmented angle: ... -> M_{n-2}+M --diag(g,1)--> Y+M --(w,0)--> Sigma X
-    _, t_complex, ym_sum, g_tilde = augment(cat, spec, m, angle.objects, angle.maps)
+    _, t_complex, ym_sum, g_tilde = augment(cat, m, angle.objects, angle.maps)
     ym = ym_sum.obj
     eta_tilde = ym_sum.projections[0].then(angle.connecting)
     qcat_i = QuotientCategory(cat, lambda a, b: ideal_space(cat, spec, a, b, "I"))

@@ -29,36 +29,23 @@ __all__ = [
 
 
 class SubcatSpec:
-    """add(generators) inside a FiniteCategory.
-
-    Membership is tracked structurally: generators are members, and sums
-    of members registered through :meth:`member` are members.  No
-    isomorphism search is attempted here.
-    """
+    """add(generators) inside a FiniteCategory."""
 
     def __init__(self, cat: FiniteCategory, generators):
         if not generators:
             raise InputError("subcategory needs at least one generator")
         self.cat = cat
         self.generators = list(generators)
-        self._members = {g.key for g in generators}
-
-    def member(self, obj):
-        """Register a direct sum of members as a member."""
-        self._members.add(obj.key)
-        return obj
 
     def contains(self, obj) -> bool:
-        return obj.key in self._members
-
-    def sum_of(self, objs):
-        """Direct sum of members, registered as a member."""
-        for o in objs:
-            if not self.contains(o):
-                raise InputError("summand is not a known member of the subcategory")
-        data = self.cat.direct_sum(objs)
-        self.member(data.obj)
-        return data
+        """Is obj in add(generators)?  Decided exactly: by structure when obj
+        is built from generators (``_from_generators``), else by whether the
+        identity of obj factors through the generators (notes/decisions.md,
+        "Membership in add(M)")."""
+        if _from_generators(self.cat, self, obj):
+            return True
+        identity = self.cat.identity(obj).coords()
+        return factorization_through(self.cat, self, obj, obj).contains(identity)
 
 
 def factorization_through(cat, spec: SubcatSpec, x, y) -> Subspace:
@@ -111,8 +98,9 @@ def ideal_space(cat, spec: SubcatSpec, x, y, kind: str) -> Subspace:
 
 def _from_generators(cat, spec: SubcatSpec, obj) -> bool:
     """Is obj a generator, or a sum made by ``cat.direct_sum`` of objects
-    built from generators?  What ``spec.member`` records rests on a
-    theorem's hypothesis, not on structure, and is not read here."""
+    built from generators?  Such an object is in add(generators) by
+    structure; ``SubcatSpec.contains`` answers every other object by its
+    identity."""
     if any(obj.key == g.key for g in spec.generators):
         return True
     parts = cat.summands_by_key.get(obj.key)
@@ -144,10 +132,10 @@ def _generator_maps(cat, spec: SubcatSpec, x, side="right"):
     return pairs
 
 
-def _assemble(cat, spec: SubcatSpec, x, pairs):
-    """Sum the pairs' maps out of the direct sum of their generators, which
-    is registered as a member; returns (sum_data, mor: sum -> x)."""
-    data = spec.sum_of([g for g, _ in pairs])
+def _assemble(cat, x, pairs):
+    """Sum the pairs' maps out of the direct sum of their generators;
+    returns (sum_data, mor: sum -> x)."""
+    data = cat.direct_sum([g for g, _ in pairs])
     out = cat.zero_mor(data.obj, x)
     for proj, (_, b) in zip(data.projections, pairs):
         out = out + proj.then(b)
@@ -156,13 +144,13 @@ def _assemble(cat, spec: SubcatSpec, x, pairs):
 
 def right_approximation(cat, spec: SubcatSpec, x):
     """Universal right approximation; returns (sum_data, mor: sum -> x)."""
-    return _assemble(cat, spec, x, _generator_maps(cat, spec, x))
+    return _assemble(cat, x, _generator_maps(cat, spec, x))
 
 
 def left_approximation(cat, spec: SubcatSpec, x):
     """Universal left approximation; returns (sum_data, mor: x -> sum)."""
     pairs = _generator_maps(cat, spec, x, "left")
-    data = spec.sum_of([g for g, _ in pairs])
+    data = cat.direct_sum([g for g, _ in pairs])
     out = cat.zero_mor(x, data.obj)
     for inj, (_, b) in zip(data.injections, pairs):
         out = out + b.then(inj)
@@ -182,11 +170,11 @@ def minimal_right_approximation(cat, spec: SubcatSpec, x):
         changed = False
         for drop in range(len(pairs)):
             trial = pairs[:drop] + pairs[drop + 1 :]
-            if approximation_witness(cat, spec, _assemble(cat, spec, x, trial)[1], "right") is None:
+            if approximation_witness(cat, spec, _assemble(cat, x, trial)[1], "right") is None:
                 pairs = trial
                 changed = True
                 break
-    return _assemble(cat, spec, x, pairs)
+    return _assemble(cat, x, pairs)
 
 
 def approximation_witness(cat, spec: SubcatSpec, f: Mor, side: str):

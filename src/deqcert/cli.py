@@ -90,7 +90,7 @@ def parse_input(path, field_flag=None) -> dict:
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}")
     _shaped(raw, dict, "the document")
-    if raw.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
+    if _integer(raw.get("schema", SCHEMA_VERSION), "schema") != SCHEMA_VERSION:
         raise InputError("unsupported schema version")
     field = parse_field(raw.get("field", field_flag))
     if field_flag is not None and parse_field(field_flag).char != field.char:

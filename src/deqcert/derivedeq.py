@@ -21,11 +21,9 @@ from .algebra import (
 from .catideal import (
     RingPresentation,
     SubcatSpec,
-    approximation_witness,
     end_ring,
     ideal_space,
     minimal_right_approximation,
-    right_approximation,
 )
 from .category import DirectSumData, MorphismEquations, QuotientCategory
 from .complexes import (
@@ -75,16 +73,16 @@ class TiltingData:
         )
 
 
-def augment(cat, spec: SubcatSpec, m, objs, maps):
+def augment(cat, m, objs, maps):
     """Adjoin m in the top degrees of objs[0] -> ... -> objs[-1] (maps
-    between consecutive objects), the middle terms being members of spec.
+    between consecutive objects), the middle terms being in add(m).
 
     Returns (P, T, Y+M, d~): d~ = diag(maps[-1], 1_m) from objs[-2] + m to
     Y+M, where Y = objs[-1]; P is the complex objs[0] -> ... -> objs[-3] ->
     objs[-2] + m -> Y+M with X = objs[0] in degree 0, and T is P without its
     top term.
     """
-    top = spec.sum_of([objs[-2], m])
+    top = cat.direct_sum([objs[-2], m])
     ym_sum = cat.direct_sum([objs[-1], m])
     d_tilde = cat.mor_from_blocks(top, ym_sum, [[maps[-1], None], [None, cat.identity(m)]])
     t_objs = list(objs[:-2]) + [top.obj]
@@ -95,7 +93,8 @@ def augment(cat, spec: SubcatSpec, m, objs, maps):
 
 
 def build_tilting(q: Complex, m) -> TiltingData:
-    """Adjoin the identity of m in top degrees and truncate."""
+    """Check that the middle terms are in add(m), then adjoin the identity
+    of m in top degrees and truncate."""
     report = check_thm1_conditions(q, m)
     if not report["ok"]:
         raise HypothesisError(
@@ -104,10 +103,9 @@ def build_tilting(q: Complex, m) -> TiltingData:
     cat = q.cat
     n = report["n"]
     spec = SubcatSpec(cat, [m])
-    for i in range(1, n + 1):
-        spec.member(q.obj(i))
+    _check_middle_terms(spec, [(i, q.obj(i)) for i in range(1, n + 1)])
     p_complex, t_complex, ym_sum, _ = augment(
-        cat, spec, m, [q.obj(i) for i in range(n + 2)], [q.diff(i) for i in range(n + 1)]
+        cat, m, [q.obj(i) for i in range(n + 2)], [q.diff(i) for i in range(n + 1)]
     )
 
     m_stalk = stalk(cat, m)
@@ -122,6 +120,20 @@ def build_tilting(q: Complex, m) -> TiltingData:
             f"transported homology facts failed: {facts}"
         )
     return TiltingData(cat, q, m, spec, n, p_complex, t_complex, ym_sum, facts)
+
+
+def _check_middle_terms(spec: SubcatSpec, terms):
+    """Raise HypothesisError, with the degree and the term as its witness, at
+    the first of the (degree, term) pairs whose term is not in add(M); each
+    distinct term (by key) is tested once."""
+    tested = set()
+    for degree, obj in terms:
+        if obj.key not in tested and not spec.contains(obj):
+            raise HypothesisError(
+                f"the middle term in degree {degree} is not in add(M)",
+                witness={"degree": degree, "term": obj},
+            )
+        tested.add(obj.key)
 
 
 def theta(t: TiltingData, f: dict):
@@ -349,7 +361,7 @@ def nu_stable_sequence(p: ModuleRep, y: ModuleRep, steps=None, max_steps=16):
         x, x_incl = kernel_module(current_f)
         # stop after the given steps, or else at a kernel that is zero or in add(p)
         if (step >= steps) if steps is not None else (
-            x.total_dim == 0 or _in_add(cat, spec, x) or step >= max_steps
+            x.total_dim == 0 or _in_add(spec, x) or step >= max_steps
         ):
             break
         data, approx = minimal_right_approximation(cat, spec, x)
@@ -391,22 +403,13 @@ def _nu_stable(summands, projs) -> bool:
     return images == counts
 
 
-def _in_add(cat, spec: SubcatSpec, mod: ModuleRep) -> bool:
-    """Is the module in add(generators)?  Decided exactly.
-
-    A dimension-vector count rules most modules out before any Hom space is
-    built.  Otherwise mod is in add exactly when its right approximation
-    f: d -> mod splits, i.e. when every map mod -> mod (the identity
-    included) factors through f.
-    """
-    if mod.total_dim == 0:
-        return True
+def _in_add(spec: SubcatSpec, mod: ModuleRep) -> bool:
+    """Is the module in add(generators)?  A dimension-vector count rules most
+    modules out before any Hom space is built; ``spec.contains`` decides the
+    rest exactly."""
     gens = spec.generators
     caps = [mod.total_dim // g.total_dim if g.total_dim else 0 for g in gens]
-    if not any(
+    return any(
         all(sum(m * g.dims[s] for m, g in zip(mults, gens)) == mod.dims[s] for s in mod.slots)
         for mults in product(*[range(c + 1) for c in caps])
-    ):
-        return False
-    _, f = right_approximation(cat, spec, mod)
-    return approximation_witness(cat, SubcatSpec(cat, [mod]), f, "right") is None
+    ) and spec.contains(mod)

@@ -114,6 +114,8 @@ class QuiverTwistAuto(StrictAuto):
         self.vertex_map = dict(vertex_map)
         self.arrow_map = dict(arrow_map)
         self.order = int(order)
+        if self.order < 1:
+            raise InputError(f"order {order!r} is not positive")
         self._v_pows = self._perm_powers(self.vertex_map)
         self._a_pows = self._perm_powers(self.arrow_map)
 

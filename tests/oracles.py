@@ -215,7 +215,8 @@ def lemma_ann_verify(cat, spec, a, b) -> dict:
     (2) with a left approximation f^b of b: L(a,b) = {g | g.then(f^b)=0};
     (3) if a is in the subcategory: R(a,b)=0 and L(a,b)=I(a,b);
     (4) if b is in the subcategory: L(a,b)=0 and R(a,b)=J(a,b).
-    Clauses (3)/(4) are skipped when membership is not known structurally.
+    Clause (3) is skipped when a is not in the subcategory, clause (4) when
+    b is not; ``spec.contains`` decides membership exactly.
     """
     report = {}
     hom_ab = cat.hom(a, b).basis

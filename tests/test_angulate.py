@@ -269,6 +269,24 @@ def test_theorem2_hypothesis_error_carries_a_map_that_does_not_factor():
     assert not through.contains(w.coords())
 
 
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_theorem2_refuses_a_middle_term_outside_add_m(char):
+    # the cone triangle of (a, 1): P2 -> P1 + P2 over a2 with M = P1 gets past
+    # both approximation checks, but P1 + P2 is not in add(P1); a certificate
+    # would pair the A2 path algebra with M_2(k), which are not derived
+    # equivalent
+    fx = a2(FieldSpec(char))
+    cat = KbProjCat(fx.algebra)
+    base = fx.algebra.modcat
+    p1, p2 = fx.projectives["1"], fx.projectives["2"]
+    s12 = base.direct_sum([p1, p2])
+    f = base.hom(p2, p1).basis[0].then(s12.injections[0]) + s12.injections[1]
+    tri = cone_triangle(cat, Mor(cat, cat.stalk_obj(p2), cat.stalk_obj(s12.obj), {0: f}))
+    with pytest.raises(HypothesisError, match="degree 1 is not in add") as err:
+        verify_theorem2(cat, cat.sigma, tri, cat.stalk_obj(p1))
+    assert err.value.witness == {"degree": 1, "term": tri.objects[1]}
+
+
 def test_verify_theorem2_rings_are_rings():
     fx = a2_triangle()
     cert = verify_theorem2(fx.cat, fx.cat.sigma, fx.triangle, fx.m)

@@ -139,8 +139,10 @@ def test_orbit_verify_command(capsys):
     assert rep["passed"] is True
 
 
-def test_document_scenario_round_trip(tmp_path, capsys):
-    doc = {
+def _scenario_document():
+    """The cyclic quiver 1 <-> 2 with both paths of length 2 killed; Q is the
+    regular module and seq the sequence X -> Q -> S1."""
+    return {
         "schema": 1,
         "field": "q",
         "quiver": {
@@ -169,8 +171,11 @@ def test_document_scenario_round_trip(tmp_path, capsys):
             },
         },
     }
+
+
+def test_document_scenario_round_trip(tmp_path, capsys):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_scenario_document()))
     code, rep = run_json(
         capsys, "check-thm1", "--input", str(path), "--complex", "seq", "--m", "Q"
     )
@@ -179,6 +184,17 @@ def test_document_scenario_round_trip(tmp_path, capsys):
         capsys, "verify-thm1", "--input", str(path), "--complex", "seq", "--m", "Q"
     )
     assert code == 0 and rep["passed"] is True
+
+
+def test_middle_term_outside_add_m_is_a_hypothesis_failure(tmp_path, capsys):
+    # Q is not in add(P1): a certificate would pair rings of dims 6 and 3
+    # with different numbers of simple modules
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_scenario_document()))
+    capsys.readouterr()
+    code = main(["verify-thm1", "--input", str(path), "--complex", "seq", "--m", "P1"])
+    assert code == 1
+    assert "hypothesis failure: the middle term in degree 1" in capsys.readouterr().err
 
 
 def test_document_functor_yoneda(tmp_path, capsys):
@@ -208,6 +224,34 @@ def test_document_functor_yoneda(tmp_path, capsys):
     assert code == 0
     # Hom(P1, P1) + Hom(P1, F P1) = Hom(P1, P1) + Hom(P1, P2)
     assert rep["dim"] == 2
+
+
+@pytest.mark.parametrize("order", [0, -2])
+def test_functor_order_below_one_is_input_error(tmp_path, capsys, order):
+    # with the identity permutation every order passes the permutation check;
+    # order 0 used to reach a division by zero and exit 1
+    doc = _one_module_document(1)
+    doc["functors"] = {
+        "F": {"type": "quiver-twist", "vertices": {"1": "1", "2": "2"}, "arrows": {"a": "a"},
+              "order": order},
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["orbit-yoneda", "--input", str(path), "--x", "P1", "--functor", "F", "--phi", "0,1"])
+    assert code == 2
+    assert "input error: order" in capsys.readouterr().err
+
+
+def test_boolean_schema_is_input_error(tmp_path, capsys):
+    # bool is a subclass of int, so a JSON true must not read as schema 1
+    doc = _one_module_document(1)
+    doc["schema"] = True
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["hom", "--input", str(path), "--m", "P1", "--n", "P1"]) == 2
+    assert "input error: schema True is not an integer" in capsys.readouterr().err
 
 
 def test_bad_document_is_input_error(tmp_path):

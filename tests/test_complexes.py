@@ -331,7 +331,7 @@ def self_orthogonality_check(p: Complex, spec: SubcatSpec, variant: str) -> dict
         raise InputError("variant must be 'left' or 'right'")
     cat = p.cat
     if len(spec.generators) != 1:
-        m_obj = spec.sum_of(spec.generators).obj
+        m_obj = cat.direct_sum(spec.generators).obj
     else:
         m_obj = spec.generators[0]
     m_stalk = stalk(cat, m_obj)

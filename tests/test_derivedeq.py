@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from deqcert import angulate, derivedeq
+from deqcert import angulate, catideal, derivedeq
 from deqcert.algebra import (
     ModuleRep,
     dense_table,
@@ -588,19 +588,49 @@ def test_in_add_decides_membership_exactly():
     solver = LinSolver(s)
     s_inv = Mat.from_columns(field, [solver.solve({j: 1}) for j in range(4)], 4)
     mod = ModuleRep.quiver_rep(fx.algebra, {"1": 4}, {"x": s * pp.mats["x"] * s_inv})
-    assert derivedeq._in_add(cat, spec, mod) is True
+    assert spec.contains(mod) is True
     # S1 + S2 over cyclic_nakayama(2, 2) has the dimension vector of P1 and
     # nonzero Homs to and from it, but is not in add(P1, P2)
     fx = cyclic_nakayama(2, 2)
     cat = fx.algebra.modcat
     spec = SubcatSpec(cat, [fx.projectives["1"], fx.projectives["2"]])
     ss = cat.direct_sum([fx.simples["1"], fx.simples["2"]]).obj
-    assert derivedeq._in_add(cat, spec, ss) is False
-    assert derivedeq._in_add(cat, spec, fx.projectives["1"]) is True
+    assert spec.contains(ss) is False
+    assert spec.contains(fx.projectives["1"]) is True
     # ... and it is the first kernel of the pipeline for P1 + P2 and S1 + S2
     p = cat.direct_sum([fx.projectives["1"], fx.projectives["2"]]).obj
     q = nu_stable_sequence(p, ss, max_steps=2)
     assert [q.obj(i).total_dim for i in q.degrees()] == [2, 4, 4, 4, 2]
+    # in K^b(proj): the cone of (a, 1): P2 -> P1 + P2 over a2 is homotopy
+    # equivalent to P1, though no direct_sum built it
+    fx = a2()
+    kb = angulate.KbProjCat(fx.algebra)
+    base = fx.algebra.modcat
+    p1, p2 = fx.projectives["1"], fx.projectives["2"]
+    s12 = base.direct_sum([p1, p2])
+    f = base.hom(p2, p1).basis[0].then(s12.injections[0]) + s12.injections[1]
+    tri = angulate.cone_triangle(
+        kb, Mor(kb, kb.stalk_obj(p2), kb.stalk_obj(s12.obj), {0: f})
+    )
+    spec = SubcatSpec(kb, [kb.stalk_obj(p1)])
+    cone = tri.objects[-1]
+    assert not catideal._from_generators(kb, spec, cone)
+    assert spec.contains(cone) is True
+    assert spec.contains(tri.objects[1]) is False
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_theorem1_refuses_a_middle_term_outside_add_m(p):
+    # the D-split sequence at S1 has middle term the regular module, which is
+    # not in add(P_v) for a single projective P_v; a certificate would claim
+    # a false derived equivalence (rings with different numbers of simples)
+    for n in (2, 3, 4):
+        fx = cyclic_nakayama(n, 2, FieldSpec(p))
+        q, _ = d_split_sequence(fx.algebra, fx.simples["1"])
+        for v, pv in fx.projectives.items():
+            with pytest.raises(HypothesisError, match="degree 1 is not in add") as err:
+                verify_theorem1(q, pv)
+            assert err.value.witness == {"degree": 1, "term": q.obj(1)}, (n, v)
 
 
 def _q_entries(x):

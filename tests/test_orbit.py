@@ -77,6 +77,15 @@ def test_quiver_twist_is_strict_of_finite_order():
     assert back is p1  # strict: the order-4 power is the identity on objects
 
 
+@pytest.mark.parametrize("order", [0, -2])
+def test_quiver_twist_order_below_one_is_input_error(order):
+    # the identity permutation passes the order check for every order
+    fx = cyclic_nakayama(2, 2)
+    ident = {"1": "1", "2": "2"}
+    with pytest.raises(InputError, match="not positive"):
+        QuiverTwistAuto(fx.algebra, ident, {"a1": "a1", "a2": "a2"}, order=order)
+
+
 def test_two_twists_keep_separate_power_caches():
     # each functor knows only the powers it built itself: a second twist
     # applied to the first twist's output twists that module, not its root
